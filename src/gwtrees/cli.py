@@ -22,6 +22,7 @@ import numpy as np
 from . import codings, exactlaw, limits, sampler, stable
 from .offspring import (
     OffspringLaw,
+    calibrate_bn,
     law_from_spec,
     make_geometric,
     make_stable_family,
@@ -181,9 +182,7 @@ def _cmd_verify(args) -> int:
         else:
             heavy = picked
     seed = _resolve_seed(args)
-    reports = limits.run_suite(
-        args.suite, geometric, heavy, seed=seed, fast=args.fast, threads=args.threads
-    )
+    reports = limits.run_suite(args.suite, geometric, heavy, seed=seed, fast=args.fast)
     payload = {
         "schema": "gwtrees.verify/1",
         "suite": args.suite,
@@ -249,7 +248,7 @@ def _cmd_codings(args) -> int:
         ((t, int(c)) for t, c in enumerate(contour.values)),
     )
     if args.rescale_points:
-        b_n = args.b_n or float(np.sqrt(args.n))
+        b_n = args.b_n or calibrate_bn(law, args.n)
         rp = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
         _write_csv(
             _out_path(prefix + "_rescaled.csv"),
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--theta", type=float, default=1.5)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--fast", action="store_true", help="reduced sizes (smoke test)")
-    pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.add_argument("--plots-dir", default=None)
     pv.set_defaults(fn=_cmd_verify)

@@ -9,7 +9,11 @@ most 1 per step.  That skip-free structure gives two workhorses:
   clipped above ``hi + (n - m)`` at an intermediate step m can never return
   below ``hi`` within the remaining n - m steps, so the final table is exact on
   [-n, hi] no matter how heavy the step tail is.  The clipped mass is tracked
-  in ``truncated_mass``.
+  in ``truncated_mass``.  ``_advance`` makes every such convolution step.
+
+"Exact" means that no mass is lost on the protected window.  Large convolutions
+run on a real FFT, whose rounding is absolute (up to 2.5e-16 on a theta = 1.5
+W_512 table, against direct summation): smaller entries have no relative accuracy.
 
 Total-progeny laws are computed along two independent routes (Kemperman from
 walk tables, and the branching recursion through the generating function) and
@@ -25,7 +29,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .codings import Tree
 from .offspring import OffspringLaw, StepLaw
@@ -60,8 +64,9 @@ class ExactLawError(RuntimeError):
 class PmfTable:
     """Finite-support pmf with its smallest represented value and clipped mass.
 
-    Entries at values <= ``exact_hi`` are exact up to float rounding; values
-    above may have lost mass to ceiling clipping (tracked in truncated_mass).
+    Entries at values <= ``exact_hi`` lost no mass to clipping but carry an
+    absolute FFT rounding error of order 1e-16; values above may have lost
+    mass to ceiling clipping (tracked in truncated_mass).
     """
 
     offset: int
@@ -128,19 +133,31 @@ class SubPmf:
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
         return np.convolve(a, b)
-    out = fftconvolve(a, b)
+    size = a.size + b.size - 1
+    L = sp_fft.next_fast_len(size, real=True)
+    out = sp_fft.irfft(sp_fft.rfft(a, L) * sp_fft.rfft(b, L), L)[:size]
     np.maximum(out, 0.0, out=out)
     return out
 
 
-def _clip_hi(offset: int, arr: np.ndarray, hi: int) -> Tuple[int, np.ndarray]:
-    """Drop entries above value hi."""
-    keep = hi - offset + 1
-    if keep >= arr.size:
-        return offset, arr
+def _advance(
+    off: int, arr: np.ndarray, k_off: int, kernel: np.ndarray, ceiling: int,
+    floor: Optional[int] = None,
+) -> Tuple[int, np.ndarray, float]:
+    """Table of X + Y for X ~ (off, arr), Y ~ (k_off, kernel), killed below ``floor``
+    and clipped above ``ceiling``: (offset, table, total before clip - total after).
+    """
+    out = _conv(arr, kernel)
+    off += k_off
+    if floor is not None and off < floor:
+        out = out[floor - off :]
+        off = floor
+    keep = ceiling - off + 1
+    if keep >= out.size:
+        return off, out, 0.0
     if keep <= 0:
         raise ExactLawError("ceiling clipped the entire table")
-    return offset, arr[:keep]
+    return off, out[:keep], float(out.sum()) - float(out[:keep].sum())
 
 
 def _step_table(step: StepLaw, hi: int) -> Tuple[int, np.ndarray]:
@@ -163,27 +180,21 @@ def _walk_table_raw(step: StepLaw, n: int, hi_eval: int) -> Tuple[int, np.ndarra
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
-    ceil1 = hi_eval + (n - 1)
-    off1, t1 = _step_table(step, ceil1)
-    if n == 1:
-        return off1, t1
-    acc_off, acc, acc_m = None, None, 0
-    pw_off, pw, pw_m = off1, t1, 1
+    pw_off, pw = _step_table(step, hi_eval + (n - 1))
+    acc_off, acc, acc_m, pw_m = None, None, 0, 1
     bits = n
     while bits:
         if bits & 1:
             if acc is None:
                 acc_off, acc, acc_m = pw_off, pw, pw_m
             else:
-                acc_off, acc = _clip_hi(
-                    acc_off + pw_off, _conv(acc, pw), hi_eval + (n - acc_m - pw_m)
+                acc_off, acc, _ = _advance(
+                    acc_off, acc, pw_off, pw, hi_eval + (n - acc_m - pw_m)
                 )
                 acc_m += pw_m
         bits >>= 1
         if bits:
-            pw_off, pw = _clip_hi(
-                2 * pw_off, _conv(pw, pw), hi_eval + (n - 2 * pw_m)
-            )
+            pw_off, pw, _ = _advance(pw_off, pw, pw_off, pw, hi_eval + (n - 2 * pw_m))
             pw_m *= 2
     return acc_off, acc
 
@@ -229,12 +240,11 @@ def _walk_tables_iter(
     A single moving ceiling hi_eval + (n - m) keeps every intermediate table
     exact on (-inf, hi_eval] for all later steps as well.
     """
-    ceil1 = hi_eval + (n - 1)
-    off, arr = _step_table(step, ceil1)
-    _, t1 = off, arr
+    t_off, t1 = _step_table(step, hi_eval + (n - 1))
+    off, arr = t_off, t1
     yield 1, off, arr
     for m in range(2, n + 1):
-        off, arr = _clip_hi(off - 1, _conv(arr, t1), hi_eval + (n - m))
+        off, arr, _ = _advance(off, arr, t_off, t1, hi_eval + (n - m))
         yield m, off, arr
 
 
@@ -380,14 +390,14 @@ def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np
     rho = progeny_rho(law, p)[: p + 1]
     phi_vals = np.zeros(j_max)
     phistar_vals = np.ones(j_max)
-    cur = rho.copy()
+    cur = rho
     for j in range(1, j_max + 1):
         if j > p:
             break  # phi_p(j) = 0, phi*_p(j) = 1 beyond
         phi_vals[j - 1] = cur[p]
         phistar_vals[j - 1] = max(0.0, 1.0 - float(cur[:p].sum()))
         if j < j_max:
-            cur = _conv(cur, rho)[: p + 1]
+            _, cur, _ = _advance(0, cur, 0, rho, p)
     phi_vals.flags.writeable = False
     phistar_vals.flags.writeable = False
     return phi_vals, phistar_vals
@@ -444,22 +454,15 @@ def meander_pmf(step: StepLaw, m: int, hi_eval: int, protect: Optional[int] = No
     if m < 1:
         raise ExactLawError("m must be >= 1")
     horizon = max(protect if protect is not None else m, m)
-    _, nu = _step_table(step, hi_eval + horizon)
+    nu_off, nu = _step_table(step, hi_eval + horizon)
     nu_defect = 1.0 - float(nu.sum())  # jumps beyond the table land above every ceiling
-    cur = np.zeros(1)
-    cur[0] = 1.0  # W_0 = 0
-    off = 0
+    off, cur = 0, np.ones(1)  # W_0 = 0
     clipped = 0.0
     for q in range(1, m + 1):
         clipped += float(cur.sum()) * nu_defect
-        arr = _conv(cur, nu)
-        off2 = off - 1
-        if off2 < 0:  # kill paths that dipped below 0
-            arr = arr[-off2:]
-            off2 = 0
-        before = float(arr.sum())
-        off, cur = _clip_hi(off2, arr, hi_eval + (horizon - q))
-        clipped += before - float(cur.sum())
+        # paths that dip below 0 are killed
+        off, cur, lost = _advance(off, cur, nu_off, nu, hi_eval + (horizon - q), floor=0)
+        clipped += lost
     return SubPmf(
         offset=off,
         masses=cur,

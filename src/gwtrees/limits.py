@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -233,7 +232,6 @@ def contour_limit_experiment(
     seed: int = 0,
     ks_bound: float = 0.03,
     reversal_bound: float = 0.02,
-    threads: int = 1,
     budget_s: Optional[float] = None,
 ) -> ExperimentReport:
     """Monte Carlo check of the theta = 2 functional limit of the contour.
@@ -253,28 +251,18 @@ def contour_limit_experiment(
     idx = [int(round(2 * n * t)) for t in t_list]
     top = 2 * (n - 1)
     partial = False
-
-    def one(rep: int):
-        rng = derive_rng(seed, rep)
-        tree = sample_conditioned(law, n, rng=rng)
-        c = contour_from_tree(tree).values
-        at = [float(c[i]) if i <= top else 0.0 for i in idx]
-        rev = [float(c[top - i]) if 0 <= top - i <= top else 0.0 for i in idx]
-        return at, rev, float(c.max())
-
     rows: List = []
-    deadline = t0 + budget_s if budget_s else None
-    chunk = 256
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        if threads <= 1:
-            rows.extend(one(i) for i in range(start, stop))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows.extend(pool.map(one, range(start, stop)))
-        if deadline and time.time() > deadline and stop < replicates:
+    for rep in range(replicates):
+        if budget_s and rows and time.time() - t0 > budget_s:
             partial = True
             break
+        tree = sample_conditioned(law, n, rng=derive_rng(seed, rep))
+        c = contour_from_tree(tree).values
+        rows.append((
+            [float(c[i]) if i <= top else 0.0 for i in idx],
+            [float(c[top - i]) if 0 <= top - i <= top else 0.0 for i in idx],
+            float(c.max()),
+        ))
     at = np.array([r[0] for r in rows]) * scale
     rev = np.array([r[1] for r in rows]) * scale
     sups = np.array([r[2] for r in rows]) * scale
@@ -336,7 +324,6 @@ def height_contour_gap_experiment(
     n_list: Sequence[int],
     replicates: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Mean of (B_n/n) sup_t |C_{2nt} - H_{nt}| per n; must decrease in n.
 
@@ -470,7 +457,6 @@ def run_suite(
     heavy: OffspringLaw,
     seed: int = 0,
     fast: bool = False,
-    threads: int = 1,
 ) -> List[ExperimentReport]:
     """Run one named suite (or 'all') on the canonical pair of laws."""
     reports: List[ExperimentReport] = []
@@ -488,7 +474,7 @@ def run_suite(
         reports.append(ratio_vs_gamma_experiment(heavy, ns))
     if suite in ("contour", "all"):
         n, reps = (10_000, 10_000) if not fast else (1_000, 1_000)
-        reports.append(contour_limit_experiment(geometric, n, reps, seed=seed, threads=threads))
+        reports.append(contour_limit_experiment(geometric, n, reps, seed=seed))
     if suite in ("gap", "all"):
         ns = (1_000, 10_000, 100_000) if not fast else (256, 1024)
         reps = 200 if not fast else 50

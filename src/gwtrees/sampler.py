@@ -23,9 +23,7 @@ import numpy as np
 from .codings import LukasiewiczPath, Tree, tree_from_walk
 from .exactlaw import (
     ExactLawError,
-    _clip_hi,
-    _conv,
-    _step_table,
+    _walk_tables_iter,
     enumerate_conditioned,
     progeny_rho,
     walk_pmf,
@@ -180,13 +178,7 @@ def _dp_tables(step: StepLaw, n: int, budget_floats: float) -> List[Tuple[int, n
             f"dp_exact tables need ~{n * (n + 1) * 8 / 1e9:.2f} GB at n={n}; "
             "raise dp_budget_floats or use rejection"
         )
-    _, t1 = _step_table(step, n - 1)
-    tables: List[Tuple[int, np.ndarray]] = [(-1, t1)]
-    off, arr = -1, t1
-    for m in range(2, n):
-        off, arr = _clip_hi(off - 1, _conv(arr, t1), n - m)
-        tables.append((off, arr))
-    return tables
+    return [(off, arr) for _, off, arr in _walk_tables_iter(step, n - 1, hi_eval=1)]
 
 
 def _dp_increments(
@@ -280,6 +272,10 @@ def sample_conditioned(
     """One tree exactly distributed as GW_mu conditioned on {zeta = n}."""
     if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
         raise SamplerError(f"P[zeta = {n}] = 0 for this law")
+    # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the span
+    span = law.span
+    if span == 0 or (n - 1) % span:
+        raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
     inc = conditioned_increments(step_law(law), n, method, rng_seed, rng, **kwargs)
     return tree_from_walk(cycle_shift(inc))
 

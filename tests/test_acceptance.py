@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 The theta = 2 contour sup-mean gate (8b) is a known red: the target sqrt(pi)
 carries a finite-size offset of about -1.5 * B_n / n, which is ~4 standard
 errors at the mandated n = 1e4 / 1e4 replicates.  The assertion is kept at its
-stated tolerance (marked xfail with the analysis; see notes/decisions.md) and
+stated tolerance (marked xfail with the analysis; see README, "Known red gate") and
 the bias-aware companion check 8c passes, isolating the effect to the gate's
 calibration rather than the pipeline.
 """
@@ -209,7 +209,7 @@ def test_criterion_8a_contour_marginal_and_reversal(contour_report):
     strict=False,
     reason="spec calibration defect: E[max C] = sqrt(pi n) - 3/2 + o(1) puts the "
     "limit target ~4 standard errors away at n=1e4 with 1e4 replicates; "
-    "see notes/decisions.md and criterion 8c",
+    'see README, "Known red gate", and criterion 8c',
 )
 def test_criterion_8b_contour_sup_mean_3se(contour_report):
     """Mean rescaled contour max within 3 standard errors of sqrt(pi) (as stated)."""

@@ -130,6 +130,22 @@ class TestCodings:
         rh, rr = read_csv(tmp_path / "tree_rescaled.csv")
         assert rh == ["t", "value"] and len(rr) == 5
 
+    def test_rescaled_column_uses_law_scaling(self, tmp_path):
+        # B_n for theta = 1.5 is (n/theta)^(1/theta), not the sqrt(n) of variance-2 laws
+        from gwtrees import calibrate_bn, make_stable_family
+        from gwtrees.codings import ContourSeq, rescale
+
+        n, points = 1001, 9
+        prefix = str(tmp_path / "heavy")
+        assert run(["codings", "--law", "stable:1.5", "--n", str(n), "--seed", "4",
+                    "--out-prefix", prefix, "--rescale-points", str(points)]) == 0
+        _, cr = read_csv(tmp_path / "heavy_contour.csv")
+        contour = ContourSeq(np.array([int(r[1]) for r in cr]))
+        want = rescale(contour, n, calibrate_bn(make_stable_family(1.5), n), points)
+        _, rr = read_csv(tmp_path / "heavy_rescaled.csv")
+        got = np.array([float(r[1]) for r in rr])
+        assert np.array_equal(got, want.values)
+
 
 class TestErrors:
     def test_usage_error_exit_2(self):

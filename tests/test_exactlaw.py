@@ -29,7 +29,27 @@ def brute_walk_pmf(nu, n):
     return cur
 
 
+def brute_meander_pmf(nu, m):
+    """Oracle: m dict convolutions, dropping every state below 0 after each step."""
+    cur = {0: 1.0}
+    for _ in range(m):
+        cur = {k: p for k, p in dict_convolve(cur, nu).items() if k >= 0}
+    return cur
+
+
 GEO_NU = {k - 1: 0.5 ** (k + 1) for k in range(64)}  # nu(-1..62) of geometric(1/2)
+
+
+class TestConv:
+    def test_fft_branch_matches_direct(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.random(3000), rng.random(1200)
+        a, b = a / a.sum(), b / b.sum()
+        assert a.size * b.size > 1 << 20  # above the np.convolve threshold
+        got = ex._conv(a, b)
+        want = np.convolve(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestWalkPmf:
@@ -225,3 +245,17 @@ class TestMeander:
         phi_r, _ = ex.phi_phi_star_at(geometric, n - m, int(ks[-1]) + 1)
         lhs = float((mea.masses * phi_r[ks]).sum())
         assert abs(lhs - ex.progeny_rho(geometric, n)[n]) < 1e-14
+
+    def test_against_killed_walk_oracle(self, geometric, stable15):
+        # steps above hi_eval + m cannot end inside [0, hi_eval], so nu on
+        # [-1, 40] makes the dict oracle exact on the whole table
+        hi_eval = 12
+        for law in (geometric, stable15):
+            step = step_law(law)
+            nu = {k: float(p) for k, p in zip(range(-1, 41), step.probabilities(40))}
+            for m in range(1, 7):
+                mea = ex.meander_pmf(step, m, hi_eval=hi_eval)
+                assert (mea.lo, mea.exact_hi) == (0, hi_eval)
+                oracle = brute_meander_pmf(nu, m)
+                want = np.array([oracle.get(k, 0.0) for k in range(mea.lo, mea.hi + 1)])
+                assert np.max(np.abs(mea.masses - want)) < 1e-15

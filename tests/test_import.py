@@ -1,0 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gwtrees
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal costs over a second at import; the FFT path needs only scipy.fft
+    env = dict(os.environ, PYTHONPATH=str(Path(gwtrees.__file__).parents[1]))
+    code = "import gwtrees, sys; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

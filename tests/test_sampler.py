@@ -173,6 +173,13 @@ class TestSampleConditioned:
         with pytest.raises(SamplerError):
             sample_conditioned(stable15, 2, rng_seed=0)
 
+    def test_off_lattice_size_fails_fast(self):
+        # support {0, 2} has span 2: zeta is always odd, beyond the exact check too
+        from gwtrees import make_explicit
+
+        with pytest.raises(SamplerError, match="span"):
+            sample_conditioned(make_explicit([0.5, 0.0, 0.5]), 4098, rng_seed=0)
+
     def test_same_seed_same_tree_and_thread_independence(self, geometric):
         serial = [sample_conditioned(geometric, 64, rng=derive_rng(7, i)) for i in range(8)]
         with ThreadPoolExecutor(max_workers=4) as pool:
