@@ -333,7 +333,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (exactlaw.ExactLawError, sampler.SamplerError, ValueError) as exc:
+    except (exactlaw.ExactLawError, sampler.SamplerError, stable.StableNumericsError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

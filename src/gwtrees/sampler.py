@@ -12,6 +12,11 @@ a shuffled sequence after acceptance, so a rejected block costs O(support)
 instead of O(n).  The dp_exact method instead samples the steps left to right,
 each reweighted by the exact probability that the remaining walk reaches the
 remaining target; it exists to cross-validate the rejection route at small n.
+
+Both the free sampler and the rejection route read mu from one step sampler:
+a table of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) plus one bucket
+for the analytic tail beyond cap, whose values are drawn by exact bisection on
+the tail function.
 """
 
 from __future__ import annotations
@@ -70,25 +75,29 @@ def _tail_quantile(law: OffspringLaw, kmin: int, u: float) -> int:
     return lo
 
 
-# -- unconditioned sampling ------------------------------------------------------
+class _StepSampler:
+    """mu as a table on 0..cap plus one bucket for its analytic tail beyond cap.
 
-
-class _MuSampler:
-    """Inverse-CDF sampler for mu; beyond the table, exact analytic tail inversion."""
+    The one step sampler of both samplers: ``sample_gw`` inverts the CDF of
+    ``bulk``, the rejection sampler draws one multinomial over ``bulk`` plus
+    the ``tail`` bucket.  The cap keeps that multinomial cheap; values beyond
+    it are resolved exactly by ``tail_draws``.
+    """
 
     def __init__(self, law: OffspringLaw):
         self.law = law
-        self.cap = min(law.support_cap(1e-15), 1 << 16)
-        self.cdf = np.cumsum(law.probabilities(self.cap))
-        self.head = float(self.cdf[-1])
+        self.cap = min(law.support_cap(1e-15), 1 << 14)
+        self.bulk = law.probabilities(self.cap)
+        self.tail = law.tail_mass(self.cap)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        out = np.searchsorted(self.cdf, u, side="right")
-        over = np.flatnonzero(u >= self.head)
-        for i in over:
-            out[i] = _tail_quantile(self.law, self.cap + 1, float(u[i]) - self.head)
-        return out
+    def tail_draws(self, us: np.ndarray) -> np.ndarray:
+        """Values of mu beyond cap at tail quantiles us in [0, tail)."""
+        return np.array(
+            [_tail_quantile(self.law, self.cap + 1, float(u)) for u in us], dtype=np.int64
+        )
+
+
+# -- unconditioned sampling ------------------------------------------------------
 
 
 def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]:
@@ -103,13 +112,18 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]
     if law.mean > 1.0 + 1e-10:
         raise SamplerError("sample_gw needs a (sub)critical law; tilt first")
     rng = derive_rng(rng_seed)
-    mu = _MuSampler(law)
+    steps = _StepSampler(law)
+    cdf = np.cumsum(steps.bulk)
+    head = float(cdf[-1])
     chunks: List[np.ndarray] = []
     open_slots = 1
     drawn = 0
     chunk_size = 64
     while drawn < size_cap:
-        chunk = mu.draw(rng, min(chunk_size, size_cap - drawn))
+        u = rng.random(min(chunk_size, size_cap - drawn))
+        chunk = np.searchsorted(cdf, u, side="right")
+        over = u >= head
+        chunk[over] = steps.tail_draws(u[over] - head)
         partial = open_slots + np.cumsum(chunk - 1)
         hit = np.flatnonzero(partial == 0)
         if hit.size:
@@ -125,38 +139,25 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]
 # -- conditioned increments ---------------------------------------------------------
 
 
-def _rejection_increments(
-    step: StepLaw, n: int, rng: np.random.Generator, max_attempts: int
-) -> np.ndarray:
-    law = step.law
-    # bulk support sized so one multinomial stays cheap; the analytic tail
-    # beyond it becomes one extra bucket, resolved exactly on demand
-    bulk_cap = min(law.support_cap(1e-15), 1 << 14)
-    bulk = step.probabilities(bulk_cap - 1)  # nu(-1 .. bulk_cap-1) = mu(0 .. bulk_cap)
-    tail = law.tail_mass(bulk_cap)
-    pvals = np.maximum(np.append(bulk, tail), 0.0)
+def _rejection_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    steps = _StepSampler(law)
+    pvals = np.maximum(np.append(steps.bulk, steps.tail), 0.0)
     pvals /= pvals.sum()
-    values = np.arange(-1, bulk_cap, dtype=np.int64)
+    values = np.arange(-1, steps.cap, dtype=np.int64)  # nu(-1 .. cap-1) = mu(0 .. cap)
+    max_attempts = 50 * n + 100_000  # expected ~ B_n / p1(0), so huge slack
 
     for _ in range(max_attempts):
         counts = rng.multinomial(n, pvals)
         n_tail = int(counts[-1])
-        tail_vals = None
         total = int(values @ counts[:-1])
-        if n_tail:
-            tail_vals = np.array(
-                [
-                    _tail_quantile(law, bulk_cap + 1, rng.random() * tail)
-                    for _ in range(n_tail)
-                ],
-                dtype=np.int64,
-            )
-            total += int(tail_vals.sum()) - n_tail  # steps are child counts minus 1
+        if n_tail:  # most blocks have no tail step; skip the draw's fixed cost
+            tail_steps = steps.tail_draws(rng.random(n_tail) * steps.tail) - 1
+            total += int(tail_steps.sum())
         if total != -1:
             continue
         seq = np.repeat(values, counts[:-1])
-        if tail_vals is not None:
-            seq = np.concatenate([seq, tail_vals - 1])
+        if n_tail:
+            seq = np.concatenate([seq, tail_steps])
         rng.shuffle(seq)
         return seq
     raise SamplerError(
@@ -218,7 +219,6 @@ def conditioned_increments(
     method: str = "rejection",
     rng_seed: int = 0,
     rng: Optional[np.random.Generator] = None,
-    max_attempts: int = 0,
     dp_budget_floats: float = 1e8,
 ) -> np.ndarray:
     """n i.i.d. nu-steps conditioned on summing to -1 (exact distribution)."""
@@ -229,9 +229,7 @@ def conditioned_increments(
     if n == 1:
         return np.array([-1], dtype=np.int64)
     if method == "rejection":
-        if max_attempts <= 0:
-            max_attempts = 50 * n + 100_000  # expected ~ B_n / p1(0), so huge slack
-        return _rejection_increments(step, n, rng, max_attempts)
+        return _rejection_increments(step.law, n, rng)
     if method == "dp_exact":
         return _dp_increments(step, n, rng, dp_budget_floats)
     raise SamplerError(f"unknown method {method!r}")
@@ -267,16 +265,17 @@ def sample_conditioned(
     method: str = "rejection",
     rng_seed: int = 0,
     rng: Optional[np.random.Generator] = None,
-    **kwargs,
 ) -> Tree:
     """One tree exactly distributed as GW_mu conditioned on {zeta = n}."""
+    if n < 1:
+        raise SamplerError("n must be >= 1")
     if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
         raise SamplerError(f"P[zeta = {n}] = 0 for this law")
     # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the span
     span = law.span
     if span == 0 or (n - 1) % span:
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
-    inc = conditioned_increments(step_law(law), n, method, rng_seed, rng, **kwargs)
+    inc = conditioned_increments(step_law(law), n, method, rng_seed, rng)
     return tree_from_walk(cycle_shift(inc))
 
 

@@ -11,7 +11,13 @@ which is absolutely convergent since cos(theta pi/2) < 0 on (1,2].  The
 integrand is smooth and exponentially damped, so composite Gauss-Legendre
 panels sized to the fastest oscillation give near machine accuracy; theta = 2
 short-circuits to the Gaussian closed forms (variance 2) everywhere, which
-doubles as a free cross-check of the quadrature path.
+doubles as a free cross-check of the quadrature path.  The quadrature
+constants (envelope cut, target error, refinement limit) are class constants
+of StableLaw, so a law is its theta alone.  The panel nodes of each (law,
+panel count) and the spline of the left cumulative are built once and kept by
+functools.lru_cache, which is safe across threads.  The cosine matrix is
+evaluated in row chunks of about 2^21 entries, so the memory of p_1 does not
+grow with max |x|; its time still does, through the panel count.
 
 Derived objects: the scaling p_t, the first-passage kernel q_s(x) = (x/s) p_s(-x),
 its s-integral (reduced to a finite integral by v = x s^(-1/theta)), the
@@ -22,9 +28,9 @@ excursion marginals.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
+from typing import ClassVar, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -59,7 +65,7 @@ class GammaDomainError(ValueError):
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Index theta plus quadrature configuration.
+    """Index theta; the quadrature constants are shared by every law.
 
     ``trunc_envelope`` sets where the damping exp(u^theta cos(theta pi/2)) may
     be dropped; ``abs_tol`` is the target absolute error of one p_1 evaluation;
@@ -67,15 +73,13 @@ class StableLaw:
     """
 
     theta: float
-    trunc_envelope: float = 1e-18
-    abs_tol: float = 1e-10
-    max_refine: int = 8
+    trunc_envelope: ClassVar[float] = 1e-18
+    abs_tol: ClassVar[float] = 1e-10
+    max_refine: ClassVar[int] = 8
 
     def __post_init__(self):
         if not 1.0 < self.theta <= 2.0:
             raise ValueError(f"theta must lie in (1,2], got {self.theta!r}")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
 
     @property
     def is_gaussian(self) -> bool:
@@ -91,16 +95,11 @@ class StableLaw:
 # -- inversion quadrature -------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_panel_cache: dict = {}
-_panel_lock = threading.Lock()
 
 
+@lru_cache(maxsize=None)
 def _panel_grid(law: StableLaw, n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
     """(u nodes, weights including the damping envelope) for [0, u_max]."""
-    key = (law.theta, law.trunc_envelope, n_panels)
-    got = _panel_cache.get(key)
-    if got is not None:
-        return got
     edges = np.linspace(0.0, law.u_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -108,8 +107,6 @@ def _panel_grid(law: StableLaw, n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     c = math.cos(law.theta * math.pi / 2.0)
     w_env = w * np.exp(c * u**law.theta)
-    with _panel_lock:
-        _panel_cache[key] = (u, w_env)
     return u, w_env
 
 
@@ -125,10 +122,16 @@ def _p1_quadrature(law: StableLaw, xs: np.ndarray) -> np.ndarray:
     def evaluate(n_p: int) -> np.ndarray:
         u, w_env = _panel_grid(law, n_p)
         shift = s * u**th
+        # chunk rows so one cos matrix holds at most ~2^21 entries (16 MB);
+        # power-of-two chunks keep each row's summation order in a one-thread
+        # BLAS, so p_1 is bit-equal to unchunked evaluation there
+        rows = 4096
+        while rows > 1 and rows * u.size > 1 << 21:
+            rows //= 2
         out = np.empty(xs.size)
-        for i in range(0, xs.size, 4096):  # chunked: the cos matrix can be large
-            blk = xs[i : i + 4096]
-            out[i : i + 4096] = np.cos(blk[:, None] * u[None, :] + shift[None, :]) @ w_env
+        for i in range(0, xs.size, rows):
+            blk = xs[i : i + rows]
+            out[i : i + rows] = np.cos(blk[:, None] * u[None, :] + shift[None, :]) @ w_env
         return out / math.pi
 
     prev = evaluate(n_panels)
@@ -198,14 +201,12 @@ def first_passage_density(law: StableLaw, s: float, x) -> np.ndarray | float:
 _LEFT_CUT = 16.0
 
 
-def _left_cumulative(law: StableLaw, intervals: int = 4096):
+@lru_cache(maxsize=None)
+def _left_cumulative(law: StableLaw):
     """Cubic spline of v -> int_0^v p_1(-w) dw (per-interval 8-pt Gauss-Legendre)."""
-    key = ("leftcum", law.theta, law.trunc_envelope, intervals)
-    got = _panel_cache.get(key)
-    if got is not None:
-        return got
     from scipy.interpolate import CubicSpline
 
+    intervals = 4096
     edges = np.linspace(0.0, _LEFT_CUT, intervals + 1)
     nodes8, weights8 = np.polynomial.legendre.leggauss(8)
     half = 0.5 * (edges[1] - edges[0])
@@ -214,10 +215,7 @@ def _left_cumulative(law: StableLaw, intervals: int = 4096):
     pv = np.asarray(density_p1(law, -v_nodes)).reshape(intervals, 8)
     per_interval = (pv * weights8[None, :]).sum(axis=1) * half
     knots = np.concatenate([[0.0], np.cumsum(per_interval)])
-    spline = CubicSpline(edges, knots)
-    with _panel_lock:
-        _panel_cache[key] = spline
-    return spline
+    return CubicSpline(edges, knots)
 
 
 def passage_integral(law: StableLaw, lower: float, x: float) -> float:

@@ -161,6 +161,17 @@ class TestErrors:
                     str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_stable_numerics_error_exit_2(self, tmp_path, monkeypatch):
+        from gwtrees import stable
+
+        def fail(*args, **kwargs):
+            raise stable.StableNumericsError("p1 quadrature did not converge")
+
+        monkeypatch.setattr(stable, "density_p1", fail)
+        code = run(["stable", "--theta", "1.5", "--what", "p1", "--grid=-1:1:3",
+                    "--out", str(tmp_path / "p1.csv")])
+        assert code == 2
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWTREES_OUT_DIR", str(tmp_path))
         assert run(["sample", "--law", "geometric", "--n", "2", "--seed", "1",

@@ -15,7 +15,13 @@ from gwtrees import (
     sample_gw,
     step_law,
 )
-from gwtrees.sampler import SamplerError, analytic_sampler_law, derive_rng
+from gwtrees.sampler import (
+    SamplerError,
+    _StepSampler,
+    _tail_quantile,
+    analytic_sampler_law,
+    derive_rng,
+)
 
 
 def catalan(k):
@@ -54,6 +60,31 @@ class TestSampleGw:
         a = sample_gw(geometric, 1000, rng_seed=99)
         b = sample_gw(geometric, 1000, rng_seed=99)
         assert (a is None and b is None) or a == b
+
+    def test_heavy_tail_trees_valid(self, stable15):
+        trees = [sample_gw(stable15, 10_000, rng_seed=seed) for seed in range(50)]
+        done = [t for t in trees if t is not None]
+        assert done  # Tree() itself rejects an invalid degree sequence
+        assert all(t.zeta <= 10_000 for t in done)
+
+
+class TestStepSampler:
+    """The analytic tail inversion against a direct CDF search on a longer table."""
+
+    def test_tail_draws_match_table_search(self, stable15):
+        steps = _StepSampler(stable15)
+        us = np.linspace(0.0, 0.9 * steps.tail, 2001)
+        cdf = np.cumsum(stable15.probabilities(1 << 17)[steps.cap + 1 :])
+        want = steps.cap + 1 + np.searchsorted(cdf, us, side="right")
+        assert np.array_equal(steps.tail_draws(us), want)
+
+    @pytest.mark.parametrize("kmin", [3, 50, 1000])
+    def test_tail_quantile_match_table_search(self, stable15, kmin):
+        us = np.linspace(0.0, 0.9 * stable15.tail_mass(kmin - 1), 2001)
+        cdf = np.cumsum(stable15.probabilities(1 << 17)[kmin:])
+        want = kmin + np.searchsorted(cdf, us, side="right")
+        got = [_tail_quantile(stable15, kmin, float(u)) for u in us]
+        assert got == want.tolist()
 
 
 class TestConditionedIncrements:
@@ -172,6 +203,11 @@ class TestSampleConditioned:
         # the stable family has mu(1) = 0, so no tree with exactly 2 vertices
         with pytest.raises(SamplerError):
             sample_conditioned(stable15, 2, rng_seed=0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_size_fails_fast(self, geometric, n):
+        with pytest.raises(SamplerError, match="n must be >= 1"):
+            sample_conditioned(geometric, n, rng_seed=0)
 
     def test_off_lattice_size_fails_fast(self):
         # support {0, 2} has span 2: zeta is always odd, beyond the exact check too

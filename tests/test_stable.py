@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,22 @@ class TestDensityP1:
         vec = stb.density_p1(S15, xs)
         for x, v in zip(xs, vec):
             assert stb.density_p1(S15, float(x)) == pytest.approx(v, abs=2 * S15.abs_tol)
+
+    def test_memory_bounded_on_wide_grid(self):
+        # the cosine matrix is built in row chunks of about 2^21 entries, so a
+        # wide grid (many panels) must not hold one 1024-row matrix at once
+        xs = np.linspace(-40, 40, 1024)
+        tracemalloc.start()
+        try:
+            stb.density_p1(S15, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_law_is_theta_alone(self):
+        assert [f.name for f in dataclasses.fields(stb.StableLaw)] == ["theta"]
+        assert S15.abs_tol == 1e-10 and S15 == stb.StableLaw(1.5)
 
 
 class TestDensityPt:
