@@ -7,22 +7,19 @@ inversion of exp((-iu)^theta):
     p_1(x) = (1/pi) * int_0^inf exp(u^theta cos(theta pi/2))
                                  * cos(x u + u^theta sin(theta pi/2)) du,
 
-which is absolutely convergent since cos(theta pi/2) < 0 on (1,2].  The
-integrand is smooth and exponentially damped, so composite Gauss-Legendre
-panels sized to the fastest oscillation give near machine accuracy; theta = 2
-short-circuits to the Gaussian closed forms (variance 2) everywhere, which
-doubles as a free cross-check of the quadrature path.  The quadrature
-constants (envelope cut, target error, refinement limit) are class constants
-of StableLaw, so a law is its theta alone.  The panel nodes of each (law,
-panel count) and the spline of the left cumulative are built once and kept by
-functools.lru_cache, which is safe across threads.  The cosine matrix is
-evaluated in row chunks of about 2^21 entries, so the memory of p_1 does not
-grow with max |x|; its time still does, through the panel count.
+which is absolutely convergent since cos(theta pi/2) < 0 on (1,2].  As in
+Mittnik, Doganoglu & Chenyao (1999), one FFT of the trapezoid rule in u gives
+p_1 (and p_1', p_1'') on a uniform x-grid, and quintic Hermite pieces
+interpolate between the nodes.  Each law's grid is built once, checked to
+``abs_tol`` and kept by functools.lru_cache; then p_1 costs a few array
+operations per point whatever max |x| is, and no value depends on the batch
+or the BLAS thread count.  theta = 2 short-circuits to the Gaussian closed
+forms (variance 2) everywhere, a free cross-check of the grid route.
 
 Derived objects: the scaling p_t, the first-passage kernel q_s(x) = (x/s) p_s(-x),
-its s-integral (reduced to a finite integral by v = x s^(-1/theta)), the
-absolute-continuity weight Gamma_a, the excursion-measure tail, and the theta=2
-excursion marginals.
+its s-integral (by v = x s^(-1/theta), the exact integral of the Hermite pieces),
+the absolute-continuity weight Gamma_a, the excursion-measure tail, and the
+theta=2 excursion marginals.
 """
 
 from __future__ import annotations
@@ -30,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import erf
 from scipy.special import gamma as _gamma
+from scipy.special import zeta as _zeta
 
 __all__ = [
     "StableLaw",
@@ -56,7 +55,7 @@ GAMMA_X_HI = 1e3
 
 
 class StableNumericsError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance (bound attached)."""
+    """The p_1 grid failed to reach the requested tolerance (bound attached)."""
 
 
 class GammaDomainError(ValueError):
@@ -65,17 +64,12 @@ class GammaDomainError(ValueError):
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Index theta; the quadrature constants are shared by every law.
-
-    ``trunc_envelope`` sets where the damping exp(u^theta cos(theta pi/2)) may
-    be dropped; ``abs_tol`` is the target absolute error of one p_1 evaluation;
-    ``max_refine`` bounds the number of panel doublings.
-    """
+    """Index theta.  Shared by every law: ``trunc_envelope``, where the damping
+    exp(u^theta cos(theta pi/2)) is dropped, and ``abs_tol``, p_1's target error."""
 
     theta: float
     trunc_envelope: ClassVar[float] = 1e-18
     abs_tol: ClassVar[float] = 1e-10
-    max_refine: ClassVar[int] = 8
 
     def __post_init__(self):
         if not 1.0 < self.theta <= 2.0:
@@ -85,67 +79,94 @@ class StableLaw:
     def is_gaussian(self) -> bool:
         return self.theta == 2.0
 
-    @property
-    def u_max(self) -> float:
-        """Truncation point of the inversion integral from the envelope bound."""
-        c = math.cos(self.theta * math.pi / 2.0)
-        return (math.log(1.0 / self.trunc_envelope) / -c) ** (1.0 / self.theta)
+
+# -- p_1 on a cached grid --------------------------------------------------------------
+
+# p_1 < 1e-28 left of -16 for every theta in (1,2] (a super-exponential left tail)
+_LEFT_CUT = 16.0
+_PERIOD = 128.0  # P: x-period of the trapezoid rule; the grid covers [-16, P - 16]
+_TAIL_TERMS = 5
 
 
-# -- inversion quadrature -------------------------------------------------------------
+def _tail_series(theta: float, x: np.ndarray, order: int = 0, period: float = 0.0):
+    """d^order/dy^order of p_1's tail sum_k a_k y^(-1-k theta) at x, or summed at x + j period."""
+    out = np.zeros(np.shape(x))
+    for k in range(1, _TAIL_TERMS + 1):
+        a_k = -math.sin(math.pi * (k * theta % 2)) * _gamma(k * theta + 1) / math.factorial(k)
+        s = 1.0 + k * theta + order
+        c = a_k / math.pi * math.prod(1.0 - s + i for i in range(order))
+        out += c * (period**-s * _zeta(s, 1.0 + x / period) if period else x**-s)
+    return out
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+class _Grid:
+    """Quintic Hermite pieces on [-16, P - 16] from p_1, p_1', p_1'' at the nodes."""
+
+    def __init__(self, dx: float, f, d1, d2):
+        self.dx = dx
+        df, g0, g1 = f[1:] - f[:-1], dx * d1[:-1], dx * d1[1:]
+        h0, h1 = dx * dx * d2[:-1], dx * dx * d2[1:]
+        # t^0..t^5 coefficients, t = (x - x_j) / dx, summed elementwise, not by BLAS
+        self.coef = [f[:-1], g0, 0.5 * h0, 10 * df - 6 * g0 - 4 * g1 - 1.5 * h0 + 0.5 * h1,
+                     -15 * df + 8 * g0 + 7 * g1 + 1.5 * h0 - h1,
+                     6 * df - 3 * (g0 + g1) - 0.5 * (h0 - h1)]
+        self.cum = np.cumsum([0.0, *(dx * sum(c / (p + 1) for p, c in enumerate(self.coef)))])
+        self.cum -= self.cum[round(_LEFT_CUT / dx)]  # x = 0 is a node
+
+    def pieces(self, xs: np.ndarray, integrate: bool = False) -> np.ndarray:
+        """The pieces at xs in [-16, P - 16], or their exact integral from 0 to xs."""
+        y = (xs + _LEFT_CUT) / self.dx
+        j = np.minimum(y.astype(np.intp), self.cum.size - 2)
+        t = y - j
+        acc = np.zeros(xs.shape)
+        for p in range(5, -1, -1):
+            acc = acc * t + self.coef[p][j] / (p + 1 if integrate else 1)
+        return self.cum[j] + self.dx * t * acc if integrate else acc
 
 
 @lru_cache(maxsize=None)
-def _panel_grid(law: StableLaw, n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(u nodes, weights including the damping envelope) for [0, u_max]."""
-    edges = np.linspace(0.0, law.u_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    c = math.cos(law.theta * math.pi / 2.0)
-    w_env = w * np.exp(c * u**law.theta)
-    return u, w_env
+def _grid(law: StableLaw) -> _Grid:
+    """p_1, p_1', p_1'' at x = -16 + j dx by one FFT each, checked to abs_tol.
+
+    By Poisson summation the trapezoid rule in u, du = 2 pi / P, is p_1 summed over
+    the images x + jP: the tail series removes the right ones, the left ones vanish.
+    dx = 2^-k, 4 <= k <= 8, is the largest with dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8.
+    """
+    th = law.theta
+    c = -math.cos(th * math.pi / 2.0)
+    d6 = _gamma(7.0 / th) / (math.pi * th * c ** (7.0 / th))  # (1/pi) int u^6 e^(-c u^th) du
+    dx = 2.0 ** -min(8, max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * law.abs_tol)) / 6)))
+    n = int(2.0 * _PERIOD / dx)  # half steps (n <= 2^16): nodes and midpoints
+    du = 2.0 * math.pi / _PERIOD
+    u = du * np.arange(int((math.log(1.0 / law.trunc_envelope) / c) ** (1.0 / th) / du) + 2)
+    g = np.exp(u**th * np.exp(0.5j * math.pi * th) - 1j * _LEFT_CUT * u)
+    g[0] *= 0.5  # trapezoid end weight; the rule spans the whole line by symmetry
+    xs = -_LEFT_CUT + 0.5 * dx * np.arange(n + 1)
+    vals = []
+    for order in range(3):
+        w = g * (1j * u) ** order  # (du/pi) Re sum_k w_k exp(i u_k x), k folded mod n
+        w = np.concatenate([w, np.zeros(-w.size % n)]).reshape(-1, n).sum(axis=0)
+        raw = (du / math.pi * n) * sp_fft.ifft(w).real
+        vals.append(np.append(raw, raw[0]) - _tail_series(th, xs, order, _PERIOD))
+    grid = _Grid(dx, *(v[::2] for v in vals))
+    # error at exact midpoints, plus the first dropped tail term (|a_k| <= Gamma(s) / (pi k!))
+    s = 1.0 + (_TAIL_TERMS + 1) * th
+    err = float(np.max(np.abs(grid.pieces(xs[1::2]) - vals[0][1::2]))) + _gamma(s) / (
+        math.pi * math.factorial(_TAIL_TERMS + 1)) * _PERIOD**-s * _zeta(s, 1 - _LEFT_CUT / _PERIOD)
+    if err > law.abs_tol:
+        raise StableNumericsError(f"p1 grid at theta={th} (P={_PERIOD:g}, dx={dx:g}) reached "
+                                  f"error {err:.2e} > abs_tol {law.abs_tol:.1e}")
+    return grid
 
 
 def _p1_quadrature(law: StableLaw, xs: np.ndarray) -> np.ndarray:
-    """Vectorized p_1 via the inversion integral, refined until two panelings agree."""
-    th = law.theta
-    s = math.sin(th * math.pi / 2.0)
-    u_max = law.u_max
-    # fastest phase d/du (x u + s u^theta) at the largest |x| decides panel count
-    f_max = (np.max(np.abs(xs)) if xs.size else 1.0) + th * s * u_max ** (th - 1.0)
-    n_panels = int(max(16, math.ceil(u_max * f_max / math.pi)))
-
-    def evaluate(n_p: int) -> np.ndarray:
-        u, w_env = _panel_grid(law, n_p)
-        shift = s * u**th
-        # chunk rows so one cos matrix holds at most ~2^21 entries (16 MB);
-        # power-of-two chunks keep each row's summation order in a one-thread
-        # BLAS, so p_1 is bit-equal to unchunked evaluation there
-        rows = 4096
-        while rows > 1 and rows * u.size > 1 << 21:
-            rows //= 2
-        out = np.empty(xs.size)
-        for i in range(0, xs.size, rows):
-            blk = xs[i : i + rows]
-            out[i : i + rows] = np.cos(blk[:, None] * u[None, :] + shift[None, :]) @ w_env
-        return out / math.pi
-
-    prev = evaluate(n_panels)
-    err = math.inf
-    for _ in range(law.max_refine):
-        n_panels *= 2
-        cur = evaluate(n_panels)
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= law.abs_tol:
-            return np.maximum(cur, 0.0)
-        prev = cur
-    raise StableNumericsError(
-        f"p1 quadrature did not reach {law.abs_tol:.1e}; achieved ~{err:.2e}"
-    )
+    """p_1 at xs by the grid route, also at theta = 2: 0 left of it, the tail series right."""
+    out = np.zeros(xs.shape)
+    inside = (xs >= -_LEFT_CUT) & (xs <= _PERIOD - _LEFT_CUT)
+    out[inside] = _grid(law).pieces(xs[inside])
+    right = xs > _PERIOD - _LEFT_CUT
+    out[right] = _tail_series(law.theta, xs[right])
+    return np.maximum(out, 0.0)
 
 
 def density_p1(law: StableLaw, x) -> np.ndarray | float:
@@ -195,29 +216,6 @@ def first_passage_density(law: StableLaw, s: float, x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-# cumulative int_0^v p_1(-w) dw, for the passage integral: the left tail of a
-# spectrally positive stable law decays super-exponentially, so [0, 16] is
-# all of the mass for every theta in (1,2)
-_LEFT_CUT = 16.0
-
-
-@lru_cache(maxsize=None)
-def _left_cumulative(law: StableLaw):
-    """Cubic spline of v -> int_0^v p_1(-w) dw (per-interval 8-pt Gauss-Legendre)."""
-    from scipy.interpolate import CubicSpline
-
-    intervals = 4096
-    edges = np.linspace(0.0, _LEFT_CUT, intervals + 1)
-    nodes8, weights8 = np.polynomial.legendre.leggauss(8)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    v_nodes = (mids[:, None] + half * nodes8[None, :]).ravel()
-    pv = np.asarray(density_p1(law, -v_nodes)).reshape(intervals, 8)
-    per_interval = (pv * weights8[None, :]).sum(axis=1) * half
-    knots = np.concatenate([[0.0], np.cumsum(per_interval)])
-    return CubicSpline(edges, knots)
-
-
 def passage_integral(law: StableLaw, lower: float, x: float) -> float:
     """int_lower^inf q_s(x) ds = theta * int_0^{x lower^(-1/theta)} p_1(-v) dv.
 
@@ -234,9 +232,8 @@ def passage_integral(law: StableLaw, lower: float, x: float) -> float:
         if lower == 0.0:
             return 1.0
         return float(erf(x / (2.0 * math.sqrt(lower))))
-    spline = _left_cumulative(law)
     upper_v = _LEFT_CUT if lower == 0.0 else min(x * lower ** (-1.0 / th), _LEFT_CUT)
-    return float(th * spline(upper_v))
+    return float(-th * _grid(law).pieces(np.asarray(-upper_v), integrate=True))
 
 
 def gamma_a(law: StableLaw, a: float, x) -> np.ndarray | float:
@@ -253,8 +250,8 @@ def gamma_a(law: StableLaw, a: float, x) -> np.ndarray | float:
     if law.is_gaussian:
         den = erf(xs / (2.0 * math.sqrt(1.0 - a)))
     else:
-        spline = _left_cumulative(law)
-        den = th * spline(np.minimum(xs * (1.0 - a) ** (-1.0 / th), _LEFT_CUT))
+        v = np.minimum(xs * (1.0 - a) ** (-1.0 / th), _LEFT_CUT)
+        den = -th * _grid(law).pieces(-v, integrate=True)  # int_0^v p_1(-w) dw = -int_0^-v p_1
     out = num / den
     return float(out[0]) if np.ndim(x) == 0 else out
 

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,36 @@ HEAVY = (S13, S15, S18)
 
 def gaussian_p1(x):
     return np.exp(-np.asarray(x) ** 2 / 4.0) / (2 * math.sqrt(math.pi))
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gl_p1(law, xs):
+    """Slow oracle: the inversion integral by composite 16-point Gauss-Legendre.
+
+    Panels are sized to the fastest oscillation x u + u^theta sin(theta pi/2)
+    at max |x| and doubled until two panelings agree to abs_tol; the cosine
+    matrix is evaluated in row chunks of about 2^21 entries.
+    """
+    th = law.theta
+    c, s = math.cos(th * math.pi / 2), math.sin(th * math.pi / 2)
+    u_max = (math.log(1 / law.trunc_envelope) / -c) ** (1 / th)
+    f_max = np.max(np.abs(xs)) + th * s * u_max ** (th - 1)
+    n_panels = int(max(16, math.ceil(u_max * f_max / math.pi)))
+    prev = None
+    for _ in range(9):
+        edges = np.linspace(0.0, u_max, n_panels + 1)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        u = (mid[:, None] + half[:, None] * GL_NODES).ravel()
+        w = (half[:, None] * GL_WEIGHTS).ravel() * np.exp(c * u**th)
+        rows = max(1, (1 << 21) // u.size)
+        cur = np.concatenate([np.cos(xs[i : i + rows, None] * u + s * u**th) @ w
+                              for i in range(0, xs.size, rows)]) / math.pi
+        if prev is not None and np.max(np.abs(cur - prev)) <= law.abs_tol:
+            return cur
+        prev, n_panels = cur, 2 * n_panels
+    raise AssertionError("oracle quadrature did not converge")
 
 
 class TestDensityP1:
@@ -56,15 +90,60 @@ class TestDensityP1:
             assert np.all(np.asarray(stb.density_p1(law, xs)) >= 0.0)
 
     def test_vector_scalar_consistency(self):
-        # panel counts adapt to the batch, so agreement is at the abs_tol level
-        xs = np.array([-2.0, 0.3, 5.0])
-        vec = stb.density_p1(S15, xs)
-        for x, v in zip(xs, vec):
-            assert stb.density_p1(S15, float(x)) == pytest.approx(v, abs=2 * S15.abs_tol)
+        # each point reads the law's cached grid alone: a batch is bit-equal to
+        # element-wise calls, left of the grid, on it, and on the tail series
+        xs = np.array([-40.0, -16.0, -2.0, 0.3, 5.0, 111.9, 112.0, 112.5, 1e3, 1e6])
+        for law in HEAVY:
+            vec = stb.density_p1(law, xs)
+            assert np.array_equal(vec, [stb.density_p1(law, float(x)) for x in xs])
+
+    def test_independent_of_blas_threads(self):
+        code = ("import hashlib, numpy as np; from gwtrees import stable as s; "
+                "v = s.density_p1(s.StableLaw(1.3), np.linspace(-10, 10, 1001)); "
+                "print(hashlib.sha256(v.tobytes()).hexdigest())")
+        src = str(Path(stb.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("theta", [1.1, 1.3, 1.5, 1.8, 2.0])
+    def test_grid_matches_gl_oracle(self, theta):
+        # the body, then thinned points out to |x| = 1000, past both ends of
+        # the grid (0 on the left, the tail series on the right); the oracle
+        # sizes its panels by max |x|, so far points go in their own batch
+        law = stb.StableLaw(theta)
+        near = np.linspace(-16, 40, 225)
+        far = np.concatenate([-np.geomspace(17, 1000, 6), np.geomspace(41, 1000, 12)])
+        for xs in (near, far):
+            err = np.max(np.abs(stb._p1_quadrature(law, xs) - gl_p1(law, xs)))
+            assert err <= law.abs_tol
+
+    @pytest.mark.parametrize("law", HEAVY, ids=lambda l: f"theta={l.theta}")
+    def test_against_levy_stable(self, law, monkeypatch):
+        # scipy's Nolan integral in S1 with beta = 1: an independent route
+        from scipy.stats import levy_stable
+
+        monkeypatch.setattr(levy_stable, "parameterization", "S1")
+        th = law.theta
+        xs = np.linspace(-4, 20, 25)
+        want = levy_stable.pdf(xs, th, 1.0, loc=0.0, scale=abs(math.cos(math.pi * th / 2)) ** (1 / th))
+        assert np.max(np.abs(stb.density_p1(law, xs) - want)) <= 1e-10
+
+    def test_self_check_raises_with_grid_and_error(self, monkeypatch):
+        monkeypatch.setattr(stb.StableLaw, "abs_tol", 1e-20)
+        stb._grid.cache_clear()
+        with pytest.raises(stb.StableNumericsError,
+                           match=r"theta=1\.5 \(P=128, dx=0\.00390625\) reached error \d\.\d+e-\d+"):
+            stb.density_p1(S15, 0.0)
 
     def test_memory_bounded_on_wide_grid(self):
-        # the cosine matrix is built in row chunks of about 2^21 entries, so a
-        # wide grid (many panels) must not hold one 1024-row matrix at once
+        # p1 reads a cached grid of at most 2^15 Hermite pieces, so a wide
+        # batch holds a few arrays of its own length, never points x nodes
         xs = np.linspace(-40, 40, 1024)
         tracemalloc.start()
         try:
