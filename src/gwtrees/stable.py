@@ -8,7 +8,7 @@ inversion of exp((-iu)^theta):
                                  * cos(x u + u^theta sin(theta pi/2)) du,
 
 which is absolutely convergent since cos(theta pi/2) < 0 on (1,2].  As in
-Mittnik, Doganoglu & Chenyao (1999), one FFT of the trapezoid rule in u gives
+Mittnik, Doganoglu & Chenyao (1999), FFTs of the trapezoid rule in u give
 p_1 (and p_1', p_1'') on a uniform x-grid, and quintic Hermite pieces
 interpolate between the nodes.  Each law's grid is built once, checked to
 ``abs_tol`` and kept by functools.lru_cache; then p_1 costs a few array
@@ -65,7 +65,8 @@ class GammaDomainError(ValueError):
 @dataclass(frozen=True)
 class StableLaw:
     """Index theta.  Shared by every law: ``trunc_envelope``, where the damping
-    exp(u^theta cos(theta pi/2)) is dropped, and ``abs_tol``, p_1's target error."""
+    exp(u^theta cos(theta pi/2)) is dropped, and ``abs_tol``, p_1's target error.
+    p_1 needs theta >= ~1.005 at that tolerance; below, the grid raises on first use."""
 
     theta: float
     trunc_envelope: ClassVar[float] = 1e-18
@@ -86,6 +87,7 @@ class StableLaw:
 _LEFT_CUT = 16.0
 _PERIOD = 128.0  # P: x-period of the trapezoid rule; the grid covers [-16, P - 16]
 _TAIL_TERMS = 5
+_FINEST = 13  # dx >= 2^-13: at most 2^20 Hermite pieces
 
 
 def _tail_series(theta: float, x: np.ndarray, order: int = 0, period: float = 0.0):
@@ -126,32 +128,44 @@ class _Grid:
 
 @lru_cache(maxsize=None)
 def _grid(law: StableLaw) -> _Grid:
-    """p_1, p_1', p_1'' at x = -16 + j dx by one FFT each, checked to abs_tol.
+    """p_1, p_1', p_1'' at x = -16 + j dx by FFT, checked to abs_tol.
 
     By Poisson summation the trapezoid rule in u, du = 2 pi / P, is p_1 summed over
     the images x + jP: the tail series removes the right ones, the left ones vanish.
-    dx = 2^-k, 4 <= k <= 8, is the largest with dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8.
+    dx = 2^-k, k >= 4, is the largest with dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8;
+    theta near 1 needs k > _FINEST (theta < 1.005 at abs_tol 1e-10) and raises.
     """
     th = law.theta
     c = -math.cos(th * math.pi / 2.0)
     d6 = _gamma(7.0 / th) / (math.pi * th * c ** (7.0 / th))  # (1/pi) int u^6 e^(-c u^th) du
-    dx = 2.0 ** -min(8, max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * law.abs_tol)) / 6)))
-    n = int(2.0 * _PERIOD / dx)  # half steps (n <= 2^16): nodes and midpoints
+    k = max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * law.abs_tol)) / 6))
+    dx = 2.0**-k
+    if k > _FINEST:
+        raise StableNumericsError(f"p1 grid at theta={th} (P={_PERIOD:g}) needs dx={dx:g}, "
+                                  f"finer than the finest grid 2^-{_FINEST} allows")
     du = 2.0 * math.pi / _PERIOD
     u = du * np.arange(int((math.log(1.0 / law.trunc_envelope) / c) ** (1.0 / th) / du) + 2)
     g = np.exp(u**th * np.exp(0.5j * math.pi * th) - 1j * _LEFT_CUT * u)
     g[0] *= 0.5  # trapezoid end weight; the rule spans the whole line by symmetry
-    xs = -_LEFT_CUT + 0.5 * dx * np.arange(n + 1)
-    vals = []
-    for order in range(3):
-        w = g * (1j * u) ** order  # (du/pi) Re sum_k w_k exp(i u_k x), k folded mod n
-        w = np.concatenate([w, np.zeros(-w.size % n)]).reshape(-1, n).sum(axis=0)
-        raw = (du / math.pi * n) * sp_fft.ifft(w).real
-        vals.append(np.append(raw, raw[0]) - _tail_series(th, xs, order, _PERIOD))
-    grid = _Grid(dx, *(v[::2] for v in vals))
+
+    def on_grid(order: int, step: float) -> np.ndarray:
+        """p_1^(order) at -16 + j step, j = 0 .. P / step, by r interleaved x-offsets."""
+        n = round(_PERIOD / step)
+        r = max(1, n >> 16)  # each transform has at most 2^16 points
+        # row i: (du/pi) Re sum_k w_k exp(i u_k x) at x = -16 + (r j + i) step, k folded mod n / r
+        phase = np.exp(2j * math.pi / n * np.outer(np.arange(r), np.arange(u.size)))
+        w = g * (1j * u) ** order * phase
+        w = np.concatenate([w, np.zeros((r, -u.size % (n // r)))], axis=1).reshape(r, -1, n // r)
+        raw = (du / math.pi * (n // r)) * sp_fft.ifft(w.sum(axis=1)).real.T.ravel()
+        xs = -_LEFT_CUT + step * np.arange(n + 1)
+        return np.append(raw, raw[0]) - _tail_series(th, xs, order, _PERIOD)
+
+    half = on_grid(0, 0.5 * dx)  # nodes and midpoints
+    grid = _Grid(dx, half[::2], on_grid(1, dx), on_grid(2, dx))
     # error at exact midpoints, plus the first dropped tail term (|a_k| <= Gamma(s) / (pi k!))
     s = 1.0 + (_TAIL_TERMS + 1) * th
-    err = float(np.max(np.abs(grid.pieces(xs[1::2]) - vals[0][1::2]))) + _gamma(s) / (
+    mids = -_LEFT_CUT + dx * (0.5 + np.arange(half.size // 2))
+    err = float(np.max(np.abs(grid.pieces(mids) - half[1::2]))) + _gamma(s) / (
         math.pi * math.factorial(_TAIL_TERMS + 1)) * _PERIOD**-s * _zeta(s, 1 - _LEFT_CUT / _PERIOD)
     if err > law.abs_tol:
         raise StableNumericsError(f"p1 grid at theta={th} (P={_PERIOD:g}, dx={dx:g}) reached "
@@ -216,24 +230,25 @@ def first_passage_density(law: StableLaw, s: float, x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def passage_integral(law: StableLaw, lower: float, x: float) -> float:
+def passage_integral(law: StableLaw, lower: float, x) -> np.ndarray | float:
     """int_lower^inf q_s(x) ds = theta * int_0^{x lower^(-1/theta)} p_1(-v) dv.
 
     The substitution v = x s^(-1/theta) turns the s-integral into a finite one;
     with lower = 0 it equals theta * P[X_1 < 0] = 1 (the passage time is a.s.
     finite).  theta = 2 closes to erf(x / (2 sqrt(lower))).
     """
-    if x <= 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0):
         raise ValueError("x must be positive")
     if lower < 0:
         raise ValueError("lower must be >= 0")
     th = law.theta
     if law.is_gaussian:
-        if lower == 0.0:
-            return 1.0
-        return float(erf(x / (2.0 * math.sqrt(lower))))
-    upper_v = _LEFT_CUT if lower == 0.0 else min(x * lower ** (-1.0 / th), _LEFT_CUT)
-    return float(-th * _grid(law).pieces(np.asarray(-upper_v), integrate=True))
+        out = erf(xs / (2.0 * math.sqrt(lower))) if lower else np.ones(xs.shape)
+    else:
+        v = np.minimum(xs * (lower ** (-1.0 / th) if lower else math.inf), _LEFT_CUT)
+        out = -th * _grid(law).pieces(-v, integrate=True)  # int_0^v p_1(-w) dw = -int_0^-v p_1
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def gamma_a(law: StableLaw, a: float, x) -> np.ndarray | float:
@@ -245,14 +260,8 @@ def gamma_a(law: StableLaw, a: float, x) -> np.ndarray | float:
         raise GammaDomainError(
             f"Gamma_a supported on [{GAMMA_X_LO}, {GAMMA_X_HI}]; got values outside"
         )
-    th = law.theta
-    num = th * np.asarray(first_passage_density(law, 1.0 - a, xs))
-    if law.is_gaussian:
-        den = erf(xs / (2.0 * math.sqrt(1.0 - a)))
-    else:
-        v = np.minimum(xs * (1.0 - a) ** (-1.0 / th), _LEFT_CUT)
-        den = -th * _grid(law).pieces(-v, integrate=True)  # int_0^v p_1(-w) dw = -int_0^-v p_1
-    out = num / den
+    num = law.theta * np.asarray(first_passage_density(law, 1.0 - a, xs))
+    out = num / passage_integral(law, 1.0 - a, xs)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -111,7 +111,7 @@ class TestDensityP1:
             digests.add(out.stdout.strip())
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("theta", [1.1, 1.3, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("theta", [1.05, 1.1, 1.3, 1.5, 1.8, 2.0])
     def test_grid_matches_gl_oracle(self, theta):
         # the body, then thinned points out to |x| = 1000, past both ends of
         # the grid (0 on the left, the tail series on the right); the oracle
@@ -122,6 +122,15 @@ class TestDensityP1:
         for xs in (near, far):
             err = np.max(np.abs(stb._p1_quadrature(law, xs) - gl_p1(law, xs)))
             assert err <= law.abs_tol
+
+    def test_theta_near_one(self):
+        # theta = 1.02 needs dx = 2^-11, four interleaved transforms of 2^16 points;
+        # below theta ~ 1.005 the spacing would pass 2^-13 and the build refuses
+        law = stb.StableLaw(1.02)
+        xs = np.linspace(-16, 40, 57)
+        assert np.max(np.abs(stb._p1_quadrature(law, xs) - gl_p1(law, xs))) <= law.abs_tol
+        with pytest.raises(stb.StableNumericsError, match=r"theta=1\.004 .* needs dx=6\.1035"):
+            stb.density_p1(stb.StableLaw(1.004), 0.0)
 
     @pytest.mark.parametrize("law", HEAVY, ids=lambda l: f"theta={l.theta}")
     def test_against_levy_stable(self, law, monkeypatch):
@@ -138,11 +147,11 @@ class TestDensityP1:
         monkeypatch.setattr(stb.StableLaw, "abs_tol", 1e-20)
         stb._grid.cache_clear()
         with pytest.raises(stb.StableNumericsError,
-                           match=r"theta=1\.5 \(P=128, dx=0\.00390625\) reached error \d\.\d+e-\d+"):
+                           match=r"theta=1\.5 \(P=128, dx=0\.000976562\) reached error \d\.\d+e-\d+"):
             stb.density_p1(S15, 0.0)
 
     def test_memory_bounded_on_wide_grid(self):
-        # p1 reads a cached grid of at most 2^15 Hermite pieces, so a wide
+        # p1 reads a cached grid of Hermite pieces (2^12 at theta = 1.5), so a wide
         # batch holds a few arrays of its own length, never points x nodes
         xs = np.linspace(-40, 40, 1024)
         tracemalloc.start()
