@@ -28,7 +28,7 @@ from .offspring import (
     make_stable_family,
     step_law,
 )
-from .report import ExperimentReport
+from .report import ExperimentReport, jsonify
 
 CSV_SCHEMA = "gwtrees.csv/1"
 
@@ -81,7 +81,7 @@ def _cmd_sample(args) -> int:
     rows = []
     for rep in range(args.count):
         rng = sampler.derive_rng(seed, rep)
-        tree = sampler.sample_conditioned(law, args.n, method=args.method, rng=rng)
+        tree = sampler.sample_conditioned(law, args.n, rng=rng)
         if args.emit == "tree":
             rows += [(rep, i, int(c)) for i, c in enumerate(tree.child_counts)]
         elif args.emit == "walk":
@@ -196,18 +196,10 @@ def _cmd_verify(args) -> int:
             line += f"  ({r.notes})"
         print(line)
     if args.out:
-        _out_path(args.out).write_text(json.dumps(payload, indent=2, default=_np_json) + "\n")
+        _out_path(args.out).write_text(json.dumps(payload, indent=2, default=jsonify) + "\n")
     if args.plots_dir:
         _emit_plot_csvs(reports, Path(args.plots_dir))
     return 0 if payload["passed"] else 1
-
-
-def _np_json(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(str(type(obj)))
 
 
 def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--count", type=int, default=1)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--method", choices=("rejection", "dp_exact"), default="rejection")
     ps.add_argument("--emit", choices=("tree", "walk", "height", "contour"), default="walk")
     ps.add_argument("--out", required=True)
     ps.set_defaults(fn=_cmd_sample)

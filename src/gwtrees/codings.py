@@ -181,7 +181,7 @@ class RescaledPath:
             raise CodingError("non-finite rescaled values")
 
 
-# -- kernel ----------------------------------------------------------------------
+# -- transforms -------------------------------------------------------------------
 
 
 def _height_kernel(levels: np.ndarray, leaf: np.ndarray) -> np.ndarray:
@@ -213,9 +213,6 @@ def _height_kernel(levels: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     h = np.arange(zeta, dtype=np.int64)
     h -= closed[:zeta]
     return h
-
-
-# -- transforms -------------------------------------------------------------------
 
 
 def walk_from_tree(tree: Tree) -> LukasiewiczPath:
@@ -271,8 +268,8 @@ def visit_times(tree: Tree) -> np.ndarray:
 # -- rescaling ---------------------------------------------------------------------
 
 
-def rescale(path, n: int, b_n: float, grid_points: int, coding: Optional[str] = None) -> RescaledPath:
-    """Sample the rescaled coding on a uniform grid of [0,1].
+def rescale(path, n: int, b_n: float, grid_points: int) -> RescaledPath:
+    """Sample the rescaled coding on a uniform grid of [0,1]; path's type names the coding.
 
     walk:    t -> W_{floor(n t)} / B_n            (cadlag step evaluation)
     height:  t -> (B_n / n) * H_{n t}             (linear interpolation, 0-padded)
@@ -280,14 +277,9 @@ def rescale(path, n: int, b_n: float, grid_points: int, coding: Optional[str] = 
     """
     if grid_points < 2:
         raise CodingError("grid_points must be >= 2")
+    coding = {LukasiewiczPath: "walk", HeightSeq: "height", ContourSeq: "contour"}.get(type(path))
     if coding is None:
-        coding = {
-            LukasiewiczPath: "walk",
-            HeightSeq: "height",
-            ContourSeq: "contour",
-        }.get(type(path))
-        if coding is None:
-            raise CodingError(f"cannot infer coding for {type(path).__name__}")
+        raise CodingError(f"cannot infer coding for {type(path).__name__}")
     t = np.linspace(0.0, 1.0, grid_points)
     v = path.values.astype(np.float64)
     if coding == "walk":
@@ -301,10 +293,8 @@ def rescale(path, n: int, b_n: float, grid_points: int, coding: Optional[str] = 
         grid = np.arange(v.size + 1, dtype=np.float64)  # sentinel H_zeta = 0
         vals = np.interp(n * t, grid, np.append(v, 0.0), right=0.0) * (b_n / n)
         scale = b_n / n
-    elif coding == "contour":
+    else:
         grid = np.arange(v.size, dtype=np.float64)
         vals = np.interp(2.0 * n * t, grid, v, right=0.0) * (b_n / n)
         scale = b_n / n
-    else:
-        raise CodingError(f"unknown coding {coding!r}")
     return RescaledPath(times=t, values=vals, n=n, b_n=float(b_n), coding=coding, scale=scale)

@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 __all__ = ["ExperimentReport"]
 
 REPORT_SCHEMA = "gwtrees.report/1"
@@ -49,7 +51,7 @@ class ExperimentReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=_jsonify)
+        return json.dumps(self.to_dict(), indent=indent, default=jsonify)
 
     def summary_line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -58,14 +60,10 @@ class ExperimentReport:
         return f"[{flag}] {self.name}"
 
 
-def _jsonify(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, np.generic):
-            return obj.item()
-    except ImportError:  # pragma: no cover
-        pass
+def jsonify(obj):
+    """``json.dumps`` default: numpy arrays and scalars as plain Python values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")

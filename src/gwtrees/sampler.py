@@ -3,15 +3,21 @@
 The conditioned sampler is the classical three-step pipeline: draw n i.i.d.
 steps of the shifted law conditioned on total sum -1, rotate the block at the
 first minimum of its partial sums (cycle lemma: exactly one rotation is a
-first-passage path), and read the tree off the resulting Lukasiewicz path.
+first-passage path), and read the tree off it: child count = step + 1.
 
 Conditioning on the sum is done by block rejection.  Because step counts are a
 sufficient statistic for the sum, a block is drawn as one multinomial count
 vector (plus exact inversion of the analytic tail bucket) and only expanded to
 a shuffled sequence after acceptance, so a rejected block costs O(support)
-instead of O(n).  The dp_exact method instead samples the steps left to right,
-each reweighted by the exact probability that the remaining walk reaches the
-remaining target; it exists to cross-validate the rejection route at small n.
+instead of O(n).
+
+Rejection runs on the critical tilt of mu.  The tilt mu(k) lam^k / f(lam)
+multiplies the probability of every block with sum -1, hence of every tree
+with n vertices, by the same factor lam^(n-1) / f(lam)^n, so the conditioned
+law is unchanged (Kennedy 1975); but P[W_n = -1] decays like a power of n on
+a critical law and exponentially on any other.  A critical law is its own
+tilt.  A law supported in {0,1} has no tilt; its only tree is the path, drawn
+from the law itself.
 
 Both the free sampler and the rejection route read mu from one step sampler:
 a table of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) plus one bucket
@@ -21,19 +27,14 @@ the tail function.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .codings import LukasiewiczPath, Tree, tree_from_walk
-from .exactlaw import (
-    ExactLawError,
-    _walk_tables_iter,
-    enumerate_conditioned,
-    progeny_rho,
-    walk_pmf,
-)
-from .offspring import OffspringLaw, StepLaw, step_law
+from .codings import LukasiewiczPath, Tree
+from .exactlaw import enumerate_conditioned, progeny_rho, walk_pmf
+from .offspring import OffspringLaw, StepLaw, step_law, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -139,8 +140,32 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]
 # -- conditioned increments ---------------------------------------------------------
 
 
-def _rejection_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    steps = _StepSampler(law)
+@lru_cache(maxsize=64)  # one tilted object per law, so the guard's progeny_rho cache hits
+def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
+    """law's critical tilt; a law supported in {0,1} has none and is kept."""
+    if law.family == "explicit" and law.probs.size <= 2:
+        return law
+    return tilt_to_critical(law)
+
+
+def conditioned_increments(
+    step: StepLaw,
+    n: int,
+    rng_seed: int = 0,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """n i.i.d. nu-steps conditioned on summing to -1 (exact distribution).
+
+    The steps are drawn on the critical tilt of nu, which leaves their
+    conditioned law unchanged (see the module docstring).
+    """
+    if n < 1:
+        raise SamplerError("n must be >= 1")
+    if rng is None:
+        rng = derive_rng(rng_seed)
+    if n == 1:
+        return np.array([-1], dtype=np.int64)
+    steps = _StepSampler(_critical_tilt(step.law))
     pvals = np.maximum(np.append(steps.bulk, steps.tail), 0.0)
     pvals /= pvals.sum()
     values = np.arange(-1, steps.cap, dtype=np.int64)  # nu(-1 .. cap-1) = mu(0 .. cap)
@@ -166,117 +191,51 @@ def _rejection_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -
     )
 
 
-def _dp_tables(step: StepLaw, n: int, budget_floats: float) -> List[Tuple[int, np.ndarray]]:
-    """Exact tables of W_m for m = 1..n-1, each trusted on [-m, n-m].
-
-    The table of W_m is queried (while sampling n conditioned steps) only at
-    values <= n - m - 1, and mass clipped above n - m at stage m cannot fall
-    below n - m' at any later stage m' (steps >= -1), so the moving ceiling
-    n - m keeps every queried entry exact.
-    """
-    if n * (n + 1) > budget_floats:
-        raise ExactLawError(
-            f"dp_exact tables need ~{n * (n + 1) * 8 / 1e9:.2f} GB at n={n}; "
-            "raise dp_budget_floats or use rejection"
-        )
-    return [(off, arr) for _, off, arr in _walk_tables_iter(step, n - 1, hi_eval=1)]
-
-
-def _dp_increments(
-    step: StepLaw, n: int, rng: np.random.Generator, budget_floats: float
-) -> np.ndarray:
-    law = step.law
-    tables = _dp_tables(step, n, budget_floats)
-    nu = step.probabilities(n - 1)  # steps above n - 2 are infeasible for sum -1
-    out = np.empty(n, dtype=np.int64)
-    t = -1
-    for i in range(n - 1):
-        r = n - i  # steps remaining including the current one
-        off_m, arr_m = tables[r - 2]  # table of W_{r-1}
-        k_hi = min(nu.size - 2, t + r - 1)
-        ks = np.arange(-1, k_hi + 1)
-        idx = t - ks - off_m
-        ok = (idx >= 0) & (idx < arr_m.size)
-        probs = np.zeros(ks.size)
-        probs[ok] = arr_m[idx[ok]]
-        probs *= nu[: ks.size]
-        total = probs.sum()
-        if total <= 0.0:
-            raise SamplerError("dp_exact reached an impossible state")
-        j = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
-        j = min(j, ks.size - 1)
-        out[i] = ks[j]
-        t -= int(ks[j])
-    if t < -1 or t > nu.size - 2 or nu[t + 1] <= 0.0:
-        raise SamplerError("dp_exact terminal step is impossible")
-    out[n - 1] = t
-    return out
-
-
-def conditioned_increments(
-    step: StepLaw,
-    n: int,
-    method: str = "rejection",
-    rng_seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
-    dp_budget_floats: float = 1e8,
-) -> np.ndarray:
-    """n i.i.d. nu-steps conditioned on summing to -1 (exact distribution)."""
-    if n < 1:
-        raise SamplerError("n must be >= 1")
-    if rng is None:
-        rng = derive_rng(rng_seed)
-    if n == 1:
-        return np.array([-1], dtype=np.int64)
-    if method == "rejection":
-        return _rejection_increments(step.law, n, rng)
-    if method == "dp_exact":
-        return _dp_increments(step, n, rng, dp_budget_floats)
-    raise SamplerError(f"unknown method {method!r}")
-
-
 # -- cycle lemma ------------------------------------------------------------------
 
 
-def cycle_shift(increments: np.ndarray) -> LukasiewiczPath:
-    """Rotate a sum -1 block at the first minimum of its partial sums.
+def _first_passage_rotation(increments: np.ndarray) -> np.ndarray:
+    """The rotation of a sum -1 block that first hits -1 at its last step.
 
-    For steps >= -1 summing to -1, exactly one of the n rotations first hits -1
-    at time n; it is the one starting right after the first running minimum.
+    For steps >= -1 summing to -1, exactly one of the n rotations does; it is
+    the one starting right after the first running minimum.
     """
     inc = np.asarray(increments, dtype=np.int64)
-    n = inc.size
     if inc.min() < -1:
         raise SamplerError("increments must be >= -1")
     partial = np.cumsum(inc)
     if partial[-1] != -1:
         raise SamplerError("increments must sum to -1")
-    k = (int(np.argmin(partial)) + 1) % n
-    rot = np.concatenate([inc[k:], inc[:k]]) if k else inc
-    walk = np.empty(n + 1, dtype=np.int64)
-    walk[0] = 0
-    np.cumsum(rot, out=walk[1:])
-    return LukasiewiczPath(walk)
+    k = (int(np.argmin(partial)) + 1) % inc.size
+    return np.concatenate([inc[k:], inc[:k]]) if k else inc
+
+
+def cycle_shift(increments: np.ndarray) -> LukasiewiczPath:
+    """The Lukasiewicz path of the first-passage rotation of a sum -1 block."""
+    return LukasiewiczPath(np.concatenate([[0], np.cumsum(_first_passage_rotation(increments))]))
 
 
 def sample_conditioned(
     law: OffspringLaw,
     n: int,
-    method: str = "rejection",
     rng_seed: int = 0,
     rng: Optional[np.random.Generator] = None,
 ) -> Tree:
-    """One tree exactly distributed as GW_mu conditioned on {zeta = n}."""
+    """One tree exactly distributed as GW_mu conditioned on {zeta = n}.
+
+    Serves any law with a critical tilt, at the critical law's acceptance rate.
+    """
     if n < 1:
         raise SamplerError("n must be >= 1")
+    law = _critical_tilt(law)  # before the guard: P[zeta = n] underflows off criticality
     if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
         raise SamplerError(f"P[zeta = {n}] = 0 for this law")
     # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the span
     span = law.span
     if span == 0 or (n - 1) % span:
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
-    inc = conditioned_increments(step_law(law), n, method, rng_seed, rng)
-    return tree_from_walk(cycle_shift(inc))
+    inc = conditioned_increments(step_law(law), n, rng_seed, rng)
+    return Tree(_first_passage_rotation(inc) + 1)
 
 
 # -- analytic sampler law ------------------------------------------------------------

@@ -11,6 +11,8 @@ from gwtrees import (
     conditioned_increments,
     cycle_shift,
     enumerate_conditioned,
+    make_explicit,
+    make_geometric,
     sample_conditioned,
     sample_gw,
     step_law,
@@ -51,8 +53,6 @@ class TestSampleGw:
             assert abs(counts[n] / n_draws - want) < 3 * se
 
     def test_supercritical_rejected(self):
-        from gwtrees import make_geometric
-
         with pytest.raises(SamplerError):
             sample_gw(make_geometric(0.7), 10, rng_seed=0)
 
@@ -92,42 +92,24 @@ class TestConditionedIncrements:
         assert conditioned_increments(step_law(geometric), 1, rng_seed=0).tolist() == [-1]
 
     def test_n3_uniform_over_admissible(self, geometric):
-        # the 6 admissible triples all have nu-probability 2^-5
-        admissible = sorted(
-            seq
-            for seq in itertools.product((-1, 0, 1), repeat=3)
-            if sum(seq) == -1
-        )
-        assert len(admissible) == 6
-        rng = derive_rng(314)
-        counts = Counter()
-        n_draws = 60_000
-        for _ in range(n_draws):
-            counts[tuple(conditioned_increments(step_law(geometric), 3, rng=rng))] += 1
-        assert sorted(counts) == admissible
-        for seq in admissible:
-            se = math.sqrt((1 / 6) * (5 / 6) / n_draws)
-            assert abs(counts[seq] / n_draws - 1 / 6) < 4 * se
-
-    def test_methods_agree_in_distribution(self, geometric):
-        # total-variation distance of the two empirical laws at n = 4
-        step = step_law(geometric)
-        rng_a, rng_b = derive_rng(21), derive_rng(22)
-        n_draws = 100_000
-        ca, cb = Counter(), Counter()
-        for _ in range(n_draws):
-            ca[tuple(conditioned_increments(step, 4, "rejection", rng=rng_a))] += 1
-        for _ in range(n_draws):
-            cb[tuple(conditioned_increments(step, 4, "dp_exact", rng=rng_b))] += 1
-        tv = 0.5 * sum(abs(ca[k] - cb[k]) for k in set(ca) | set(cb)) / n_draws
-        assert tv < 0.01
-
-    def test_dp_budget_guard(self, geometric):
-        from gwtrees.exactlaw import ExactLawError
-
-        with pytest.raises(ExactLawError):
-            conditioned_increments(step_law(geometric), 4096, "dp_exact",
-                                   rng_seed=0, dp_budget_floats=1e4)
+        # every admissible block has nu-probability 2^-(2n-1): 6 triples with
+        # steps in -1..1 at n = 3, 20 quadruples with steps in -1..2 at n = 4
+        for n, size, seed in ((3, 6, 314), (4, 20, 315)):
+            admissible = sorted(
+                seq
+                for seq in itertools.product(range(-1, n - 1), repeat=n)
+                if sum(seq) == -1
+            )
+            assert len(admissible) == size
+            rng = derive_rng(seed)
+            counts = Counter()
+            n_draws = 60_000
+            for _ in range(n_draws):
+                counts[tuple(conditioned_increments(step_law(geometric), n, rng=rng))] += 1
+            assert sorted(counts) == admissible
+            for seq in admissible:
+                se = math.sqrt((1 / size) * (1 - 1 / size) / n_draws)
+                assert abs(counts[seq] / n_draws - 1 / size) < 4 * se
 
     def test_sum_and_steps(self, stable15):
         seq = conditioned_increments(step_law(stable15), 64, rng_seed=5)
@@ -196,8 +178,25 @@ class TestSampleConditioned:
         assert stat < chi2.ppf(0.99, len(expected) - 1)
 
     def test_sizes_exact(self, geometric, stable15):
-        for law, n in ((geometric, 137), (stable15, 137), (geometric, 2048)):
+        # the subcritical geometric laws are served on their critical tilt
+        for law, n in ((geometric, 137), (stable15, 137), (geometric, 2048),
+                       (make_geometric(0.4), 1000), (make_geometric(0.2), 2000)):
             assert sample_conditioned(law, n, rng_seed=3).zeta == n
+
+    def test_subcritical_chi_square_against_enumeration(self):
+        # mean 0.8, so rejection runs on the critical tilt of [0.5, 0.2, 0.3]
+        law = make_explicit([0.5, 0.2, 0.3])
+        expected = {t: p for t, p in enumerate_conditioned(law, 4)}
+        rng = derive_rng(4321)
+        n_draws = 10_000
+        counts = Counter()
+        for _ in range(n_draws):
+            counts[sample_conditioned(law, 4, rng=rng)] += 1
+        assert set(counts) <= set(expected)
+        stat = sum(
+            (counts[t] - n_draws * p) ** 2 / (n_draws * p) for t, p in expected.items()
+        )
+        assert stat < chi2.ppf(0.99, len(expected) - 1)
 
     def test_zero_probability_size(self, stable15):
         # the stable family has mu(1) = 0, so no tree with exactly 2 vertices
@@ -211,8 +210,6 @@ class TestSampleConditioned:
 
     def test_off_lattice_size_fails_fast(self):
         # support {0, 2} has span 2: zeta is always odd, beyond the exact check too
-        from gwtrees import make_explicit
-
         with pytest.raises(SamplerError, match="span"):
             sample_conditioned(make_explicit([0.5, 0.0, 0.5]), 4098, rng_seed=0)
 
@@ -226,10 +223,6 @@ class TestSampleConditioned:
         assert all(a == b for a, b in zip(serial, threaded))
         again = [sample_conditioned(geometric, 64, rng=derive_rng(7, i)) for i in range(8)]
         assert all(a == b for a, b in zip(serial, again))
-
-    def test_dp_exact_end_to_end(self, geometric):
-        t = sample_conditioned(geometric, 50, method="dp_exact", rng_seed=11)
-        assert t.zeta == 50
 
 
 class TestAnalyticSamplerLaw:
