@@ -26,7 +26,6 @@ from .offspring import (
     law_from_spec,
     make_geometric,
     make_stable_family,
-    step_law,
 )
 from .report import ExperimentReport, jsonify
 
@@ -104,10 +103,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_exact(args) -> int:
     law = _load_law(args.law)
-    step = step_law(law)
     out = {"schema": "gwtrees.exact/1", "law": args.law, "what": args.what, "n": args.n}
     if args.what == "walk":
-        table = exactlaw.walk_pmf(step, args.n)
+        table = exactlaw.walk_pmf(law, args.n)
         out["offset"] = table.offset
         out["truncated_mass"] = table.truncated_mass
         out["pmf"] = table.masses.tolist()
@@ -117,13 +115,13 @@ def _cmd_exact(args) -> int:
         out["pmf"] = {str(p): table.prob(p) for p in range(1, args.n + 1)}
         out["value_at_n"] = table.prob(args.n)
     elif args.what == "phi":
-        out["phi"] = exactlaw.phi(step, args.n, args.j)
-        out["phi_star"] = exactlaw.phi_star(step, args.n, args.j)
+        out["phi"] = exactlaw.phi(law, args.n, args.j)
+        out["phi_star"] = exactlaw.phi_star(law, args.n, args.j)
         out["j"] = args.j
     elif args.what == "ratio":
         out["a"] = args.a
         out["k"] = args.k
-        out["ratio"] = exactlaw.discrete_ratio(step, args.n, args.a, args.k)
+        out["ratio"] = exactlaw.discrete_ratio(law, args.n, args.a, args.k)
     elif args.what == "ac-check":
         rep = exactlaw.check_absolute_continuity(law, args.n, args.a)
         out.update(rep.to_dict())

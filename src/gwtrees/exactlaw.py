@@ -18,7 +18,9 @@ W_512 table, against direct summation): smaller entries have no relative accurac
 Total-progeny laws are computed along two independent routes (Kemperman from
 walk tables, and the branching recursion through the generating function) and
 cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n] for whole ranges
-of j come from convolution powers of the progeny law.
+of j come from convolution powers of the progeny law.  Every function takes the
+``OffspringLaw`` (``_step_table`` applies the shift), and the progeny law, the
+phi profiles and the meander are each cached per law, built once per process.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .codings import Tree
-from .offspring import OffspringLaw, StepLaw
+from .offspring import OffspringLaw
 from .report import ExperimentReport
 
 __all__ = [
@@ -118,6 +120,9 @@ class SubPmf:
     clipped_mass: float
     exact_hi: int
 
+    def __post_init__(self):
+        self.masses.flags.writeable = False
+
     @property
     def lo(self) -> int:
         return self.offset
@@ -160,18 +165,18 @@ def _advance(
     return off, out[:keep], float(out.sum()) - float(out[:keep].sum())
 
 
-def _step_table(step: StepLaw, hi: int) -> Tuple[int, np.ndarray]:
-    """nu on [-1, min(hi, cap)]: exact entries, negligible analytic tail trimmed.
+def _step_table(law: OffspringLaw, hi: int) -> Tuple[int, np.ndarray]:
+    """nu(k) = mu(k+1) on [-1, min(hi, cap)], negligible analytic tail trimmed.
 
     The trim threshold 1e-18 keeps the cumulative bookkeeping error of an
     n-step build below ~n * 1e-18, far inside the 1e-12 mass budget; heavy
     tails (no usable cap) are kept at full width hi for pointwise exactness.
     """
-    cap = step.support_cap(1e-18)
-    return -1, step.probabilities(min(hi, max(cap, 1)))
+    cap = law.support_cap(1e-18) - 1
+    return -1, law.probabilities(min(hi, max(cap, 1)) + 1)
 
 
-def _walk_table_raw(step: StepLaw, n: int, hi_eval: int) -> Tuple[int, np.ndarray]:
+def _walk_table_raw(law: OffspringLaw, n: int, hi_eval: int) -> Tuple[int, np.ndarray]:
     """Law of W_n, exact on [-n, hi_eval], by binary-decomposition convolution.
 
     Intermediate m-step tables are clipped at hi_eval + (n - m); the walk cannot
@@ -180,7 +185,7 @@ def _walk_table_raw(step: StepLaw, n: int, hi_eval: int) -> Tuple[int, np.ndarra
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
-    pw_off, pw = _step_table(step, hi_eval + (n - 1))
+    pw_off, pw = _step_table(law, hi_eval + (n - 1))
     acc_off, acc, acc_m, pw_m = None, None, 0, 1
     bits = n
     while bits:
@@ -210,7 +215,7 @@ def _finish_table(offset: int, arr: np.ndarray, exact_hi: Optional[int]) -> PmfT
 
 
 def walk_pmf(
-    step: StepLaw, n: int, window: Optional[Tuple[int, int]] = None
+    law: OffspringLaw, n: int, window: Optional[Tuple[int, int]] = None
 ) -> PmfTable:
     """Exact law of W_n = sum of n i.i.d. nu-steps.
 
@@ -219,28 +224,28 @@ def walk_pmf(
     usable support cap K, otherwise hi defaults to a bulk window of ~64 * n^(1/theta).
     """
     if window is None:
-        cap = step.support_cap(1e-18)
+        cap = law.support_cap(1e-18) - 1  # of nu
         if cap * n <= 1 << 22:
             hi_eval = cap * n
         else:
-            hi_eval = int(64.0 * n ** (1.0 / step.law.theta)) + 1
+            hi_eval = int(64.0 * n ** (1.0 / law.theta)) + 1
     else:
         hi_eval = int(window[1])
     if hi_eval < 1 - n:
         raise ExactLawError("window top below the walk's minimum")
-    off, arr = _walk_table_raw(step, n, hi_eval)
+    off, arr = _walk_table_raw(law, n, hi_eval)
     return _finish_table(off, arr, exact_hi=hi_eval)
 
 
 def _walk_tables_iter(
-    step: StepLaw, n: int, hi_eval: int
+    law: OffspringLaw, n: int, hi_eval: int
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Yield (m, offset, table of W_m) for m = 1..n, exact on [-m, hi_eval] each.
 
     A single moving ceiling hi_eval + (n - m) keeps every intermediate table
     exact on (-inf, hi_eval] for all later steps as well.
     """
-    t_off, t1 = _step_table(step, hi_eval + (n - 1))
+    t_off, t1 = _step_table(law, hi_eval + (n - 1))
     off, arr = t_off, t1
     yield 1, off, arr
     for m in range(2, n + 1):
@@ -304,15 +309,11 @@ def _rho_recursion(law: OffspringLaw, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _rho_cached(law: OffspringLaw, n_max: int) -> np.ndarray:
+def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
+    """P[zeta = p], p = 0..n_max, by the branching recursion (read-only array)."""
     out = _rho_recursion(law, n_max)
     out.flags.writeable = False
     return out
-
-
-def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
-    """P[zeta = p], p = 0..n_max, by the branching recursion (read-only array)."""
-    return _rho_cached(law, n_max)
 
 
 def progeny_pmf(
@@ -328,9 +329,8 @@ def progeny_pmf(
         raise ExactLawError("n_max must be >= 1")
     kem = rec = None
     if method in ("both", "kemperman"):
-        step = StepLaw(law)
         kem = np.zeros(n_max + 1)
-        for m, off, arr in _walk_tables_iter(step, n_max, hi_eval=0):
+        for m, off, arr in _walk_tables_iter(law, n_max, hi_eval=0):
             i = -1 - off
             if 0 <= i < arr.size:
                 kem[m] = arr[i] / m
@@ -342,13 +342,7 @@ def progeny_pmf(
             raise ExactLawError(
                 f"progeny routes disagree by {gap:.3e} (tolerance {tol:.1e})"
             )
-    masses = (kem if rec is None else rec)[1:].copy()
-    return PmfTable(
-        offset=1,
-        masses=masses,
-        truncated_mass=max(0.0, 1.0 - float(masses.sum())),
-        exact_hi=n_max,
-    )
+    return _finish_table(1, (kem if rec is None else rec)[1:].copy(), exact_hi=n_max)
 
 
 # -- hitting-time probabilities ------------------------------------------------------
@@ -356,33 +350,31 @@ def progeny_pmf(
 
 @lru_cache(maxsize=256)
 def _walk_table_for_phi(law: OffspringLaw, n: int) -> PmfTable:
-    off, arr = _walk_table_raw(StepLaw(law), n, hi_eval=0)
+    off, arr = _walk_table_raw(law, n, hi_eval=0)
     return _finish_table(off, arr, exact_hi=0)
 
 
-def phi(step: StepLaw, n: int, j: int) -> float:
+def phi(law: OffspringLaw, n: int, j: int) -> float:
     """phi_n(j) = P[zeta_j = n] = (j/n) P[W_n = -j] (Kemperman route)."""
     if j < 1 or n < 1:
         raise ExactLawError("phi needs j >= 1 and n >= 1")
-    if j > n:
-        return 0.0
-    table = _walk_table_for_phi(step.law, n)
+    table = _walk_table_for_phi(law, n)
     return j / n * table.prob(-j)
 
 
-def phi_star(step: StepLaw, n: int, j: int) -> float:
+def phi_star(law: OffspringLaw, n: int, j: int) -> float:
     """phi*_n(j) = P[zeta_j >= n] = 1 - sum_{p<n} phi_p(j)."""
     if j < 1 or n < 1:
         raise ExactLawError("phi_star needs j >= 1 and n >= 1")
     if j >= n:
         return 1.0  # zeta_j >= j >= n always
-    _, ps = phi_phi_star_at(step.law, n, j)
+    _, ps = phi_phi_star_at(law, n, j)
     return float(ps[j - 1])
 
 
 @lru_cache(maxsize=128)
 def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(phi_p(j), phi*_p(j)) for j = 1..j_max via convolution powers of rho.
+    """(phi_p(j), phi*_p(j)) for j = 1..j_max <= p via convolution powers of rho.
 
     phi_p(j) = rho^(*j)(p) and phi*_p(j) = 1 - sum_{q<p} rho^(*j)(q); powers are
     truncated at p, which is exact because every progeny is >= 1.
@@ -392,8 +384,6 @@ def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np
     phistar_vals = np.ones(j_max)
     cur = rho
     for j in range(1, j_max + 1):
-        if j > p:
-            break  # phi_p(j) = 0, phi*_p(j) = 1 beyond
         phi_vals[j - 1] = cur[p]
         phistar_vals[j - 1] = max(0.0, 1.0 - float(cur[:p].sum()))
         if j < j_max:
@@ -404,14 +394,20 @@ def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np
 
 
 def phi_phi_star_at(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectors (phi_p(j))_{j=1..j_max} and (phi*_p(j))_{j=1..j_max}."""
-    return _phi_profiles(law, p, j_max)
+    """Vectors (phi_p(j))_{j=1..j_max} and (phi*_p(j))_{j=1..j_max}.
+
+    Beyond j = p they are exactly phi = 0 and phi* = 1 (zeta_j >= j), so one
+    profile per (law, p) serves every j_max >= p.
+    """
+    phi_vals, phistar_vals = _phi_profiles(law, p, min(j_max, p))
+    pad = (0, max(j_max - p, 0))
+    return np.pad(phi_vals, pad), np.pad(phistar_vals, pad, constant_values=1.0)
 
 
 # -- discrete absolute-continuity ratio ------------------------------------------------
 
 
-def discrete_ratio(step: StepLaw, n: int, a: float, k: int) -> float:
+def discrete_ratio(law: OffspringLaw, n: int, a: float, k: int) -> float:
     """D_n^(a)(k): the weight relating {zeta = n} to {zeta >= n} on walk prefixes.
 
     D = [phi_{n-floor(an)}(k+1) / phi_n(1)] / [phi*_{n-floor(an)}(k+1) / phi*_n(1)].
@@ -420,7 +416,7 @@ def discrete_ratio(step: StepLaw, n: int, a: float, k: int) -> float:
         raise ExactLawError("a must lie in (0,1)")
     if k < 0:
         raise ExactLawError("k must be >= 0")
-    vals = discrete_ratio_window(step.law, n, a, k, k)
+    vals = discrete_ratio_window(law, n, a, k, k)
     return float(vals[0])
 
 
@@ -443,7 +439,8 @@ def discrete_ratio_window(
 # -- killed walk (meander) ---------------------------------------------------------------
 
 
-def meander_pmf(step: StepLaw, m: int, hi_eval: int, protect: Optional[int] = None) -> SubPmf:
+@lru_cache(maxsize=32)
+def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] = None) -> SubPmf:
     """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, hi_eval].
 
     ``protect`` extends the moving ceiling so entries stay exact up to
@@ -454,7 +451,7 @@ def meander_pmf(step: StepLaw, m: int, hi_eval: int, protect: Optional[int] = No
     if m < 1:
         raise ExactLawError("m must be >= 1")
     horizon = max(protect if protect is not None else m, m)
-    nu_off, nu = _step_table(step, hi_eval + horizon)
+    nu_off, nu = _step_table(law, hi_eval + horizon)
     nu_defect = 1.0 - float(nu.sum())  # jumps beyond the table land above every ceiling
     off, cur = 0, np.ones(1)  # W_0 = 0
     clipped = 0.0
@@ -483,7 +480,7 @@ def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:
     rest = n - m
     if m < 1 or rest < 1:
         raise ExactLawError("floor(a*n) and n - floor(a*n) must be >= 1")
-    mea = meander_pmf(StepLaw(law), m, hi_eval=rest, protect=n)
+    mea = meander_pmf(law, m, hi_eval=rest, protect=n)
     ks = np.arange(mea.lo, mea.hi + 1)
     phi_r, _ = phi_phi_star_at(law, rest, int(ks[-1]) + 1)
     phi_n1 = float(progeny_rho(law, n)[n])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import exactlaw, stable
 from .codings import contour_from_tree, height_from_tree, visit_times
-from .offspring import OffspringLaw, calibrate_bn, step_law
+from .offspring import OffspringLaw, calibrate_bn
 from .report import ExperimentReport
 from .sampler import derive_rng, sample_conditioned
 from .stable import StableLaw
@@ -43,10 +43,6 @@ THETA_LT2_NOTE = (
     "theta < 2: no density-level excursion reference exists; this run checks "
     "structural gates only (decay/consistency), not marginal densities."
 )
-
-
-def _stable_law(law: OffspringLaw) -> StableLaw:
-    return StableLaw(theta=law.theta)
 
 
 def _ks_one_sample(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -73,8 +69,6 @@ def llt_experiment(
     n_list: Sequence[int],
     alpha: float = 2.0,
     window_scale: float = 40.0,
-    e1_final_bound: Optional[float] = None,
-    e2_final_bound: Optional[float] = None,
 ) -> ExperimentReport:
     """Sup-norm convergence of the exact walk marginals to the stable density.
 
@@ -82,22 +76,18 @@ def llt_experiment(
     (outside, both terms are below the achievable floor);
     e2(n) = sup_{1<=k<=alpha B_n} |n phi_n(k) - q_1(k / B_n)|.
     Pass: both drop by >= 2x from the first to the last n, and the final values
-    stay under the configured bounds.
+    stay under 0.02 (theta = 2) or 0.05 (theta < 2).
     """
     t0 = time.time()
     law.require_critical("llt_experiment")
-    slaw = _stable_law(law)
-    if e1_final_bound is None:
-        e1_final_bound = 0.02 if law.theta == 2.0 else 0.05
-    if e2_final_bound is None:
-        e2_final_bound = 0.02 if law.theta == 2.0 else 0.05
-    step = step_law(law)
+    slaw = StableLaw(theta=law.theta)
+    final_bound = 0.02 if law.theta == 2.0 else 0.05
     e1, e2, bns = [], [], []
     for n in n_list:
         b_n = calibrate_bn(law, n)
         bns.append(b_n)
         k_hi = int(window_scale * b_n)
-        table = exactlaw.walk_pmf(step, n, window=(-n, k_hi))
+        table = exactlaw.walk_pmf(law, n, window=(-n, k_hi))
         ks = np.arange(-n, k_hi + 1)
         dens = np.asarray(stable.density_p1(slaw, ks / b_n))
         e1.append(float(np.max(np.abs(b_n * table.probs(ks) - dens))))
@@ -111,14 +101,14 @@ def llt_experiment(
     gates = {
         "e1_decay": 2.0,
         "e2_decay": 2.0,
-        "e1_final": e1_final_bound,
-        "e2_final": e2_final_bound,
+        "e1_final": final_bound,
+        "e2_final": final_bound,
     }
     passed = len(n_list) >= 2 and (
         e1[-1] * 2.0 <= e1[0]
         and e2[-1] * 2.0 <= e2[0]
-        and e1[-1] <= e1_final_bound
-        and e2[-1] <= e2_final_bound
+        and e1[-1] <= final_bound
+        and e2[-1] <= final_bound
     )
     return ExperimentReport(
         name="llt",
@@ -196,7 +186,7 @@ def ratio_vs_gamma_experiment(
     """
     t0 = time.time()
     law.require_critical("ratio_vs_gamma_experiment")
-    slaw = _stable_law(law)
+    slaw = StableLaw(theta=law.theta)
     gaps, means = [], []
     for n in n_list:
         b_n = calibrate_bn(law, n)
@@ -400,12 +390,12 @@ def lukasiewicz_marginal_experiment(
     """
     t0 = time.time()
     law.require_critical("lukasiewicz_marginal_experiment")
-    slaw = _stable_law(law)
+    slaw = StableLaw(theta=law.theta)
     b_n = calibrate_bn(law, n)
     m = int(math.floor(a * n))
     rest = n - m
     hi_eval = max(int(window_scale * b_n), rest)
-    mea = exactlaw.meander_pmf(step_law(law), m, hi_eval=hi_eval, protect=n)
+    mea = exactlaw.meander_pmf(law, m, hi_eval=hi_eval, protect=n)
     ks = np.arange(mea.lo, mea.hi + 1)
     _, phistar_r = exactlaw.phi_phi_star_at(law, rest, int(ks[-1]) + 1)
     w = mea.masses * phistar_r[ks]

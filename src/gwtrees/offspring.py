@@ -1,9 +1,11 @@
 """Offspring distributions for critical branching processes.
 
-A law mu on {0,1,2,...} drives the whole pipeline: the shifted step law
-nu(k) = mu(k+1) (k >= -1) has zero mean exactly when mu is critical, and the
-scaling constant B_n is calibrated so that W_n / B_n converges to the
-spectrally positive stable variable X_1 with E[exp(-lam*X_1)] = exp(lam^theta).
+A law mu on {0,1,2,...} drives the whole pipeline, and every exact table and
+sampler takes the ``OffspringLaw`` itself.  The Lukasiewicz walk W steps by
+nu(k) = mu(k+1) (k >= -1), which has zero mean exactly when mu is critical;
+the shift is applied where walk tables are built.  The scaling constant B_n is
+calibrated so that W_n / B_n converges to the spectrally positive stable
+variable X_1 with E[exp(-lam*X_1)] = exp(lam^theta).
 
 Two closed-form families are provided:
 
@@ -26,12 +28,10 @@ from scipy.special import gamma as _gamma
 
 __all__ = [
     "OffspringLaw",
-    "StepLaw",
     "make_geometric",
     "make_stable_family",
     "make_explicit",
     "tilt_to_critical",
-    "step_law",
     "calibrate_bn",
     "law_from_spec",
     "law_to_spec",
@@ -171,48 +171,20 @@ class OffspringLaw:
         if not self.is_critical:
             raise LawError(f"{what} requires a critical law (mean = {self.mean!r})")
 
-    def truncate(self, cap: int, renormalize: bool = True) -> "OffspringLaw":
+    def truncate(self, cap: int) -> "OffspringLaw":
         """Explicit law supported on {0..cap}.
 
-        The discarded tail mass is redistributed by renormalization (default) so
-        the result is a proper, slightly subcritical law; exact identities
+        The discarded tail mass is redistributed by renormalization, so the
+        result is a proper, slightly subcritical law; exact identities
         (Kemperman, cycle lemma, absolute continuity) hold for it verbatim.
         """
         probs = self.probabilities(cap)
-        if not renormalize and self.tail_mass(cap) > SUM_TOL:
-            raise LawError("truncation discards more than the summability tolerance")
-        if renormalize:
-            probs = probs / probs.sum()
-        return make_explicit(probs)
+        return make_explicit(probs / probs.sum())
 
     # -- serialization --------------------------------------------------------
 
     def spec(self) -> dict:
         return law_to_spec(self)
-
-
-@dataclass(frozen=True, eq=False)
-class StepLaw:
-    """Shifted view nu(k) = mu(k+1) for k >= -1; zero mean iff mu is critical."""
-
-    law: OffspringLaw
-
-    @property
-    def mean(self) -> float:
-        return self.law.mean - 1.0
-
-    def nu_min1(self) -> float:
-        return float(self.law.probs[0])
-
-    def probabilities(self, k_max: int) -> np.ndarray:
-        """nu(-1..k_max) as a vector indexed by k+1."""
-        return self.law.probabilities(k_max + 1)
-
-    def tail_mass(self, k: int) -> float:
-        return self.law.tail_mass(k + 1)
-
-    def support_cap(self, eps: float) -> int:
-        return self.law.support_cap(eps) - 1
 
 
 # -- constructors -------------------------------------------------------------
@@ -298,11 +270,6 @@ def make_explicit(probs: Sequence[float]) -> OffspringLaw:
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def step_law(law: OffspringLaw) -> StepLaw:
-    """nu(k) = mu(k+1) for k >= -1."""
-    return StepLaw(law)
 
 
 def _tilted_mean(probs: np.ndarray, lam: float) -> float:

@@ -16,8 +16,8 @@ multiplies the probability of every block with sum -1, hence of every tree
 with n vertices, by the same factor lam^(n-1) / f(lam)^n, so the conditioned
 law is unchanged (Kennedy 1975); but P[W_n = -1] decays like a power of n on
 a critical law and exponentially on any other.  A critical law is its own
-tilt.  A law supported in {0,1} has no tilt; its only tree is the path, drawn
-from the law itself.
+tilt.  A law supported in {0,1} has no tilt; its only tree is the path, which
+is returned without a draw.
 
 Both the free sampler and the rejection route read mu from one step sampler:
 a table of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) plus one bucket
@@ -34,7 +34,7 @@ import numpy as np
 
 from .codings import LukasiewiczPath, Tree
 from .exactlaw import enumerate_conditioned, progeny_rho, walk_pmf
-from .offspring import OffspringLaw, StepLaw, step_law, tilt_to_critical
+from .offspring import OffspringLaw, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -149,14 +149,14 @@ def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
 
 
 def conditioned_increments(
-    step: StepLaw,
+    law: OffspringLaw,
     n: int,
     rng_seed: int = 0,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """n i.i.d. nu-steps conditioned on summing to -1 (exact distribution).
+    """n i.i.d. steps nu(k) = mu(k+1) conditioned on summing to -1 (exact distribution).
 
-    The steps are drawn on the critical tilt of nu, which leaves their
+    The steps are drawn on the critical tilt of mu, which leaves their
     conditioned law unchanged (see the module docstring).
     """
     if n < 1:
@@ -165,7 +165,7 @@ def conditioned_increments(
         rng = derive_rng(rng_seed)
     if n == 1:
         return np.array([-1], dtype=np.int64)
-    steps = _StepSampler(_critical_tilt(step.law))
+    steps = _StepSampler(_critical_tilt(law))
     pvals = np.maximum(np.append(steps.bulk, steps.tail), 0.0)
     pvals /= pvals.sum()
     values = np.arange(-1, steps.cap, dtype=np.int64)  # nu(-1 .. cap-1) = mu(0 .. cap)
@@ -223,10 +223,13 @@ def sample_conditioned(
 ) -> Tree:
     """One tree exactly distributed as GW_mu conditioned on {zeta = n}.
 
-    Serves any law with a critical tilt, at the critical law's acceptance rate.
+    Serves any law with a critical tilt, at the critical law's acceptance rate,
+    and any law supported in {0,1}.
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
+    if law.family == "explicit" and law.probs.size == 2:
+        return Tree([1] * (n - 1) + [0])  # support {0,1}: the path is the only tree
     law = _critical_tilt(law)  # before the guard: P[zeta = n] underflows off criticality
     if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
         raise SamplerError(f"P[zeta = {n}] = 0 for this law")
@@ -234,7 +237,7 @@ def sample_conditioned(
     span = law.span
     if span == 0 or (n - 1) % span:
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
-    inc = conditioned_increments(step_law(law), n, rng_seed, rng)
+    inc = conditioned_increments(law, n, rng_seed, rng)
     return Tree(_first_passage_rotation(inc) + 1)
 
 
@@ -248,7 +251,7 @@ def analytic_sampler_law(law: OffspringLaw, n: int) -> List[Tuple[Tree, float]]:
     (distinct, since the sum -1 forbids periodicity) rotations of tau's
     increment sequence, so P[tau] = n * prod_i mu(c_i) / P[W_n = -1].
     """
-    table = walk_pmf(step_law(law), n, window=(-n, 0))
+    table = walk_pmf(law, n, window=(-n, 0))
     p_sum = table.prob(-1)
     mu = law.probabilities(n)
     out = []

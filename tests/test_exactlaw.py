@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gwtrees import exactlaw as ex
-from gwtrees import step_law
 from gwtrees.offspring import make_explicit
 
 
@@ -53,46 +52,46 @@ class TestConv:
 
 
 class TestWalkPmf:
-    def test_one_step(self, geometric):
-        t = ex.walk_pmf(step_law(geometric), 1)
-        assert t.prob(-1) == 0.5
-        assert t.prob(0) == 0.25
+    def test_one_step(self, geometric, stable15):
+        # the walk steps by nu(k) = mu(k+1)
+        for law, down, flat in ((geometric, 0.5, 0.25), (stable15, 2 / 3, 0.0)):
+            t = ex.walk_pmf(law, 1)
+            assert abs(t.prob(-1) - down) < 1e-15
+            assert t.prob(0) == flat
 
     def test_three_steps_value(self, geometric):
         # 6 equiprobable step-triples summing to -1, each of mass 2^-5
-        t = ex.walk_pmf(step_law(geometric), 3)
+        t = ex.walk_pmf(geometric, 3)
         assert abs(t.prob(-1) - 3 / 16) < 1e-15
 
     def test_against_dict_oracle(self, geometric):
-        t = ex.walk_pmf(step_law(geometric), 5)
+        t = ex.walk_pmf(geometric, 5)
         oracle = brute_walk_pmf(GEO_NU, 5)
         for k, p in oracle.items():
             assert abs(t.prob(k) - p) < 1e-13
 
     def test_two_steps_is_self_convolution(self, geometric):
-        step = step_law(geometric)
-        t2 = ex.walk_pmf(step, 2)
-        nu = step.probabilities(80)
+        t2 = ex.walk_pmf(geometric, 2)
+        nu = geometric.probabilities(81)  # nu(-1..80) = mu(0..81)
         direct = np.convolve(nu, nu)
         assert np.allclose(t2.masses[: direct.size], direct[: t2.masses.size], atol=1e-15)
 
     def test_mass_accounting(self, geometric, stable15):
         for law, window in ((geometric, None), (stable15, (-64, 500))):
-            t = ex.walk_pmf(step_law(law), 64, window=window)
+            t = ex.walk_pmf(law, 64, window=window)
             assert abs(t.masses.sum() + t.truncated_mass - 1.0) < 1e-12
 
     def test_protected_window_exactness(self, stable15):
         # heavy tail: a clipped table must still be exact below its window top
-        step = step_law(stable15)
-        wide = ex.walk_pmf(step, 12, window=(-12, 4000))
-        narrow = ex.walk_pmf(step, 12, window=(-12, 40))
+        wide = ex.walk_pmf(stable15, 12, window=(-12, 4000))
+        narrow = ex.walk_pmf(stable15, 12, window=(-12, 40))
         ks = np.arange(-12, 41)
         assert np.allclose(wide.probs(ks), narrow.probs(ks), atol=1e-15, rtol=0)
         assert narrow.truncated_mass > 1e-6  # plenty of mass really was clipped
 
     def test_window_below_minimum_rejected(self, geometric):
         with pytest.raises(ex.ExactLawError):
-            ex.walk_pmf(step_law(geometric), 4, window=(-4, -6))
+            ex.walk_pmf(geometric, 4, window=(-4, -6))
 
 
 class TestProgeny:
@@ -128,50 +127,45 @@ class TestProgeny:
 class TestKemperman:
     def test_identity_small_n(self, geometric, stable15):
         # (j/n) P[W_n = -j] versus the j-fold convolution of the recursion law
-        for law in (geometric, stable15, law_trunc := stable15.truncate(40)):
-            step = step_law(law)
+        for law in (geometric, stable15, stable15.truncate(40)):
             for n in range(1, 15):
                 phi_vec, _ = ex.phi_phi_star_at(law, n, 4)
                 for j in range(1, 5):
-                    walk_route = ex.phi(step, n, j)
+                    walk_route = ex.phi(law, n, j)
                     assert abs(walk_route - phi_vec[j - 1]) <= 1e-12
 
 
 class TestPhi:
     def test_phi_equals_progeny(self, geometric):
-        assert abs(ex.phi(step_law(geometric), 3, 1) - 1 / 16) < 1e-15
+        assert abs(ex.phi(geometric, 3, 1) - 1 / 16) < 1e-15
 
     def test_phi_star_trivial_and_value(self, geometric):
-        step = step_law(geometric)
         for j in (1, 2, 5):
-            assert ex.phi_star(step, 1, j) == 1.0
-        assert abs(ex.phi_star(step, 2, 1) - 0.5) < 1e-15
+            assert ex.phi_star(geometric, 1, j) == 1.0
+        assert abs(ex.phi_star(geometric, 2, 1) - 0.5) < 1e-15
 
     def test_phi_star_nonincreasing_in_n(self, geometric, stable15):
         for law in (geometric, stable15):
-            step = step_law(law)
             for j in (1, 2, 3):
-                vals = [ex.phi_star(step, n, j) for n in range(1, 20)]
+                vals = [ex.phi_star(law, n, j) for n in range(1, 20)]
                 assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_preconditions(self, geometric):
-        step = step_law(geometric)
         with pytest.raises(ex.ExactLawError):
-            ex.phi(step, 3, 0)
+            ex.phi(geometric, 3, 0)
         with pytest.raises(ex.ExactLawError):
-            ex.phi_star(step, 0, 1)
+            ex.phi_star(geometric, 0, 1)
 
 
 class TestDiscreteRatio:
     def test_nonnegative(self, geometric):
-        step = step_law(geometric)
         for n, a, k in itertools.product((6, 10, 14), (0.3, 0.5), (0, 1, 3)):
-            assert ex.discrete_ratio(step, n, a, k) >= 0.0
+            assert ex.discrete_ratio(geometric, n, a, k) >= 0.0
 
     def test_pinned_value_n6(self, geometric):
         # from Catalan closed forms: phi_3(1) = 1/16, phi_6(1) = 21/1024,
         # phi*_3(1) = 3/8, phi*_6(1) = 63/256, so D = (64/21) / (32/21) = 2
-        d = ex.discrete_ratio(step_law(geometric), 6, 0.5, 0)
+        d = ex.discrete_ratio(geometric, 6, 0.5, 0)
         assert abs(d - 2.0) < 1e-12
 
     def test_weighted_mean_is_one(self, geometric, stable15):
@@ -180,11 +174,10 @@ class TestDiscreteRatio:
                 assert abs(ex.ratio_weighted_mean(law, n, 0.5) - 1.0) < 1e-11
 
     def test_preconditions(self, geometric):
-        step = step_law(geometric)
         with pytest.raises(ex.ExactLawError):
-            ex.discrete_ratio(step, 6, 1.5, 0)
+            ex.discrete_ratio(geometric, 6, 1.5, 0)
         with pytest.raises(ex.ExactLawError):
-            ex.discrete_ratio(step, 6, 0.5, -1)
+            ex.discrete_ratio(geometric, 6, 0.5, -1)
 
 
 class TestEnumerate:
@@ -232,7 +225,7 @@ class TestMeander:
         # sum of the killed-walk table + clipped mass = P[zeta > m]
         for law in (geometric, stable15):
             m = 48
-            mea = ex.meander_pmf(step_law(law), m, hi_eval=96, protect=96)
+            mea = ex.meander_pmf(law, m, hi_eval=96, protect=96)
             rho = ex.progeny_rho(law, m)
             survival = 1.0 - float(rho[: m + 1].sum())
             assert abs(float(mea.masses.sum()) + mea.clipped_mass - survival) < 1e-12
@@ -240,7 +233,7 @@ class TestMeander:
     def test_markov_identity(self, geometric):
         # sum_k meander_m(k) phi_rest(k+1) = P[zeta = n]
         n, m = 40, 20
-        mea = ex.meander_pmf(step_law(geometric), m, hi_eval=n, protect=n)
+        mea = ex.meander_pmf(geometric, m, hi_eval=n, protect=n)
         ks = np.arange(mea.lo, mea.hi + 1)
         phi_r, _ = ex.phi_phi_star_at(geometric, n - m, int(ks[-1]) + 1)
         lhs = float((mea.masses * phi_r[ks]).sum())
@@ -251,11 +244,38 @@ class TestMeander:
         # [-1, 40] makes the dict oracle exact on the whole table
         hi_eval = 12
         for law in (geometric, stable15):
-            step = step_law(law)
-            nu = {k: float(p) for k, p in zip(range(-1, 41), step.probabilities(40))}
+            nu = {k: float(p) for k, p in zip(range(-1, 41), law.probabilities(41))}
             for m in range(1, 7):
-                mea = ex.meander_pmf(step, m, hi_eval=hi_eval)
+                mea = ex.meander_pmf(law, m, hi_eval=hi_eval)
                 assert (mea.lo, mea.exact_hi) == (0, hi_eval)
                 oracle = brute_meander_pmf(nu, m)
                 want = np.array([oracle.get(k, 0.0) for k in range(mea.lo, mea.hi + 1)])
                 assert np.max(np.abs(mea.masses - want)) < 1e-15
+
+
+class TestTableCache:
+    def test_each_table_built_once(self, geometric):
+        from gwtrees import limits as lim
+        from gwtrees.offspring import make_geometric
+
+        law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
+        mea0, prof0 = ex.meander_pmf.cache_info(), ex._phi_profiles.cache_info()
+        lim.ratio_vs_gamma_experiment(law, (1024,))
+        lim.lukasiewicz_marginal_experiment(law, 1024)
+        mea1, prof1 = ex.meander_pmf.cache_info(), ex._phi_profiles.cache_info()
+        # meanders: the shared one (m = 512, hi_eval = 512, protect = 1024) and the
+        # marginal's wider one; the marginal's weighted mean reuses the shared one
+        assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 1)
+        # p = 512 profiles: the ratio window's (j <= 2 B_n + 1) and the full one,
+        # which serves every later j_max >= 512
+        assert (prof1.misses - prof0.misses, prof1.hits - prof0.hits) == (2, 2)
+
+        phi_wide, phistar_wide = ex.phi_phi_star_at(geometric, 64, 200)
+        phi_p, phistar_p = ex.phi_phi_star_at(geometric, 64, 64)
+        assert np.array_equal(phi_wide, np.concatenate([phi_p, np.zeros(136)]))
+        assert np.array_equal(phistar_wide, np.concatenate([phistar_p, np.ones(136)]))
+
+        mea = ex.meander_pmf(geometric, 8, hi_eval=16)
+        assert mea is ex.meander_pmf(geometric, 8, hi_eval=16)
+        cached = (mea.masses, ex.progeny_rho(geometric, 64), *ex._phi_profiles(geometric, 64, 64))
+        assert not any(arr.flags.writeable for arr in cached)

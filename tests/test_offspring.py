@@ -115,24 +115,6 @@ class TestTilting:
             off.tilt_to_critical(off.make_explicit([0.6, 0.4]))
 
 
-class TestStepLaw:
-    def test_shift_geometric(self, geometric):
-        step = off.step_law(geometric)
-        assert step.nu_min1() == 0.5
-        assert np.allclose(step.probabilities(1), [0.5, 0.25, 0.125])
-
-    def test_shift_stable(self, stable15):
-        step = off.step_law(stable15)
-        nu = step.probabilities(0)
-        assert abs(nu[0] - 2 / 3) < 1e-15 and nu[1] == 0.0
-
-    def test_zero_mean_iff_critical(self, geometric, stable15):
-        for law in (geometric, stable15):
-            assert abs(off.step_law(law).mean) < 1e-10
-        law = off.make_geometric(0.4)
-        assert abs(off.step_law(law).mean - (law.mean - 1.0)) < 1e-15
-
-
 class TestCalibrateBn:
     def test_geometric_n100(self, geometric):
         assert abs(off.calibrate_bn(geometric, 100) - 10.0) < 1e-12
@@ -160,12 +142,12 @@ class TestCalibrateBn:
 
     def test_llt_fit_oracle(self, geometric, stable15):
         # independent check: B_n ~ p1(0) / P[W_n = 0] by the local limit theorem
-        from gwtrees import step_law, walk_pmf
+        from gwtrees import walk_pmf
         from gwtrees.stable import p1_closed_zero
 
         for law in (geometric, stable15):
             n = 4096
-            table = walk_pmf(step_law(law), n, window=(-n, 1))
+            table = walk_pmf(law, n, window=(-n, 1))
             fitted = p1_closed_zero(law.theta) / table.prob(0)
             assert abs(fitted / off.calibrate_bn(law, n) - 1.0) < 0.02
 

@@ -15,7 +15,6 @@ from gwtrees import (
     make_geometric,
     sample_conditioned,
     sample_gw,
-    step_law,
 )
 from gwtrees.sampler import (
     SamplerError,
@@ -89,7 +88,7 @@ class TestStepSampler:
 
 class TestConditionedIncrements:
     def test_n1(self, geometric):
-        assert conditioned_increments(step_law(geometric), 1, rng_seed=0).tolist() == [-1]
+        assert conditioned_increments(geometric, 1, rng_seed=0).tolist() == [-1]
 
     def test_n3_uniform_over_admissible(self, geometric):
         # every admissible block has nu-probability 2^-(2n-1): 6 triples with
@@ -105,14 +104,14 @@ class TestConditionedIncrements:
             counts = Counter()
             n_draws = 60_000
             for _ in range(n_draws):
-                counts[tuple(conditioned_increments(step_law(geometric), n, rng=rng))] += 1
+                counts[tuple(conditioned_increments(geometric, n, rng=rng))] += 1
             assert sorted(counts) == admissible
             for seq in admissible:
                 se = math.sqrt((1 / size) * (1 - 1 / size) / n_draws)
                 assert abs(counts[seq] / n_draws - 1 / size) < 4 * se
 
     def test_sum_and_steps(self, stable15):
-        seq = conditioned_increments(step_law(stable15), 64, rng_seed=5)
+        seq = conditioned_increments(stable15, 64, rng_seed=5)
         assert seq.sum() == -1 and seq.min() >= -1 and seq.size == 64
 
 
@@ -178,9 +177,12 @@ class TestSampleConditioned:
         assert stat < chi2.ppf(0.99, len(expected) - 1)
 
     def test_sizes_exact(self, geometric, stable15):
-        # the subcritical geometric laws are served on their critical tilt
+        # the subcritical geometric laws are served on their critical tilt; a law
+        # supported in {0,1} has no tilt, and its only tree is the path
+        path_law = make_explicit([0.5, 0.5])
         for law, n in ((geometric, 137), (stable15, 137), (geometric, 2048),
-                       (make_geometric(0.4), 1000), (make_geometric(0.2), 2000)):
+                       (make_geometric(0.4), 1000), (make_geometric(0.2), 2000),
+                       (path_law, 1), (path_law, 60), (path_law, 1100)):
             assert sample_conditioned(law, n, rng_seed=3).zeta == n
 
     def test_subcritical_chi_square_against_enumeration(self):

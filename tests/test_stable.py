@@ -330,13 +330,12 @@ class TestExcursionMarginal:
 class TestMonteCarloConsistency:
     def test_walk_histogram_vs_density(self, geometric):
         # 1e5 samples of W_n / B_n at n = 4096 against the Gaussian limit CDF
-        from gwtrees import calibrate_bn, step_law
+        from gwtrees import calibrate_bn
         from gwtrees.sampler import derive_rng
 
         n, draws = 4096, 100_000
-        step = step_law(geometric)
         cap = geometric.support_cap(1e-15)
-        pvals = np.maximum(np.append(step.probabilities(cap - 1), geometric.tail_mass(cap)), 0)
+        pvals = np.maximum(np.append(geometric.probabilities(cap), geometric.tail_mass(cap)), 0)
         pvals /= pvals.sum()
         vals = np.arange(-1, cap + 1)  # tail bucket mapped to its smallest value
         rng = derive_rng(2718)
