@@ -4,7 +4,11 @@ The walk W has i.i.d. steps nu(k) = mu(k+1), k >= -1, so it moves down by at
 most 1 per step.  That skip-free structure gives two workhorses:
 
 * Kemperman's formula P[zeta_j = n] = (j/n) P[W_n = -j], linking hitting times
-  of -j to plain walk marginals;
+  of -j to plain walk marginals (the hitting-time theorem; van der Hofstad &
+  Keane 2008, Amer. Math. Monthly 115, give a short proof).  It also advances
+  the killed walk (meander) a block of steps per convolution: the mass that
+  first leaves [0, inf) at each step of the block is read off W_s tables, and
+  its free continuation from -1 is subtracted;
 * ceiling protection: when building the law of W_n by convolution, any mass
   clipped above ``hi + (n - m)`` at an intermediate step m can never return
   below ``hi`` within the remaining n - m steps, so the final table is exact on
@@ -13,7 +17,8 @@ most 1 per step.  That skip-free structure gives two workhorses:
 
 "Exact" means that no mass is lost on the protected window.  Large convolutions
 run on a real FFT, whose rounding is absolute (up to 2.5e-16 on a theta = 1.5
-W_512 table, against direct summation): smaller entries have no relative accuracy.
+W_512 table, against direct summation): smaller entries have no relative
+accuracy, and trailing entries below the rounding bound are trimmed as noise.
 
 Total-progeny laws are computed along two independent routes (Kemperman from
 walk tables, and the branching recursion through the generating function) and
@@ -56,6 +61,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+MEANDER_BLOCK = 16  # walk steps per block of meander_pmf
 
 
 class ExactLawError(RuntimeError):
@@ -135,34 +141,40 @@ class SubPmf:
 # -- convolution plumbing --------------------------------------------------------
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarray:
+    """Full convolution of a and b.  ``memo`` holds b's real FFT for the last
+    transform length, for loops whose kernel b is fixed.
+
+    The FFT branch's rounding is absolute, about EPS * |a|_2 * |b|_2 per entry:
+    negative noise is clipped at 0 and trailing entries under 8x that scale are
+    trimmed, so noise neither counts as mass nor widens later convolutions.
+    """
     if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
         return np.convolve(a, b)
     size = a.size + b.size - 1
     L = sp_fft.next_fast_len(size, real=True)
-    out = sp_fft.irfft(sp_fft.rfft(a, L) * sp_fft.rfft(b, L), L)[:size]
+    if memo is None:
+        memo = {}
+    if L not in memo:
+        memo.clear()
+        memo[L] = sp_fft.rfft(b, L)
+    out = sp_fft.irfft(sp_fft.rfft(a, L) * memo[L], L)[:size]
     np.maximum(out, 0.0, out=out)
-    return out
+    noise = 8.0 * np.finfo(float).eps * math.sqrt(float(a @ a) * float(b @ b))
+    above = out[::-1] > noise
+    return out[: out.size - int(np.argmax(above))] if above.any() else out[:0]
 
 
 def _advance(
     off: int, arr: np.ndarray, k_off: int, kernel: np.ndarray, ceiling: int,
-    floor: Optional[int] = None,
-) -> Tuple[int, np.ndarray, float]:
-    """Table of X + Y for X ~ (off, arr), Y ~ (k_off, kernel), killed below ``floor``
-    and clipped above ``ceiling``: (offset, table, total before clip - total after).
-    """
-    out = _conv(arr, kernel)
-    off += k_off
-    if floor is not None and off < floor:
-        out = out[floor - off :]
-        off = floor
-    keep = ceiling - off + 1
-    if keep >= out.size:
-        return off, out, 0.0
+    memo: Optional[dict] = None,
+) -> Tuple[int, np.ndarray]:
+    """Table of X + Y for X ~ (off, arr), Y ~ (k_off, kernel), clipped above ``ceiling``."""
+    out = _conv(arr, kernel, memo)
+    keep = ceiling - (off + k_off) + 1
     if keep <= 0:
         raise ExactLawError("ceiling clipped the entire table")
-    return off, out[:keep], float(out.sum()) - float(out[:keep].sum())
+    return off + k_off, out[:keep]
 
 
 def _step_table(law: OffspringLaw, hi: int) -> Tuple[int, np.ndarray]:
@@ -193,13 +205,13 @@ def _walk_table_raw(law: OffspringLaw, n: int, hi_eval: int) -> Tuple[int, np.nd
             if acc is None:
                 acc_off, acc, acc_m = pw_off, pw, pw_m
             else:
-                acc_off, acc, _ = _advance(
+                acc_off, acc = _advance(
                     acc_off, acc, pw_off, pw, hi_eval + (n - acc_m - pw_m)
                 )
                 acc_m += pw_m
         bits >>= 1
         if bits:
-            pw_off, pw, _ = _advance(pw_off, pw, pw_off, pw, hi_eval + (n - 2 * pw_m))
+            pw_off, pw = _advance(pw_off, pw, pw_off, pw, hi_eval + (n - 2 * pw_m))
             pw_m *= 2
     return acc_off, acc
 
@@ -246,10 +258,10 @@ def _walk_tables_iter(
     exact on (-inf, hi_eval] for all later steps as well.
     """
     t_off, t1 = _step_table(law, hi_eval + (n - 1))
-    off, arr = t_off, t1
+    off, arr, memo = t_off, t1, {}
     yield 1, off, arr
     for m in range(2, n + 1):
-        off, arr, _ = _advance(off, arr, t_off, t1, hi_eval + (n - m))
+        off, arr = _advance(off, arr, t_off, t1, hi_eval + (n - m), memo=memo)
         yield m, off, arr
 
 
@@ -382,12 +394,12 @@ def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np
     rho = progeny_rho(law, p)[: p + 1]
     phi_vals = np.zeros(j_max)
     phistar_vals = np.ones(j_max)
-    cur = rho
+    cur, memo = rho, {}
     for j in range(1, j_max + 1):
-        phi_vals[j - 1] = cur[p]
+        phi_vals[j - 1] = cur[p] if cur.size > p else 0.0  # trimmed: below FFT noise
         phistar_vals[j - 1] = max(0.0, 1.0 - float(cur[:p].sum()))
         if j < j_max:
-            _, cur, _ = _advance(0, cur, 0, rho, p)
+            _, cur = _advance(0, cur, 0, rho, p, memo=memo)
     phi_vals.flags.writeable = False
     phistar_vals.flags.writeable = False
     return phi_vals, phistar_vals
@@ -447,24 +459,45 @@ def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] 
     hi_eval + (protect - m); mass clipped at the ceiling is returned in
     ``clipped_mass`` (it all lives strictly above the exact range).  The table's
     total plus clipped_mass equals P[zeta_1 > m].
+
+    Blocks of r <= MEANDER_BLOCK steps advance the killed table v at once: a
+    path from x first leaves [0, inf) at step s with probability
+    (x+1)/s P[W_s = -(x+1)] (Kemperman), and then sits at -1, so
+    v'(k) = sum_x v(x) P[W_r = k-x] - sum_{s<r} h_s P[W_{r-s} = k+1] for k >= 0,
+    with h_s = sum_{x<s} v(x) (x+1)/s P[W_s = -(x+1)] the mass killed at step s.
     """
     if m < 1:
         raise ExactLawError("m must be >= 1")
     horizon = max(protect if protect is not None else m, m)
-    nu_off, nu = _step_table(law, hi_eval + horizon)
-    nu_defect = 1.0 - float(nu.sum())  # jumps beyond the table land above every ceiling
-    off, cur = 0, np.ones(1)  # W_0 = 0
-    clipped = 0.0
-    for q in range(1, m + 1):
-        clipped += float(cur.sum()) * nu_defect
-        # paths that dip below 0 are killed
-        off, cur, lost = _advance(off, cur, nu_off, nu, hi_eval + (horizon - q), floor=0)
-        clipped += lost
+    top = hi_eval + horizon  # ceiling at step 0; it falls by one per step
+    J = min(MEANDER_BLOCK, m)
+    # W_0..W_J exact on [-s, top + 1], every value a block reads: steps beyond
+    # top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach it
+    nu_off, nu = _step_table(law, top + J)
+    walks, memo = [np.ones(1)], {}  # walks[s][k + s] = P[W_s = k]
+    kem = np.zeros((J, J))  # kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]
+    for s in range(1, J + 1):
+        _, w = _advance(1 - s, walks[-1], nu_off, nu, top + 1 + J - s, memo=memo)
+        walks.append(w.copy())  # not a view that pins the wider conv output
+        kem[s - 1, :s] = w[s - 1 :: -1] * np.arange(1, s + 1) / s
+    v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
+    while t < m:
+        r = min(J, m - t)
+        t += r
+        free = _conv(v, walks[r], memo if r == J else None)[r : top - t + 1 + r]
+        h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
+        for s in range(1, r):  # killed at step s, then r - s free steps from -1
+            seg = walks[r - s][r - s + 1 : r - s + 1 + free.size]  # P[W_{r-s} = k + 1]
+            free[: seg.size] -= h[s - 1] * seg
+        np.maximum(free, 0.0, out=free)
+        # alive mass not kept: above the ceiling, or jumps beyond the step table
+        clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
+        v = free
     return SubPmf(
-        offset=off,
-        masses=cur,
+        offset=0,
+        masses=np.pad(v, (0, top - m + 1 - v.size)),  # spans [0, exact_hi]
         clipped_mass=max(0.0, clipped),
-        exact_hi=hi_eval + (horizon - m),
+        exact_hi=top - m,
     )
 
 

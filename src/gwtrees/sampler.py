@@ -233,9 +233,10 @@ def sample_conditioned(
     law = _critical_tilt(law)  # before the guard: P[zeta = n] underflows off criticality
     if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
         raise SamplerError(f"P[zeta = {n}] = 0 for this law")
-    # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the span
+    # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the
+    # span (0 for a one-point support, whose only finite tree is the single vertex)
     span = law.span
-    if span == 0 or (n - 1) % span:
+    if n > 1 and (span == 0 or (n - 1) % span):
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
     inc = conditioned_increments(law, n, rng_seed, rng)
     return Tree(_first_passage_rotation(inc) + 1)

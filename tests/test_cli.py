@@ -41,6 +41,13 @@ class TestExact:
         assert "truncated_mass" in payload
         assert payload["offset"] == -8
 
+    def test_wide_walk_table_within_mass_budget(self, tmp_path):
+        # rounding noise in the far tail once failed the mass check here (exit 2)
+        out = tmp_path / "walk.json"
+        assert run(["exact", "--law", "geometric", "--what", "walk", "--n", "60000",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["offset"] == -60000
+
 
 class TestSample:
     def test_unique_two_vertex_walk(self, tmp_path):

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
+from scipy.stats import nbinom
 
 from gwtrees import exactlaw as ex
-from gwtrees.offspring import make_explicit
+from gwtrees.offspring import make_explicit, make_geometric, make_stable_family
 
 
 def catalan(k):
@@ -36,7 +38,39 @@ def brute_meander_pmf(nu, m):
     return cur
 
 
+def untrimmed_conv(a, b):
+    """Full convolution; the FFT branch clips negative noise at 0 and trims nothing."""
+    if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
+        return np.convolve(a, b)
+    size = a.size + b.size - 1
+    L = sp_fft.next_fast_len(size, real=True)
+    return np.maximum(sp_fft.irfft(sp_fft.rfft(a, L) * sp_fft.rfft(b, L), L)[:size], 0.0)
+
+
+def stepwise_meander(law, m, hi_eval, protect):
+    """Oracle: the killed walk advanced one step per convolution under the moving
+    ceiling hi_eval + (protect - q); returns (table on [0, ...], clipped mass)."""
+    horizon = max(protect, m)
+    _, nu = ex._step_table(law, hi_eval + horizon)  # nu on [-1, ...]
+    nu_defect = 1.0 - float(nu.sum())  # jumps beyond the table land above every ceiling
+    cur, clipped = np.ones(1), 0.0
+    for q in range(1, m + 1):
+        clipped += float(cur.sum()) * nu_defect
+        out = untrimmed_conv(cur, nu)[1:]  # on [0, ...]: paths that dip below 0 are killed
+        keep = hi_eval + horizon - q + 1
+        clipped += float(out[keep:].sum())
+        cur = out[:keep]
+    return cur, max(0.0, clipped)
+
+
 GEO_NU = {k - 1: 0.5 ** (k + 1) for k in range(64)}  # nu(-1..62) of geometric(1/2)
+MEANDER_LAWS = {
+    "geometric": make_geometric(0.5),
+    "theta1.5": make_stable_family(1.5),
+    "theta1.2": make_stable_family(1.2),
+    "binary": make_explicit([0.5, 0.0, 0.5]),
+}
+J = ex.MEANDER_BLOCK
 
 
 class TestConv:
@@ -88,6 +122,15 @@ class TestWalkPmf:
         ks = np.arange(-12, 41)
         assert np.allclose(wide.probs(ks), narrow.probs(ks), atol=1e-15, rtol=0)
         assert narrow.truncated_mass > 1e-6  # plenty of mass really was clipped
+
+    def test_wide_table_has_no_noise_mass(self, geometric):
+        # FFT rounding in the far tail once added 1.6e-12 of spurious mass here
+        n = 60000
+        t = ex.walk_pmf(geometric, n)
+        assert abs(float(t.masses.sum()) + t.truncated_mass - 1.0) <= ex.MASS_TOL
+        assert t.hi < 10 * math.sqrt(2 * n)  # entries below the rounding bound are trimmed
+        want = nbinom.pmf(np.arange(t.lo, t.hi + 1) + n, n, 0.5)  # W_n + n ~ NegBin(n, 1/2)
+        assert np.max(np.abs(t.masses - want)) <= 1e-15
 
     def test_window_below_minimum_rejected(self, geometric):
         with pytest.raises(ex.ExactLawError):
@@ -251,6 +294,30 @@ class TestMeander:
                 oracle = brute_meander_pmf(nu, m)
                 want = np.array([oracle.get(k, 0.0) for k in range(mea.lo, mea.hi + 1)])
                 assert np.max(np.abs(mea.masses - want)) < 1e-15
+
+    @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
+    @pytest.mark.parametrize("m", [1, J - 1, J, J + 1, 2048])
+    def test_block_matches_stepwise(self, law_name, m):
+        # the ratio suite's window: hi_eval = n - m, protect = n at a = 1/2
+        self.check_block(MEANDER_LAWS[law_name], m, m, 2 * m)
+
+    @pytest.mark.parametrize("law_name,hi_eval", [("geometric", 3200), ("theta1.5", 9768)])
+    def test_block_matches_stepwise_marginal_window(self, law_name, hi_eval):
+        # the marginal's window at n = 4096: hi_eval = 50 B_n
+        self.check_block(MEANDER_LAWS[law_name], 2048, hi_eval, 4096)
+
+    @staticmethod
+    def check_block(law, m, hi_eval, protect):
+        want, want_clipped = stepwise_meander(law, m, hi_eval, protect)
+        mea = ex.meander_pmf(law, m, hi_eval=hi_eval, protect=protect)
+        assert (mea.lo, mea.exact_hi) == (0, hi_eval + protect - m)
+        size = max(want.size, mea.masses.size)
+        got = np.pad(mea.masses, (0, size - mea.masses.size))
+        assert np.max(np.abs(got - np.pad(want, (0, size - want.size)))) <= 1e-16
+        assert abs(mea.clipped_mass - want_clipped) <= 1e-13
+        if m == 2048:
+            survival = 1.0 - float(ex.progeny_rho(law, m)[: m + 1].sum())
+            assert abs(float(mea.masses.sum()) + mea.clipped_mass - survival) <= 1e-12
 
 
 class TestTableCache:

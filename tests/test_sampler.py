@@ -178,11 +178,13 @@ class TestSampleConditioned:
 
     def test_sizes_exact(self, geometric, stable15):
         # the subcritical geometric laws are served on their critical tilt; a law
-        # supported in {0,1} has no tilt, and its only tree is the path
+        # supported in {0,1} has no tilt, and its only tree is the path; mu = delta_0
+        # has span 0 and one tree, the single vertex
         path_law = make_explicit([0.5, 0.5])
         for law, n in ((geometric, 137), (stable15, 137), (geometric, 2048),
                        (make_geometric(0.4), 1000), (make_geometric(0.2), 2000),
-                       (path_law, 1), (path_law, 60), (path_law, 1100)):
+                       (path_law, 1), (path_law, 60), (path_law, 1100),
+                       (geometric, 1), (stable15, 1), (make_explicit([1.0]), 1)):
             assert sample_conditioned(law, n, rng_seed=3).zeta == n
 
     def test_subcritical_chi_square_against_enumeration(self):
