@@ -8,7 +8,8 @@ most 1 per step.  That skip-free structure gives two workhorses:
   Keane 2008, Amer. Math. Monthly 115, give a short proof).  It also advances
   the killed walk (meander) a block of steps per convolution: the mass that
   first leaves [0, inf) at each step of the block is read off W_s tables, and
-  its free continuation from -1 is subtracted;
+  its free continuation from -1 is subtracted.  The same block, run backward
+  on the probability of hitting -1 within t steps, gives phi*;
 * ceiling protection: when building the law of W_n by convolution, any mass
   clipped above ``hi + (n - m)`` at an intermediate step m can never return
   below ``hi`` within the remaining n - m steps, so the final table is exact on
@@ -22,10 +23,11 @@ accuracy, and trailing entries below the rounding bound are trimmed as noise.
 
 Total-progeny laws are computed along two independent routes (Kemperman from
 walk tables, and the branching recursion through the generating function) and
-cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n] for whole ranges
-of j come from convolution powers of the progeny law.  Every function takes the
-``OffspringLaw`` (``_step_table`` applies the shift), and the progeny law, the
-phi profiles and the meander are each cached per law, built once per process.
+cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n] for all j are read
+off one W_n table, and phi*_n(j) = P[zeta_j >= n] for all j come from n/16 block
+convolutions.  Every function takes the ``OffspringLaw`` (``_step_table``
+applies the shift), and the progeny law, the W_n table behind phi, the phi*
+profile and the meander are each cached per law, built once per process.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
-MEANDER_BLOCK = 16  # walk steps per block of meander_pmf
+MEANDER_BLOCK = 16  # walk steps per block of meander_pmf and of the phi* recursion
 
 
 class ExactLawError(RuntimeError):
@@ -265,6 +267,25 @@ def _walk_tables_iter(
         yield m, off, arr
 
 
+def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray], np.ndarray]:
+    """W_0..W_J, each exact on [-s, top + 1], and the first-passage matrix of a block.
+
+    ``walks[s][k + s] = P[W_s = k]``; ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]``
+    is the probability that the walk from x first hits -1 at step s (Kemperman).
+    Steps beyond top + J and mass above the moving ceiling top + 1 + (J - s)
+    cannot reach [-s, top + 1].
+    """
+    nu_off, nu = _step_table(law, top + J)
+    walks, memo = [np.ones(1)], {}
+    kem = np.zeros((J, J))
+    for s in range(1, J + 1):
+        _, w = _advance(1 - s, walks[-1], nu_off, nu, top + 1 + J - s, memo=memo)
+        walks.append(w.copy())  # not a view that pins the wider conv output
+        kem[s - 1, :s] = w[s - 1 :: -1] * np.arange(1, s + 1) / s
+    return walks, kem
+
+
+
 # -- total progeny -----------------------------------------------------------------
 
 
@@ -366,54 +387,69 @@ def _walk_table_for_phi(law: OffspringLaw, n: int) -> PmfTable:
     return _finish_table(off, arr, exact_hi=0)
 
 
-def phi(law: OffspringLaw, n: int, j: int) -> float:
-    """phi_n(j) = P[zeta_j = n] = (j/n) P[W_n = -j] (Kemperman route)."""
-    if j < 1 or n < 1:
+def phi(law: OffspringLaw, n: int, j):
+    """phi_n(j) = P[zeta_j = n] = (j/n) P[W_n = -j] (Kemperman), for an int j or an
+    integer array of j; one cached W_n table serves every j."""
+    js = np.asarray(j)
+    if n < 1 or np.any(js < 1):
         raise ExactLawError("phi needs j >= 1 and n >= 1")
-    table = _walk_table_for_phi(law, n)
-    return j / n * table.prob(-j)
+    out = js / n * _walk_table_for_phi(law, n).probs(-js)
+    return float(out) if js.ndim == 0 else out
 
 
-def phi_star(law: OffspringLaw, n: int, j: int) -> float:
-    """phi*_n(j) = P[zeta_j >= n] = 1 - sum_{p<n} phi_p(j)."""
-    if j < 1 or n < 1:
+def phi_star(law: OffspringLaw, n: int, j):
+    """phi*_n(j) = P[zeta_j >= n] for an int j or an integer array of j; 1 for j >= n."""
+    js = np.asarray(j)
+    if n < 1 or np.any(js < 1):
         raise ExactLawError("phi_star needs j >= 1 and n >= 1")
-    if j >= n:
-        return 1.0  # zeta_j >= j >= n always
-    _, ps = phi_phi_star_at(law, n, j)
-    return float(ps[j - 1])
+    out = _phi_star_profile(law, n)[np.minimum(js, n) - 1]
+    return float(out) if js.ndim == 0 else out
 
 
 @lru_cache(maxsize=128)
-def _phi_profiles(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(phi_p(j), phi*_p(j)) for j = 1..j_max <= p via convolution powers of rho.
+def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
+    """phi*_p(j) = 1 - d_{p-1}(j-1) for j = 1..p (read-only), where
+    d_t(x) = P[the walk from x hits -1 within t steps] lives on [0, t), d_0 = 0.
 
-    phi_p(j) = rho^(*j)(p) and phi*_p(j) = 1 - sum_{q<p} rho^(*j)(q); powers are
-    truncated at p, which is exact because every progeny is >= 1.
+    A block of r <= MEANDER_BLOCK steps is one correlation with W_r, split at the
+    first passage tau of -1:  d_{t+r}(x) = K_r(x) + sum_k P[W_r = k] d_t(x+k)
+    - sum_{s<r} P_x[tau = s] g_s  (d_t taken 0 below 0), with
+    P_x[tau = s] = (x+1)/s P[W_s = -(x+1)], K_r(x) = sum_{s<=r} P_x[tau = s], and
+    g_s = sum_{k>=1} P[W_{r-s} = k] d_t(k-1) the free continuation from -1 that
+    the correlation wrongly credits to a path already absorbed at step s.
     """
-    rho = progeny_rho(law, p)[: p + 1]
-    phi_vals = np.zeros(j_max)
-    phistar_vals = np.ones(j_max)
-    cur, memo = rho, {}
-    for j in range(1, j_max + 1):
-        phi_vals[j - 1] = cur[p] if cur.size > p else 0.0  # trimmed: below FFT noise
-        phistar_vals[j - 1] = max(0.0, 1.0 - float(cur[:p].sum()))
-        if j < j_max:
-            _, cur = _advance(0, cur, 0, rho, p, memo=memo)
-    phi_vals.flags.writeable = False
-    phistar_vals.flags.writeable = False
-    return phi_vals, phistar_vals
+    d = np.zeros(0)
+    if p > 1:
+        J = min(MEANDER_BLOCK, p - 1)
+        walks, kem = _block_tables(law, p - 2, J)  # W_s exact on [-s, p - 1]
+        hit = np.cumsum(kem, axis=0)  # hit[r - 1, x] = K_r(x)
+        rev, memo = walks[J][::-1].copy(), {}  # fixed kernel: the memo stays valid
+        d = hit[J - 1].copy()
+        while d.size < p - 1:
+            t = d.size
+            r = min(J, p - 1 - t)
+            w = walks[r]
+            full = _conv(d, rev, memo) if r == J else _conv(d, w[::-1])
+            # sum_k P[W_r = k] d_t(x + k) sits at index x + w.size - 1 - r
+            free = full[w.size - 1 - r : w.size - 1 + t]
+            nxt = np.pad(free, (0, t + r - free.size))
+            g = np.array([walks[q][q + 1 : q + 1 + t] @ d[: walks[q].size - q - 1]
+                          for q in range(r - 1, 0, -1)])  # g_s with q = r - s
+            nxt[:r] += hit[r - 1, :r] - g @ kem[: r - 1, :r]
+            d = np.clip(nxt, 0.0, 1.0)
+    out = 1.0 - np.append(d, 0.0)
+    out.flags.writeable = False
+    return out
 
 
 def phi_phi_star_at(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
     """Vectors (phi_p(j))_{j=1..j_max} and (phi*_p(j))_{j=1..j_max}.
 
-    Beyond j = p they are exactly phi = 0 and phi* = 1 (zeta_j >= j), so one
-    profile per (law, p) serves every j_max >= p.
+    Beyond j = p they are exactly phi = 0 and phi* = 1 (zeta_j >= j); callers
+    that need one of the two call ``phi`` or ``phi_star`` instead.
     """
-    phi_vals, phistar_vals = _phi_profiles(law, p, min(j_max, p))
-    pad = (0, max(j_max - p, 0))
-    return np.pad(phi_vals, pad), np.pad(phistar_vals, pad, constant_values=1.0)
+    js = np.arange(1, j_max + 1)
+    return phi(law, p, js), phi_star(law, p, js)
 
 
 # -- discrete absolute-continuity ratio ------------------------------------------------
@@ -471,15 +507,7 @@ def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] 
     horizon = max(protect if protect is not None else m, m)
     top = hi_eval + horizon  # ceiling at step 0; it falls by one per step
     J = min(MEANDER_BLOCK, m)
-    # W_0..W_J exact on [-s, top + 1], every value a block reads: steps beyond
-    # top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach it
-    nu_off, nu = _step_table(law, top + J)
-    walks, memo = [np.ones(1)], {}  # walks[s][k + s] = P[W_s = k]
-    kem = np.zeros((J, J))  # kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]
-    for s in range(1, J + 1):
-        _, w = _advance(1 - s, walks[-1], nu_off, nu, top + 1 + J - s, memo=memo)
-        walks.append(w.copy())  # not a view that pins the wider conv output
-        kem[s - 1, :s] = w[s - 1 :: -1] * np.arange(1, s + 1) / s
+    walks, kem = _block_tables(law, top, J)
     v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
     while t < m:
         r = min(J, m - t)
@@ -514,12 +542,11 @@ def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:
     if m < 1 or rest < 1:
         raise ExactLawError("floor(a*n) and n - floor(a*n) must be >= 1")
     mea = meander_pmf(law, m, hi_eval=rest, protect=n)
-    ks = np.arange(mea.lo, mea.hi + 1)
-    phi_r, _ = phi_phi_star_at(law, rest, int(ks[-1]) + 1)
+    phi_r = phi(law, rest, np.arange(mea.lo, mea.hi + 1) + 1)
     phi_n1 = float(progeny_rho(law, n)[n])
     # E[D | zeta >= n] collapses to sum_k mea(k) phi_rest(k+1) / phi_n(1);
     # mass clipped above the ceiling has phi_rest = 0 and does not contribute.
-    return float((mea.masses * phi_r[ks]).sum()) / phi_n1
+    return float((mea.masses * phi_r).sum()) / phi_n1
 
 
 # -- exhaustive small-n machinery ------------------------------------------------------

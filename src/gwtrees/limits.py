@@ -93,10 +93,10 @@ def llt_experiment(
         e1.append(float(np.max(np.abs(b_n * table.probs(ks) - dens))))
 
         j_hi = int(alpha * b_n)
-        phi_n, _ = exactlaw.phi_phi_star_at(law, n, j_hi)
         js = np.arange(1, j_hi + 1)
+        phi_n = exactlaw.phi(law, n, js)
         q1 = np.asarray(stable.first_passage_density(slaw, 1.0, js / b_n))
-        e2.append(float(np.max(np.abs(n * phi_n[: j_hi] - q1))))
+        e2.append(float(np.max(np.abs(n * phi_n - q1))))
     stats = {"n_list": list(n_list), "B_n": bns, "e1": e1, "e2": e2}
     gates = {
         "e1_decay": 2.0,
@@ -397,8 +397,7 @@ def lukasiewicz_marginal_experiment(
     hi_eval = max(int(window_scale * b_n), rest)
     mea = exactlaw.meander_pmf(law, m, hi_eval=hi_eval, protect=n)
     ks = np.arange(mea.lo, mea.hi + 1)
-    _, phistar_r = exactlaw.phi_phi_star_at(law, rest, int(ks[-1]) + 1)
-    w = mea.masses * phistar_r[ks]
+    w = mea.masses * exactlaw.phi_star(law, rest, ks + 1)
     alive = float(w.sum()) + mea.clipped_mass  # clipped states have phi* = 1
 
     xs = ks / b_n

@@ -92,12 +92,14 @@ class OffspringLaw:
             th = self.theta
             if k == 0:
                 return 1.0 - 1.0 / th
-            # |binom(theta-1, k)| = (theta-1) Gamma(k-theta+1) / (Gamma(2-theta) k!)
-            return (
-                (th - 1.0)
-                / (th * _gamma(2.0 - th))
-                * math.exp(math.lgamma(k - th + 1.0) - math.lgamma(k + 1.0))
-            )
+            # |binom(theta-1, k)| = (theta-1) Gamma(k-theta+1) / (Gamma(2-theta) k!);
+            # past 2^40 the lgamma difference cancels, and its Stirling series
+            # -theta log k + theta (theta-1) / (2k) is exact to O(k^-2)
+            if k < 1 << 40:
+                log_ratio = math.lgamma(k - th + 1.0) - math.lgamma(k + 1.0)
+            else:
+                log_ratio = -th * math.log(k) + th * (th - 1.0) / (2.0 * k)
+            return (th - 1.0) / (th * _gamma(2.0 - th)) * math.exp(log_ratio)
         return 0.0
 
     def partial_mean_tail(self, k: int) -> float:

@@ -66,7 +66,8 @@ class GammaDomainError(ValueError):
 class StableLaw:
     """Index theta.  Shared by every law: ``trunc_envelope``, where the damping
     exp(u^theta cos(theta pi/2)) is dropped, and ``abs_tol``, p_1's target error.
-    p_1 needs theta >= ~1.005 at that tolerance; below, the grid raises on first use."""
+    theta so close to 1 that p_1's grid would need a spacing below 2^-_FINEST
+    (theta < ~1.0046 at abs_tol 1e-10) is refused here, not on first use."""
 
     theta: float
     trunc_envelope: ClassVar[float] = 1e-18
@@ -75,6 +76,15 @@ class StableLaw:
     def __post_init__(self):
         if not 1.0 < self.theta <= 2.0:
             raise ValueError(f"theta must lie in (1,2], got {self.theta!r}")
+        k = _grid_exponent(self.theta, self.abs_tol)
+        if k > _FINEST:
+            lo, hi = 1.0, 2.0  # bisect the sizing rule for the smallest served theta
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _grid_exponent(mid, self.abs_tol) > _FINEST else (lo, mid)
+            raise ValueError(
+                f"theta={self.theta!r} at abs_tol {self.abs_tol:g} needs dx={2.0**-k:g}, finer "
+                f"than the finest p1 grid 2^-{_FINEST}; theta must be >= {hi:.6g}")
 
     @property
     def is_gaussian(self) -> bool:
@@ -126,23 +136,25 @@ class _Grid:
         return self.cum[j] + self.dx * t * acc if integrate else acc
 
 
+def _grid_exponent(theta: float, abs_tol: float) -> int:
+    """k of the node spacing dx = 2^-k: the largest dx, k >= 4, with
+    dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8."""
+    c = -math.cos(theta * math.pi / 2.0)
+    d6 = _gamma(7.0 / theta) / (math.pi * theta * c ** (7.0 / theta))  # (1/pi) int u^6 e^(-c u^th) du
+    return max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * abs_tol)) / 6))
+
+
 @lru_cache(maxsize=None)
 def _grid(law: StableLaw) -> _Grid:
     """p_1, p_1', p_1'' at x = -16 + j dx by FFT, checked to abs_tol.
 
     By Poisson summation the trapezoid rule in u, du = 2 pi / P, is p_1 summed over
     the images x + jP: the tail series removes the right ones, the left ones vanish.
-    dx = 2^-k, k >= 4, is the largest with dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8;
-    theta near 1 needs k > _FINEST (theta < 1.005 at abs_tol 1e-10) and raises.
+    dx = 2^-k from ``_grid_exponent``; StableLaw refuses theta that would need k > _FINEST.
     """
     th = law.theta
     c = -math.cos(th * math.pi / 2.0)
-    d6 = _gamma(7.0 / th) / (math.pi * th * c ** (7.0 / th))  # (1/pi) int u^6 e^(-c u^th) du
-    k = max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * law.abs_tol)) / 6))
-    dx = 2.0**-k
-    if k > _FINEST:
-        raise StableNumericsError(f"p1 grid at theta={th} (P={_PERIOD:g}) needs dx={dx:g}, "
-                                  f"finer than the finest grid 2^-{_FINEST} allows")
+    dx = 2.0 ** -_grid_exponent(th, law.abs_tol)
     du = 2.0 * math.pi / _PERIOD
     u = du * np.arange(int((math.log(1.0 / law.trunc_envelope) / c) ** (1.0 / th) / du) + 2)
     g = np.exp(u**th * np.exp(0.5j * math.pi * th) - 1j * _LEFT_CUT * u)

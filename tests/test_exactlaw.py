@@ -63,6 +63,40 @@ def stepwise_meander(law, m, hi_eval, protect):
     return cur, max(0.0, clipped)
 
 
+def rho_power_profiles(law, p, j_max):
+    """Oracle: (phi_p(j), phi*_p(j)) for j = 1..j_max <= p from convolution powers
+    of the recursion progeny law, phi_p(j) = rho^(*j)(p) and
+    phi*_p(j) = 1 - sum_{q<p} rho^(*j)(q); truncating the powers at p is exact
+    because every progeny is >= 1."""
+    rho = ex.progeny_rho(law, p)[: p + 1]
+    phi_vals, phistar_vals = np.zeros(j_max), np.ones(j_max)
+    cur = rho
+    for j in range(1, j_max + 1):
+        phi_vals[j - 1] = cur[p] if cur.size > p else 0.0  # trimmed: below FFT noise
+        phistar_vals[j - 1] = max(0.0, 1.0 - float(cur[:p].sum()))
+        if j < j_max:
+            cur = ex._conv(cur, rho)[: p + 1]
+    return phi_vals, phistar_vals
+
+
+def kemperman_phi_star(law, p_list):
+    """Oracle: {p: phi*_p(j), j = 1..p} as 1 - sum_{q<p} (j/q) P[W_q = -j], the walk
+    tables W_1..W_{p-1} taken from the one-step loop."""
+    p_max = max(p_list)
+    out, acc = {}, np.zeros(p_max)  # acc[j - 1] = sum_{q<p} phi_q(j)
+    js = np.arange(1, p_max + 1)
+    if 1 in p_list:
+        out[1] = np.ones(1)
+    if p_max > 1:
+        for q, off, arr in ex._walk_tables_iter(law, p_max - 1, hi_eval=0):
+            i = -js - off
+            ok = (i >= 0) & (i < arr.size)
+            acc[ok] += js[ok] / q * arr[i[ok]]
+            if q + 1 in p_list:
+                out[q + 1] = 1.0 - acc[: q + 1]
+    return out
+
+
 GEO_NU = {k - 1: 0.5 ** (k + 1) for k in range(64)}  # nu(-1..62) of geometric(1/2)
 MEANDER_LAWS = {
     "geometric": make_geometric(0.5),
@@ -172,10 +206,10 @@ class TestKemperman:
         # (j/n) P[W_n = -j] versus the j-fold convolution of the recursion law
         for law in (geometric, stable15, stable15.truncate(40)):
             for n in range(1, 15):
-                phi_vec, _ = ex.phi_phi_star_at(law, n, 4)
+                conv_route, _ = rho_power_profiles(law, n, min(n, 4))
                 for j in range(1, 5):
                     walk_route = ex.phi(law, n, j)
-                    assert abs(walk_route - phi_vec[j - 1]) <= 1e-12
+                    assert abs(walk_route - (conv_route[j - 1] if j <= n else 0.0)) <= 1e-12
 
 
 class TestPhi:
@@ -198,6 +232,43 @@ class TestPhi:
             ex.phi(geometric, 3, 0)
         with pytest.raises(ex.ExactLawError):
             ex.phi_star(geometric, 0, 1)
+        with pytest.raises(ex.ExactLawError):
+            ex.phi_star(geometric, 4, np.array([2, 0]))
+
+    def test_array_j_matches_scalar(self, stable15):
+        js = np.array([[1, 5], [9, 40]])
+        for f in (ex.phi, ex.phi_star):
+            got = f(stable15, 9, js)
+            assert got.shape == js.shape
+            assert np.array_equal(got, [[f(stable15, 9, int(j)) for j in row] for row in js])
+
+
+PHI_STAR_P = [1, 2, J - 1, J, J + 1, 128, 2048]
+
+
+class TestPhiStarBlock:
+    @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
+    def test_against_both_oracles(self, law_name):
+        # the block recursion against the rho-power loop and against the sum of
+        # Kemperman terms over q < p, at the block edges and at the suites' p
+        law = MEANDER_LAWS[law_name]
+        by_walk = kemperman_phi_star(law, PHI_STAR_P)
+        for p in PHI_STAR_P:
+            got = ex.phi_star(law, p, np.arange(1, p + 1))
+            _, by_power = rho_power_profiles(law, p, p)
+            assert np.max(np.abs(got - by_power)) <= 1e-12
+            assert np.max(np.abs(got - by_walk[p])) <= 1e-12
+
+    @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
+    def test_monotone_and_trivial(self, law_name):
+        law = MEANDER_LAWS[law_name]
+        js = np.arange(1, 300)
+        prev = np.ones(js.size)
+        for p in range(1, 2 * J + 3):
+            cur = ex.phi_star(law, p, js)
+            assert np.all(cur <= prev + 1e-15)  # nonincreasing in p
+            assert np.all(cur[js >= p] == 1.0)  # zeta_j >= j >= p
+            prev = cur
 
 
 class TestDiscreteRatio:
@@ -326,16 +397,19 @@ class TestTableCache:
         from gwtrees.offspring import make_geometric
 
         law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
-        mea0, prof0 = ex.meander_pmf.cache_info(), ex._phi_profiles.cache_info()
+        caches = (ex.meander_pmf, ex._walk_table_for_phi, ex._phi_star_profile)
+        before = [c.cache_info() for c in caches]
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
-        mea1, prof1 = ex.meander_pmf.cache_info(), ex._phi_profiles.cache_info()
+        (mea0, walk0, star0), (mea1, walk1, star1) = before, [c.cache_info() for c in caches]
         # meanders: the shared one (m = 512, hi_eval = 512, protect = 1024) and the
         # marginal's wider one; the marginal's weighted mean reuses the shared one
         assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 1)
-        # p = 512 profiles: the ratio window's (j <= 2 B_n + 1) and the full one,
-        # which serves every later j_max >= 512
-        assert (prof1.misses - prof0.misses, prof1.hits - prof0.hits) == (2, 2)
+        # phi at p = 512 reads one W_512 table: the ratio window, then both
+        # weighted means
+        assert (walk1.misses - walk0.misses, walk1.hits - walk0.hits) == (1, 2)
+        # one phi* profile at p = 512: the ratio window builds it, the marginal reads it
+        assert (star1.misses - star0.misses, star1.hits - star0.hits) == (1, 1)
 
         phi_wide, phistar_wide = ex.phi_phi_star_at(geometric, 64, 200)
         phi_p, phistar_p = ex.phi_phi_star_at(geometric, 64, 64)
@@ -344,5 +418,6 @@ class TestTableCache:
 
         mea = ex.meander_pmf(geometric, 8, hi_eval=16)
         assert mea is ex.meander_pmf(geometric, 8, hi_eval=16)
-        cached = (mea.masses, ex.progeny_rho(geometric, 64), *ex._phi_profiles(geometric, 64, 64))
+        cached = (mea.masses, ex.progeny_rho(geometric, 64),
+                  ex._walk_table_for_phi(geometric, 64).masses, ex._phi_star_profile(geometric, 64))
         assert not any(arr.flags.writeable for arr in cached)

@@ -11,7 +11,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from gwtrees import exactlaw as ex
 from gwtrees import stable as stb
+from gwtrees.offspring import make_stable_family
+from gwtrees.sampler import sample_conditioned
 
 G2 = stb.StableLaw(2.0)
 S13 = stb.StableLaw(1.3)
@@ -125,12 +128,26 @@ class TestDensityP1:
 
     def test_theta_near_one(self):
         # theta = 1.02 needs dx = 2^-11, four interleaved transforms of 2^16 points;
-        # below theta ~ 1.005 the spacing would pass 2^-13 and the build refuses
+        # below theta ~ 1.0046 the spacing would pass 2^-13 and the law is refused
         law = stb.StableLaw(1.02)
         xs = np.linspace(-16, 40, 57)
         assert np.max(np.abs(stb._p1_quadrature(law, xs) - gl_p1(law, xs))) <= law.abs_tol
-        with pytest.raises(stb.StableNumericsError, match=r"theta=1\.004 .* needs dx=6\.1035"):
-            stb.density_p1(stb.StableLaw(1.004), 0.0)
+        with pytest.raises(ValueError, match=r"theta=1\.004 .* needs dx=6\.1035"):
+            stb.StableLaw(1.004)
+
+    def test_theta_near_one_refused_at_construction(self):
+        # the error names the smallest served theta, read off the grid's own sizing rule
+        with pytest.raises(ValueError, match=r"theta=1\.002 .* 2\^-13; theta must be >= 1\.0046") as exc:
+            stb.StableLaw(1.002)
+        t_min = float(str(exc.value).rsplit(">= ", 1)[1])
+        assert stb._grid_exponent(t_min, stb.StableLaw.abs_tol) == stb._FINEST
+        stb.StableLaw(t_min)
+        # the offspring law has no p_1 grid: its exact tables and trees still work
+        law = make_stable_family(1.002)
+        table = ex.walk_pmf(law, 64)
+        assert table.exact_hi > 64 and table.truncated_mass > 0.0
+        ex.progeny_pmf(law, 32, method="both")  # walk tables against the recursion, 1e-12
+        assert sample_conditioned(law, 50, rng_seed=1).zeta == 50
 
     @pytest.mark.parametrize("law", HEAVY, ids=lambda l: f"theta={l.theta}")
     def test_against_levy_stable(self, law, monkeypatch):
