@@ -9,7 +9,6 @@ Exit status: 0 success, 1 failed verification gate, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import secrets
@@ -30,6 +29,7 @@ from .offspring import (
 from .report import ExperimentReport, jsonify
 
 CSV_SCHEMA = "gwtrees.csv/1"
+CSV_BLOCK = 1 << 16  # rows per %-format call in _write_csv
 
 
 def _out_path(raw: str) -> Path:
@@ -55,12 +55,18 @@ def _load_law(spec: str) -> OffspringLaw:
     raise ValueError(f"unknown law {spec!r} (use geometric[:p], stable[:theta], or a file)")
 
 
-def _write_csv(path: Path, header: List[str], rows) -> None:
+def _write_csv(path: Path, header: List[str], *columns) -> None:
+    """Equal-length columns (arrays or lists) in csv.writer's bytes: str() fields, CRLF rows."""
+    k = len(columns)
+    line = ",".join(["%s"] * k) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(f"# schema: {CSV_SCHEMA}\n" + ",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            block = [c[lo : lo + CSV_BLOCK] for c in columns]
+            fields = [None] * (k * len(block[0]))
+            for j, col in enumerate(block):
+                fields[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
+            fh.write(line * len(block[0]) % tuple(fields))
 
 
 def _resolve_seed(args) -> int:
@@ -74,27 +80,24 @@ def _resolve_seed(args) -> int:
 # -- sample -----------------------------------------------------------------------
 
 
+_EMIT = {  # --emit -> (time column, value column, coding of a tree)
+    "tree": ("index", "child_count", lambda tree: tree.child_counts),
+    "walk": ("index", "W", lambda tree: codings.walk_from_tree(tree).values),
+    "height": ("index", "H", lambda tree: codings.height_from_tree(tree).values),
+    "contour": ("time", "C", lambda tree: codings.contour_from_tree(tree).values),
+}
+
+
 def _cmd_sample(args) -> int:
     law = _load_law(args.law)
     seed = _resolve_seed(args)
-    rows = []
-    for rep in range(args.count):
-        rng = sampler.derive_rng(seed, rep)
-        tree = sampler.sample_conditioned(law, args.n, rng=rng)
-        if args.emit == "tree":
-            rows += [(rep, i, int(c)) for i, c in enumerate(tree.child_counts)]
-        elif args.emit == "walk":
-            w = codings.walk_from_tree(tree).values
-            rows += [(rep, i, int(v)) for i, v in enumerate(w)]
-        elif args.emit == "height":
-            h = codings.height_from_tree(tree).values
-            rows += [(rep, i, int(v)) for i, v in enumerate(h)]
-        elif args.emit == "contour":
-            c = codings.contour_from_tree(tree).values
-            rows += [(rep, t, int(v)) for t, v in enumerate(c)]
-    col = {"tree": "child_count", "walk": "W", "height": "H", "contour": "C"}[args.emit]
-    tcol = "time" if args.emit == "contour" else "index"
-    _write_csv(_out_path(args.out), ["sample", tcol, col], rows)
+    tcol, col, coding = _EMIT[args.emit]
+    values = [coding(sampler.sample_conditioned(law, args.n, rng=sampler.derive_rng(seed, rep)))
+              for rep in range(args.count)]
+    sizes = [v.size for v in values]
+    head = [np.arange(0)]  # keeps --count 0 a header-only file
+    _write_csv(_out_path(args.out), ["sample", tcol, col], np.repeat(np.arange(len(sizes)), sizes),
+               np.concatenate(head + [np.arange(s) for s in sizes]), np.concatenate(head + values))
     return 0
 
 
@@ -146,24 +149,21 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_stable(args) -> int:
     law = stable.StableLaw(theta=args.theta)
     xs = _parse_grid(args.grid)
-    what = args.what
-    if what == "p1":
+    if args.what == "p1":
         ys = np.asarray(stable.density_p1(law, xs))
-    elif what == "pt":
+    elif args.what == "pt":
         ys = np.asarray(stable.density_pt(law, args.t, xs))
-    elif what == "qs":
+    elif args.what == "qs":
         ys = np.asarray(stable.first_passage_density(law, args.s, xs))
-    elif what == "integral":
-        ys = np.array([stable.passage_integral(law, args.lower, float(x)) for x in xs])
-    elif what == "gamma":
+    elif args.what == "integral":
+        ys = np.asarray(stable.passage_integral(law, args.lower, xs))
+    elif args.what == "gamma":
         ys = np.asarray(stable.gamma_a(law, args.a, xs))
-    elif what == "zeta-tail":
+    elif args.what == "zeta-tail":
         ys = np.array([stable.zeta_tail(law, float(x)) for x in xs])
-    elif what == "exc-marginal":
+    else:  # exc-marginal; argparse restricts the choices
         ys = np.asarray(stable.excursion_marginal_theta2(args.t, xs))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(2)
-    _write_csv(_out_path(args.out), ["x", "value"], zip(xs.tolist(), ys.tolist()))
+    _write_csv(_out_path(args.out), ["x", "value"], xs, ys)
     return 0
 
 
@@ -208,11 +208,11 @@ def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
         if "n_list" in st:
             cols = [k for k, v in st.items()
                     if isinstance(v, list) and len(v) == len(st["n_list"])]
-            rows = zip(st["n_list"], *[st[c] for c in cols])
-            _write_csv(plots_dir / f"{name}.csv", ["n"] + cols, rows)
+            _write_csv(plots_dir / f"{name}.csv", ["n"] + cols,
+                       st["n_list"], *[st[c] for c in cols])
         elif r.name == "contour_limit":
-            rows = zip(st["t_list"], st["ks_marginal"], st["ks_reversal"])
-            _write_csv(plots_dir / f"{name}.csv", ["t", "ks_marginal", "ks_reversal"], rows)
+            _write_csv(plots_dir / f"{name}.csv", ["t", "ks_marginal", "ks_reversal"],
+                       st["t_list"], st["ks_marginal"], st["ks_reversal"])
 
 
 # -- codings ----------------------------------------------------------------------
@@ -226,25 +226,14 @@ def _cmd_codings(args) -> int:
     height = codings.height_from_tree(tree)
     contour = codings.contour_from_tree(tree)
     prefix = args.out_prefix
-    h_pad = np.append(height.values, -1)  # walk has zeta+1 entries; pad H column
-    _write_csv(
-        _out_path(prefix + "_vertex.csv"),
-        ["index", "W", "H"],
-        ((i, int(w), int(h_pad[i])) for i, w in enumerate(walk.values)),
-    )
-    _write_csv(
-        _out_path(prefix + "_contour.csv"),
-        ["time", "C"],
-        ((t, int(c)) for t, c in enumerate(contour.values)),
-    )
-    if args.rescale_points:
+    if args.rescale_points:  # before the writers: their freed blocks would lift peak RSS here
         b_n = args.b_n or calibrate_bn(law, args.n)
         rp = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
-        _write_csv(
-            _out_path(prefix + "_rescaled.csv"),
-            ["t", "value"],
-            zip(rp.times.tolist(), rp.values.tolist()),
-        )
+        _write_csv(_out_path(prefix + "_rescaled.csv"), ["t", "value"], rp.times, rp.values)
+    _write_csv(_out_path(prefix + "_vertex.csv"), ["index", "W", "H"], np.arange(walk.values.size),
+               walk.values, np.append(height.values, -1))  # zeta+1 walk entries: pad H
+    _write_csv(_out_path(prefix + "_contour.csv"), ["time", "C"],
+               np.arange(contour.values.size), contour.values)
     return 0
 
 

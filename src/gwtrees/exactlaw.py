@@ -275,15 +275,12 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray]
     Steps beyond top + J and mass above the moving ceiling top + 1 + (J - s)
     cannot reach [-s, top + 1].
     """
-    nu_off, nu = _step_table(law, top + J)
-    walks, memo = [np.ones(1)], {}
+    # copies, not views that pin the wider conv outputs
+    walks = [np.ones(1)] + [w.copy() for _, _, w in _walk_tables_iter(law, J, top + 1)]
     kem = np.zeros((J, J))
     for s in range(1, J + 1):
-        _, w = _advance(1 - s, walks[-1], nu_off, nu, top + 1 + J - s, memo=memo)
-        walks.append(w.copy())  # not a view that pins the wider conv output
-        kem[s - 1, :s] = w[s - 1 :: -1] * np.arange(1, s + 1) / s
+        kem[s - 1, :s] = walks[s][s - 1 :: -1] * np.arange(1, s + 1) / s
     return walks, kem
-
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -349,33 +346,25 @@ def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
     return out
 
 
-def progeny_pmf(
-    law: OffspringLaw, n_max: int, method: str = "both", tol: float = 1e-12
-) -> PmfTable:
+def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
     """Exact law of the total progeny on {1..n_max}.
 
-    method "kemperman": (1/n) P[W_n = -1] from iterated walk tables;
-    method "recursion": the branching recursion;
-    method "both" (default): compute both and fail loudly if they disagree.
+    Computed twice, as (1/n) P[W_n = -1] from iterated walk tables (Kemperman)
+    and by the branching recursion; fails loudly if the two routes disagree
+    beyond MASS_TOL.
     """
     if n_max < 1:
         raise ExactLawError("n_max must be >= 1")
-    kem = rec = None
-    if method in ("both", "kemperman"):
-        kem = np.zeros(n_max + 1)
-        for m, off, arr in _walk_tables_iter(law, n_max, hi_eval=0):
-            i = -1 - off
-            if 0 <= i < arr.size:
-                kem[m] = arr[i] / m
-    if method in ("both", "recursion"):
-        rec = progeny_rho(law, n_max)
-    if method == "both":
-        gap = float(np.max(np.abs(kem - rec)))
-        if gap > tol:
-            raise ExactLawError(
-                f"progeny routes disagree by {gap:.3e} (tolerance {tol:.1e})"
-            )
-    return _finish_table(1, (kem if rec is None else rec)[1:].copy(), exact_hi=n_max)
+    kem = np.zeros(n_max + 1)
+    for m, off, arr in _walk_tables_iter(law, n_max, hi_eval=0):
+        i = -1 - off
+        if 0 <= i < arr.size:
+            kem[m] = arr[i] / m
+    rec = progeny_rho(law, n_max)
+    gap = float(np.max(np.abs(kem - rec)))
+    if gap > MASS_TOL:
+        raise ExactLawError(f"progeny routes disagree by {gap:.3e} (tolerance {MASS_TOL:.1e})")
+    return _finish_table(1, rec[1:].copy(), exact_hi=n_max)
 
 
 # -- hitting-time probabilities ------------------------------------------------------

@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gwtrees.cli import run
+from gwtrees.cli import CSV_BLOCK, CSV_SCHEMA, _write_csv, run
 
 
 def read_csv(path):
@@ -65,11 +66,63 @@ class TestSample:
                         "--seed", "99", "--emit", "height", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_count_zero_writes_header_only(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["sample", "--law", "geometric", "--n", "5", "--count", "0",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == b"# schema: gwtrees.csv/1\nsample,index,W\r\n"
+
+    @pytest.mark.parametrize("emit,tcol,per_tree", [
+        ("tree", "index", lambda n: n), ("walk", "index", lambda n: n + 1),
+        ("height", "index", lambda n: n), ("contour", "time", lambda n: 2 * n - 1),
+    ])
+    def test_each_emit_rows_per_sample(self, tmp_path, emit, tcol, per_tree):
+        n, out = 9, tmp_path / "s.csv"
+        assert run(["sample", "--law", "geometric", "--n", str(n), "--count", "2",
+                    "--seed", "4", "--emit", emit, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header[:2] == ["sample", tcol]
+        rows_per = per_tree(n)
+        assert [r[0] for r in rows] == ["0"] * rows_per + ["1"] * rows_per
+        assert [int(r[1]) for r in rows] == list(range(rows_per)) * 2
+
     def test_generated_seed_printed(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         assert run(["sample", "--law", "geometric", "--n", "3", "--emit", "tree",
                     "--out", str(out)]) == 0
         assert "seed:" in capsys.readouterr().err
+
+
+def csv_module_bytes(path, header, *columns):
+    """The oracle: what csv.writer writes for the same columns."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {CSV_SCHEMA}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns]))
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    def check(self, tmp_path, header, *columns):
+        _write_csv(tmp_path / "got.csv", header, *columns)
+        want = csv_module_bytes(tmp_path / "want.csv", header, *columns)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_int_and_special_float_arrays(self, tmp_path):
+        ints = np.array([0, -1, 7, -(2**62), 2**62], dtype=np.int64)
+        floats = np.array([0.1, 1e-300, -0.0, np.inf, np.nan])
+        self.check(tmp_path, ["i", "x"], ints, floats)
+
+    def test_lists_mixing_int_and_float(self, tmp_path):
+        self.check(tmp_path, ["n", "a", "b"], [16, 64, 256],
+                   [0.25, 3, 256.0], [1e-12, -2, float("inf")])
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+    def test_block_edges(self, tmp_path, rows):
+        t = np.arange(rows)
+        self.check(tmp_path, ["t", "C", "r"], t, t % 7 - 3, (t / 3.0).tolist())
 
 
 class TestStable:

@@ -184,15 +184,15 @@ class TestProgeny:
 
     def test_routes_cross_checked(self, geometric, stable15):
         for law in (geometric, stable15):
-            kem = ex.progeny_pmf(law, 48, method="kemperman")
-            rec = ex.progeny_pmf(law, 48, method="recursion")
-            gap = np.max(np.abs(kem.masses - rec.masses))
+            kem = np.array([arr[-1 - off] / m if 0 <= -1 - off < arr.size else 0.0
+                            for m, off, arr in ex._walk_tables_iter(law, 48, hi_eval=0)])
+            gap = np.max(np.abs(kem - ex.progeny_rho(law, 48)[1:]))
             assert gap < 1e-13
-            ex.progeny_pmf(law, 48, method="both")  # raises on disagreement
+            ex.progeny_pmf(law, 48)  # raises on disagreement
 
     def test_explicit_law_recursion(self):
         law = make_explicit([0.5, 0.0, 0.5])
-        rec = ex.progeny_pmf(law, 21, method="both")
+        rec = ex.progeny_pmf(law, 21)
         # binary trees: P[zeta = 2m+1] = catalan(m) * (1/2)^(2m+1)
         for m in range(0, 11):
             want = catalan(m) * 0.5 ** (2 * m + 1)

@@ -146,7 +146,7 @@ class TestDensityP1:
         law = make_stable_family(1.002)
         table = ex.walk_pmf(law, 64)
         assert table.exact_hi > 64 and table.truncated_mass > 0.0
-        ex.progeny_pmf(law, 32, method="both")  # walk tables against the recursion, 1e-12
+        ex.progeny_pmf(law, 32)  # walk tables against the recursion, 1e-12
         assert sample_conditioned(law, 50, rng_seed=1).zeta == 50
 
     @pytest.mark.parametrize("law", HEAVY, ids=lambda l: f"theta={l.theta}")
