@@ -89,6 +89,8 @@ _EMIT = {  # --emit -> (time column, value column, coding of a tree)
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     law = _load_law(args.law)
     seed = _resolve_seed(args)
     tcol, col, coding = _EMIT[args.emit]
@@ -143,6 +145,8 @@ def _cmd_exact(args) -> int:
 
 def _parse_grid(spec: str) -> np.ndarray:
     lo, hi, count = spec.split(":")
+    if int(count) < 1:
+        raise ValueError(f"--grid needs a point count >= 1, got {count}")
     return np.linspace(float(lo), float(hi), int(count))
 
 
@@ -162,6 +166,8 @@ def _cmd_stable(args) -> int:
     elif args.what == "zeta-tail":
         ys = np.array([stable.zeta_tail(law, float(x)) for x in xs])
     else:  # exc-marginal; argparse restricts the choices
+        if args.theta != 2.0:
+            raise ValueError("--what exc-marginal is known only at --theta 2")
         ys = np.asarray(stable.excursion_marginal_theta2(args.t, xs))
     _write_csv(_out_path(args.out), ["x", "value"], xs, ys)
     return 0

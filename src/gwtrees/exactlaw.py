@@ -56,6 +56,7 @@ __all__ = [
     "discrete_ratio",
     "discrete_ratio_window",
     "ratio_weighted_mean",
+    "meander_ratio_mean",
     "enumerate_conditioned",
     "check_absolute_continuity",
     "progeny_rho",
@@ -64,6 +65,7 @@ __all__ = [
 
 MASS_TOL = 1e-12
 MEANDER_BLOCK = 16  # walk steps per block of meander_pmf and of the phi* recursion
+MAX_ENUMERATED = 250_000  # trees enumerate_conditioned may list
 
 
 class ExactLawError(RuntimeError):
@@ -477,13 +479,12 @@ def discrete_ratio_window(
 
 
 @lru_cache(maxsize=32)
-def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] = None) -> SubPmf:
-    """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, hi_eval].
+def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> SubPmf:
+    """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
 
-    ``protect`` extends the moving ceiling so entries stay exact up to
-    hi_eval + (protect - m); mass clipped at the ceiling is returned in
-    ``clipped_mass`` (it all lives strictly above the exact range).  The table's
-    total plus clipped_mass equals P[zeta_1 > m].
+    The moving ceiling starts at exact_hi + m and falls by one per step; mass
+    clipped at it is returned in ``clipped_mass`` (it all lives strictly above
+    the exact range).  The table's total plus clipped_mass equals P[zeta_1 > m].
 
     Blocks of r <= MEANDER_BLOCK steps advance the killed table v at once: a
     path from x first leaves [0, inf) at step s with probability
@@ -493,8 +494,7 @@ def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] 
     """
     if m < 1:
         raise ExactLawError("m must be >= 1")
-    horizon = max(protect if protect is not None else m, m)
-    top = hi_eval + horizon  # ceiling at step 0; it falls by one per step
+    top = exact_hi + m  # ceiling at step 0
     J = min(MEANDER_BLOCK, m)
     walks, kem = _block_tables(law, top, J)
     v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
@@ -514,7 +514,7 @@ def meander_pmf(law: OffspringLaw, m: int, hi_eval: int, protect: Optional[int] 
         offset=0,
         masses=np.pad(v, (0, top - m + 1 - v.size)),  # spans [0, exact_hi]
         clipped_mass=max(0.0, clipped),
-        exact_hi=top - m,
+        exact_hi=exact_hi,
     )
 
 
@@ -522,37 +522,38 @@ def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:
     """E[D_n^(a)(W_{floor(an)}) | zeta >= n], which Lemma-type algebra makes exactly 1.
 
     Computed from the killed-walk table and the phi-profiles; a strong internal
-    consistency check across three exact routes.  Mass clipped above the
-    meander ceiling sits at heights where phi_rest vanishes and phi*_rest is 1,
-    so it enters the normalization exactly and the numerator not at all.
+    consistency check across three exact routes.
     """
     m = int(math.floor(a * n))
     rest = n - m
     if m < 1 or rest < 1:
         raise ExactLawError("floor(a*n) and n - floor(a*n) must be >= 1")
-    mea = meander_pmf(law, m, hi_eval=rest, protect=n)
+    return meander_ratio_mean(law, n, rest, meander_pmf(law, m, 2 * rest))
+
+
+def meander_ratio_mean(law: OffspringLaw, n: int, rest: int, mea: SubPmf) -> float:
+    """E[D | zeta >= n] = sum_k mea(k) phi_rest(k+1) / phi_n(1), from ``mea``, the meander
+    of the first n - rest steps, exact up to at least rest - 1.  Its clipped mass sits
+    where phi_rest = 0 and phi*_rest = 1: it enters the normalization exactly and the
+    numerator not at all."""
     phi_r = phi(law, rest, np.arange(mea.lo, mea.hi + 1) + 1)
-    phi_n1 = float(progeny_rho(law, n)[n])
-    # E[D | zeta >= n] collapses to sum_k mea(k) phi_rest(k+1) / phi_n(1);
-    # mass clipped above the ceiling has phi_rest = 0 and does not contribute.
-    return float((mea.masses * phi_r).sum()) / phi_n1
+    return float((mea.masses * phi_r).sum()) / float(progeny_rho(law, n)[n])
 
 
 # -- exhaustive small-n machinery ------------------------------------------------------
 
 
-def enumerate_conditioned(
-    law: OffspringLaw, n: int, max_trees: int = 250_000
-) -> List[Tuple[Tree, float]]:
+def enumerate_conditioned(law: OffspringLaw, n: int) -> List[Tuple[Tree, float]]:
     """Every tree with zeta = n and its exact conditional probability.
 
     Probabilities are Prod_i mu(c_i) normalized by their sum, i.e. the law of a
-    GW tree conditioned on {zeta = n}.  Exhaustive: intended for n <= ~12.
+    GW tree conditioned on {zeta = n}.  Exhaustive: at most MAX_ENUMERATED trees
+    (n <= 13).
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
-    if n > 1 and _catalan(n - 1) > max_trees:
-        raise ExactLawError(f"enumeration of {n}-vertex trees exceeds max_trees")
+    if n > 1 and _catalan(n - 1) > MAX_ENUMERATED:
+        raise ExactLawError(f"enumeration of {n}-vertex trees exceeds {MAX_ENUMERATED}")
     mu = law.probabilities(n)  # child counts above n-1 are impossible at zeta = n
     support = [int(c) for c in np.flatnonzero(mu > 0) if c <= n - 1]
     counts = np.zeros(n, dtype=np.int64)

@@ -44,6 +44,17 @@ THETA_LT2_NOTE = (
     "structural gates only (decay/consistency), not marginal densities."
 )
 
+# Fixed windows and gates; each report restates the ones it uses.
+ALPHA = 2.0  # bulk window: k up to ALPHA B_n (llt's e2), k in [B_n / ALPHA, ALPHA B_n] (ratio)
+LLT_WINDOW_SCALE = 40.0  # llt's e1 window reaches k = 40 B_n
+PROGENY_RATIO_TOL = 0.05
+RATIO_FINAL_BOUND = 0.25
+CONTOUR_T = (0.25, 0.5, 0.75)  # times t of the contour's marginals
+CONTOUR_KS_BOUND = 0.03
+CONTOUR_REVERSAL_BOUND = 0.02
+MARGINAL_WINDOW_SCALE = 50.0  # the marginal's meander is exact at least up to 50 B_n
+MARGINAL_TOL = 0.05
+
 
 def _ks_one_sample(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     xs = np.sort(sample)
@@ -64,17 +75,12 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 # -- local limit theorem --------------------------------------------------------------
 
 
-def llt_experiment(
-    law: OffspringLaw,
-    n_list: Sequence[int],
-    alpha: float = 2.0,
-    window_scale: float = 40.0,
-) -> ExperimentReport:
+def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport:
     """Sup-norm convergence of the exact walk marginals to the stable density.
 
-    e1(n) = sup_k |B_n P[W_n = k] - p_1(k / B_n)| over k in [-n, window_scale*B_n]
+    e1(n) = sup_k |B_n P[W_n = k] - p_1(k / B_n)| over k in [-n, LLT_WINDOW_SCALE B_n]
     (outside, both terms are below the achievable floor);
-    e2(n) = sup_{1<=k<=alpha B_n} |n phi_n(k) - q_1(k / B_n)|.
+    e2(n) = sup_{1<=k<=ALPHA B_n} |n phi_n(k) - q_1(k / B_n)|.
     Pass: both drop by >= 2x from the first to the last n, and the final values
     stay under 0.02 (theta = 2) or 0.05 (theta < 2).
     """
@@ -86,13 +92,13 @@ def llt_experiment(
     for n in n_list:
         b_n = calibrate_bn(law, n)
         bns.append(b_n)
-        k_hi = int(window_scale * b_n)
+        k_hi = int(LLT_WINDOW_SCALE * b_n)
         table = exactlaw.walk_pmf(law, n, window=(-n, k_hi))
         ks = np.arange(-n, k_hi + 1)
         dens = np.asarray(stable.density_p1(slaw, ks / b_n))
         e1.append(float(np.max(np.abs(b_n * table.probs(ks) - dens))))
 
-        j_hi = int(alpha * b_n)
+        j_hi = int(ALPHA * b_n)
         js = np.arange(1, j_hi + 1)
         phi_n = exactlaw.phi(law, n, js)
         q1 = np.asarray(stable.first_passage_density(slaw, 1.0, js / b_n))
@@ -112,8 +118,8 @@ def llt_experiment(
     )
     return ExperimentReport(
         name="llt",
-        parameters={"family": law.family, "theta": law.theta, "alpha": alpha,
-                    "window_scale": window_scale},
+        parameters={"family": law.family, "theta": law.theta, "alpha": ALPHA,
+                    "window_scale": LLT_WINDOW_SCALE},
         statistics=stats,
         tolerances=gates,
         passed=bool(passed) if len(n_list) >= 2 else False,
@@ -125,14 +131,12 @@ def llt_experiment(
 # -- progeny asymptotics ----------------------------------------------------------------
 
 
-def progeny_asymptotics_experiment(
-    law: OffspringLaw, n_list: Sequence[int], ratio_tol: float = 0.05
-) -> ExperimentReport:
+def progeny_asymptotics_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport:
     """P[zeta = n] ~ p1(0) / (h n^(1+1/theta)) and its tail version.
 
     r1(n) and r2(n) are the exact finite-n quantities over their limits (with
     the slowly varying factor at its constant limit h = B_n / n^(1/theta));
-    their ratio tends to theta.  Pass: |r_i(n_max) - 1| <= ratio_tol.
+    their ratio tends to theta.  Pass: |r_i(n_max) - 1| <= PROGENY_RATIO_TOL.
     """
     t0 = time.time()
     law.require_critical("progeny_asymptotics_experiment")
@@ -157,12 +161,12 @@ def progeny_asymptotics_experiment(
         "h": h,
         "p1_zero": p10,
     }
-    passed = abs(r1[-1] - 1.0) <= ratio_tol and abs(r2[-1] - 1.0) <= ratio_tol
+    passed = abs(r1[-1] - 1.0) <= PROGENY_RATIO_TOL and abs(r2[-1] - 1.0) <= PROGENY_RATIO_TOL
     return ExperimentReport(
         name="progeny_asymptotics",
         parameters={"family": law.family, "theta": th},
         statistics=stats,
-        tolerances={"ratio_tol": ratio_tol},
+        tolerances={"ratio_tol": PROGENY_RATIO_TOL},
         passed=bool(passed),
         wall_time_s=time.time() - t0,
     )
@@ -172,16 +176,12 @@ def progeny_asymptotics_experiment(
 
 
 def ratio_vs_gamma_experiment(
-    law: OffspringLaw,
-    n_list: Sequence[int],
-    a: float = 0.5,
-    alpha: float = 2.0,
-    final_bound: float = 0.25,
+    law: OffspringLaw, n_list: Sequence[int], a: float = 0.5
 ) -> ExperimentReport:
     """sup over the bulk window of |D_n^(a)(k) - Gamma_a(k / B_n)|, per n.
 
     Pass: the sup-gap decreases along n_list and the final gap is below
-    final_bound; the weighted-mean identity E[D | zeta >= n] = 1 is also
+    RATIO_FINAL_BOUND; the weighted-mean identity E[D | zeta >= n] = 1 is also
     verified at every n at 1e-9.
     """
     t0 = time.time()
@@ -190,8 +190,8 @@ def ratio_vs_gamma_experiment(
     gaps, means = [], []
     for n in n_list:
         b_n = calibrate_bn(law, n)
-        k_lo = max(1, int(math.ceil(b_n / alpha)))
-        k_hi = int(alpha * b_n)
+        k_lo = max(1, int(math.ceil(b_n / ALPHA)))
+        k_hi = int(ALPHA * b_n)
         d_vals = exactlaw.discrete_ratio_window(law, n, a, k_lo, k_hi)
         ks = np.arange(k_lo, k_hi + 1)
         g_vals = np.asarray(stable.gamma_a(slaw, a, ks / b_n))
@@ -200,12 +200,12 @@ def ratio_vs_gamma_experiment(
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
-    passed = decreasing and gaps[-1] <= final_bound and mean_ok
+    passed = decreasing and gaps[-1] <= RATIO_FINAL_BOUND and mean_ok
     return ExperimentReport(
         name="ratio_vs_gamma",
-        parameters={"family": law.family, "theta": law.theta, "a": a, "alpha": alpha},
+        parameters={"family": law.family, "theta": law.theta, "a": a, "alpha": ALPHA},
         statistics=stats,
-        tolerances={"final_bound": final_bound, "weighted_mean": 1e-9},
+        tolerances={"final_bound": RATIO_FINAL_BOUND, "weighted_mean": 1e-9},
         passed=bool(passed),
         wall_time_s=time.time() - t0,
     )
@@ -218,18 +218,16 @@ def contour_limit_experiment(
     law: OffspringLaw,
     n: int,
     replicates: int,
-    t_list: Sequence[float] = (0.25, 0.5, 0.75),
     seed: int = 0,
-    ks_bound: float = 0.03,
-    reversal_bound: float = 0.02,
     budget_s: Optional[float] = None,
 ) -> ExperimentReport:
     """Monte Carlo check of the theta = 2 functional limit of the contour.
 
-    Samples conditioned trees, rescales the contour by B_n/n at times 2nt, and
-    gates: KS distance to the excursion height marginal at each t, the mean of
-    the rescaled contour maximum against sqrt(pi) (3 standard errors), and a
-    paired two-sample KS between C at 2nt and its time reversal.
+    Samples conditioned trees, rescales the contour by B_n/n at times 2nt for t
+    in CONTOUR_T, and gates: KS distance to the excursion height marginal at
+    each t (CONTOUR_KS_BOUND), the mean of the rescaled contour maximum against
+    sqrt(pi) (3 standard errors), and a paired two-sample KS between C at 2nt
+    and its time reversal (CONTOUR_REVERSAL_BOUND).
     """
     t0 = time.time()
     if law.theta != 2.0:
@@ -238,7 +236,7 @@ def contour_limit_experiment(
     law.require_critical("contour_limit_experiment")
     b_n = calibrate_bn(law, n)
     scale = b_n / n
-    idx = [int(round(2 * n * t)) for t in t_list]
+    idx = [int(round(2 * n * t)) for t in CONTOUR_T]
     top = 2 * (n - 1)
     partial = False
     rows: List = []
@@ -258,24 +256,23 @@ def contour_limit_experiment(
     sups = np.array([r[2] for r in rows]) * scale
 
     ks_t, ks_rev = [], []
-    for j, t in enumerate(t_list):
+    for j, t in enumerate(CONTOUR_T):
         ks_t.append(_ks_one_sample(at[:, j], lambda y: stable.excursion_marginal_theta2_cdf(t, y)))
         ks_rev.append(_ks_two_sample(at[:, j], rev[:, j]))
     mean_sup = float(sups.mean())
     se_sup = float(sups.std(ddof=1) / math.sqrt(sups.size))
     target = math.sqrt(math.pi)
-    mean_mid = float(at[:, t_list.index(0.5)].mean()) if 0.5 in t_list else None
 
     stats = {
         "n": n,
         "replicates_done": int(sups.size),
-        "t_list": list(t_list),
+        "t_list": list(CONTOUR_T),
         "ks_marginal": ks_t,
         "ks_reversal": ks_rev,
         "mean_sup": mean_sup,
         "se_sup": se_sup,
         "sup_target": target,
-        "mean_at_half": mean_mid,
+        "mean_at_half": float(at[:, CONTOUR_T.index(0.5)].mean()),
         "mean_at_half_target": stable.excursion_height_mean(0.5),
     }
     notes = ""
@@ -289,15 +286,16 @@ def contour_limit_experiment(
                 "height bias ~ -1.5 * B_n/n; see sup_target_finite_n"
             )
     passed = (
-        max(ks_t) <= ks_bound
-        and max(ks_rev) <= reversal_bound
+        max(ks_t) <= CONTOUR_KS_BOUND
+        and max(ks_rev) <= CONTOUR_REVERSAL_BOUND
         and abs(mean_sup - target) <= 3.0 * se_sup
     )
     return ExperimentReport(
         name="contour_limit",
         parameters={"family": law.family, "n": n, "replicates": replicates},
         statistics=stats,
-        tolerances={"ks": ks_bound, "reversal_ks": reversal_bound, "sup_sigma": 3.0},
+        tolerances={"ks": CONTOUR_KS_BOUND, "reversal_ks": CONTOUR_REVERSAL_BOUND,
+                    "sup_sigma": 3.0},
         passed=bool(passed),
         seed=seed,
         notes=notes,
@@ -374,19 +372,15 @@ def height_contour_gap_experiment(
 
 
 def lukasiewicz_marginal_experiment(
-    law: OffspringLaw,
-    n: int,
-    a: float = 0.5,
-    window_scale: float = 50.0,
-    tol: float = 0.05,
+    law: OffspringLaw, n: int, a: float = 0.5
 ) -> ExperimentReport:
-    """|E[Gamma_a(W_{floor(an)} / B_n) | zeta >= n] - 1| <= tol, from exact tables.
+    """|E[Gamma_a(W_{floor(an)} / B_n) | zeta >= n] - 1| <= MARGINAL_TOL, from exact tables.
 
     The expectation uses the killed-walk (meander) table and the exact
     continuation weights phi*; Gamma_a is extended by its boundary limits
     1/(1-a) below x = 1e-3 and 0 above x = 1e3 (total weight there is tiny,
     and is reported).  The exact f = 1 identity E[D_n | zeta >= n] = 1 is
-    checked alongside at 1e-9.
+    checked alongside at 1e-9, on the same meander table.
     """
     t0 = time.time()
     law.require_critical("lukasiewicz_marginal_experiment")
@@ -394,8 +388,8 @@ def lukasiewicz_marginal_experiment(
     b_n = calibrate_bn(law, n)
     m = int(math.floor(a * n))
     rest = n - m
-    hi_eval = max(int(window_scale * b_n), rest)
-    mea = exactlaw.meander_pmf(law, m, hi_eval=hi_eval, protect=n)
+    # one table, exact on [0, max(50 B_n, rest) + rest], serves Gamma_a and the weighted mean
+    mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest) + rest)
     ks = np.arange(mea.lo, mea.hi + 1)
     w = mea.masses * exactlaw.phi_star(law, rest, ks + 1)
     alive = float(w.sum()) + mea.clipped_mass  # clipped states have phi* = 1
@@ -408,7 +402,7 @@ def lukasiewicz_marginal_experiment(
     gam[xs > stable.GAMMA_X_HI] = 0.0
     expect_gamma = float((w * gam).sum()) / alive
     boundary_weight = float(w[~inside].sum()) / alive
-    d_mean = exactlaw.ratio_weighted_mean(law, n, a)
+    d_mean = exactlaw.meander_ratio_mean(law, n, rest, mea)
 
     stats = {
         "n": n,
@@ -418,7 +412,7 @@ def lukasiewicz_marginal_experiment(
         "exact_identity_mean": d_mean,
         "meander_clipped_mass": mea.clipped_mass,
     }
-    passed = abs(expect_gamma - 1.0) <= tol and abs(d_mean - 1.0) <= 1e-9
+    passed = abs(expect_gamma - 1.0) <= MARGINAL_TOL and abs(d_mean - 1.0) <= 1e-9
     note = ("0.05 gate is a pinned empirical choice: the paper does not "
             "quantify the D_n -> Gamma_a rate.")
     if law.theta < 2.0:
@@ -427,7 +421,7 @@ def lukasiewicz_marginal_experiment(
         name="lukasiewicz_marginal",
         parameters={"family": law.family, "theta": law.theta, "a": a},
         statistics=stats,
-        tolerances={"tol": tol, "exact_identity": 1e-9},
+        tolerances={"tol": MARGINAL_TOL, "exact_identity": 1e-9},
         passed=bool(passed),
         notes=note,
         wall_time_s=time.time() - t0,

@@ -34,7 +34,6 @@ __all__ = [
     "tilt_to_critical",
     "calibrate_bn",
     "law_from_spec",
-    "law_to_spec",
 ]
 
 SUM_TOL = 1e-12
@@ -102,22 +101,6 @@ class OffspringLaw:
             return (th - 1.0) / (th * _gamma(2.0 - th)) * math.exp(log_ratio)
         return 0.0
 
-    def partial_mean_tail(self, k: int) -> float:
-        """Exact value of sum_{j>k} j*mu(j)."""
-        if self.family == "geometric":
-            p = float(self.param)
-            # sum_{j>k} j (1-p) p^j = p^{k+1} (k+1 + p/(1-p))
-            return p ** (k + 1) * (k + 1 + p / (1.0 - p))
-        if self.family == "stable":
-            if k == 0:
-                return 1.0
-            # |binom(theta-2, k-1)| = Gamma(2-theta+k-1) / (Gamma(2-theta) (k-1)!)
-            beta = 2.0 - self.theta
-            return math.exp(
-                math.lgamma(beta + k - 1.0) - math.lgamma(float(k))
-            ) / _gamma(beta)
-        return 0.0
-
     def probabilities(self, k_max: int) -> np.ndarray:
         """mu(0..k_max) as a vector (padded with exact values or zeros)."""
         if k_max < self.probs.size:
@@ -156,10 +139,6 @@ class OffspringLaw:
         return abs(self.mean - 1.0) <= CRIT_TOL
 
     @property
-    def is_aperiodic(self) -> bool:
-        return self.span == 1
-
-    @property
     def span(self) -> int:
         """gcd of support differences (1 = aperiodic)."""
         if self.family in ("geometric", "stable"):
@@ -182,11 +161,6 @@ class OffspringLaw:
         """
         probs = self.probabilities(cap)
         return make_explicit(probs / probs.sum())
-
-    # -- serialization --------------------------------------------------------
-
-    def spec(self) -> dict:
-        return law_to_spec(self)
 
 
 # -- constructors -------------------------------------------------------------
@@ -359,9 +333,3 @@ def law_from_spec(spec: dict) -> OffspringLaw:
     if family == "explicit":
         return make_explicit(spec["probabilities"])
     raise LawError(f"unknown law family {family!r}")
-
-
-def law_to_spec(law: OffspringLaw) -> dict:
-    if law.family == "explicit":
-        return {"family": "explicit", "param": None, "probabilities": law.probs.tolist()}
-    return {"family": law.family, "param": law.param, "probabilities": None}

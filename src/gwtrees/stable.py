@@ -41,7 +41,6 @@ __all__ = [
     "GammaDomainError",
     "density_p1",
     "density_pt",
-    "density_p1_cdf",
     "first_passage_density",
     "passage_integral",
     "gamma_a",
@@ -219,15 +218,6 @@ def p1_closed_zero(theta: float) -> float:
     return _gamma(1.0 / theta) * math.sin(math.pi / theta) / (math.pi * theta)
 
 
-def density_p1_cdf(law: StableLaw, x) -> np.ndarray | float:
-    """P[X_1 <= x]; closed form at theta = 2 (the only density-level reference used)."""
-    if not law.is_gaussian:
-        raise StableNumericsError("cdf provided only for theta = 2 (Gaussian route)")
-    xs = np.asarray(x, dtype=float)
-    out = 0.5 * (1.0 + erf(xs / 2.0))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 # -- first passage ---------------------------------------------------------------------
 
 
@@ -288,15 +278,15 @@ def zeta_tail(law: StableLaw, t: float) -> float:
 
 
 def excursion_marginal_theta2(t: float, y) -> np.ndarray | float:
-    """Density at y > 0 of H_t under N(.|zeta=1) for theta = 2.
+    """Density at y of H_t under N(.|zeta=1) for theta = 2; 0 for y <= 0.
 
     H under the normalized excursion law is sqrt(2) times the normalized
     Brownian excursion, whose time-t marginal is
-    f_t(x) = sqrt(2/pi) (t(1-t))^(-3/2) x^2 exp(-x^2 / (2 t (1-t))).
+    f_t(x) = sqrt(2/pi) (t(1-t))^(-3/2) x^2 exp(-x^2 / (2 t (1-t))) on x > 0.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0,1)")
-    ys = np.asarray(y, dtype=float) / math.sqrt(2.0)
+    ys = np.maximum(np.asarray(y, dtype=float), 0.0) / math.sqrt(2.0)
     sig2 = t * (1.0 - t)
     f = (
         math.sqrt(2.0 / math.pi)

@@ -134,7 +134,7 @@ def test_criterion_6_ratio_vs_gamma():
     t0 = time.time()
     gaps = {}
     for law in (GEO, STB):
-        rep = lim.ratio_vs_gamma_experiment(law, (256, 1024, 4096), a=0.5, alpha=2.0)
+        rep = lim.ratio_vs_gamma_experiment(law, (256, 1024, 4096), a=0.5)
         assert rep.passed
         gaps[law.family] = rep.statistics["sup_gap"]
     elapsed = time.time() - t0

@@ -232,6 +232,29 @@ class TestErrors:
                     "--out", str(tmp_path / "p1.csv")])
         assert code == 2
 
+    def test_negative_count_refused_before_output(self, tmp_path):
+        out = tmp_path / "sub" / "w.csv"
+        assert run(["sample", "--law", "geometric", "--n", "5", "--count", "-2",
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_empty_grid_refused_before_output(self, tmp_path):
+        out = tmp_path / "sub" / "p1.csv"
+        assert run(["stable", "--theta", "2", "--what", "p1", "--grid=0:1:0",
+                    "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_exc_marginal_only_at_theta2(self, tmp_path):
+        out = tmp_path / "sub" / "m.csv"
+        assert run(["stable", "--theta", "1.5", "--what", "exc-marginal",
+                    "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        assert run(["stable", "--theta", "2", "--what", "exc-marginal",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        xs, ys = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+        assert np.all(ys[xs <= 0] == 0.0) and np.all(ys[xs > 0] > 0.0)
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWTREES_OUT_DIR", str(tmp_path))
         assert run(["sample", "--law", "geometric", "--n", "2", "--seed", "1",

@@ -339,7 +339,7 @@ class TestMeander:
         # sum of the killed-walk table + clipped mass = P[zeta > m]
         for law in (geometric, stable15):
             m = 48
-            mea = ex.meander_pmf(law, m, hi_eval=96, protect=96)
+            mea = ex.meander_pmf(law, m, 144)
             rho = ex.progeny_rho(law, m)
             survival = 1.0 - float(rho[: m + 1].sum())
             assert abs(float(mea.masses.sum()) + mea.clipped_mass - survival) < 1e-12
@@ -347,7 +347,7 @@ class TestMeander:
     def test_markov_identity(self, geometric):
         # sum_k meander_m(k) phi_rest(k+1) = P[zeta = n]
         n, m = 40, 20
-        mea = ex.meander_pmf(geometric, m, hi_eval=n, protect=n)
+        mea = ex.meander_pmf(geometric, m, 60)
         ks = np.arange(mea.lo, mea.hi + 1)
         phi_r, _ = ex.phi_phi_star_at(geometric, n - m, int(ks[-1]) + 1)
         lhs = float((mea.masses * phi_r[ks]).sum())
@@ -360,7 +360,7 @@ class TestMeander:
         for law in (geometric, stable15):
             nu = {k: float(p) for k, p in zip(range(-1, 41), law.probabilities(41))}
             for m in range(1, 7):
-                mea = ex.meander_pmf(law, m, hi_eval=hi_eval)
+                mea = ex.meander_pmf(law, m, hi_eval)
                 assert (mea.lo, mea.exact_hi) == (0, hi_eval)
                 oracle = brute_meander_pmf(nu, m)
                 want = np.array([oracle.get(k, 0.0) for k in range(mea.lo, mea.hi + 1)])
@@ -380,7 +380,7 @@ class TestMeander:
     @staticmethod
     def check_block(law, m, hi_eval, protect):
         want, want_clipped = stepwise_meander(law, m, hi_eval, protect)
-        mea = ex.meander_pmf(law, m, hi_eval=hi_eval, protect=protect)
+        mea = ex.meander_pmf(law, m, hi_eval + protect - m)
         assert (mea.lo, mea.exact_hi) == (0, hi_eval + protect - m)
         size = max(want.size, mea.masses.size)
         got = np.pad(mea.masses, (0, size - mea.masses.size))
@@ -402,9 +402,9 @@ class TestTableCache:
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
         (mea0, walk0, star0), (mea1, walk1, star1) = before, [c.cache_info() for c in caches]
-        # meanders: the shared one (m = 512, hi_eval = 512, protect = 1024) and the
-        # marginal's wider one; the marginal's weighted mean reuses the shared one
-        assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 1)
+        # meanders: the ratio's weighted mean (m = 512, exact on [0, 1024]) and the
+        # marginal's wider one, which also serves the marginal's weighted mean
+        assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 0)
         # phi at p = 512 reads one W_512 table: the ratio window, then both
         # weighted means
         assert (walk1.misses - walk0.misses, walk1.hits - walk0.hits) == (1, 2)
@@ -416,8 +416,19 @@ class TestTableCache:
         assert np.array_equal(phi_wide, np.concatenate([phi_p, np.zeros(136)]))
         assert np.array_equal(phistar_wide, np.concatenate([phistar_p, np.ones(136)]))
 
-        mea = ex.meander_pmf(geometric, 8, hi_eval=16)
-        assert mea is ex.meander_pmf(geometric, 8, hi_eval=16)
+        mea = ex.meander_pmf(geometric, 8, 16)
+        assert mea is ex.meander_pmf(geometric, 8, 16)
         cached = (mea.masses, ex.progeny_rho(geometric, 64),
                   ex._walk_table_for_phi(geometric, 64).masses, ex._phi_star_profile(geometric, 64))
         assert not any(arr.flags.writeable for arr in cached)
+
+    def test_standalone_marginal_builds_one_meander(self):
+        from gwtrees import limits as lim
+        from gwtrees.offspring import make_stable_family
+
+        law = make_stable_family(1.5)  # fresh: nothing cached
+        before = ex.meander_pmf.cache_info()
+        rep = lim.lukasiewicz_marginal_experiment(law, 512)
+        after = ex.meander_pmf.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+        assert abs(rep.statistics["exact_identity_mean"] - 1.0) <= 1e-9

@@ -1,9 +1,22 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gwtrees
+
+MODULES = ["gwtrees"] + [f"gwtrees.{m.name}" for m in pkgutil.iter_modules(gwtrees.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    mod = importlib.import_module(name)
+    missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
 
 
 def test_import_skips_scipy_signal():

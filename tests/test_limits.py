@@ -55,9 +55,7 @@ class TestContourLimit:
             lim.contour_limit_experiment(stable15, 100, 10)
 
     def test_small_run_statistics(self, geometric):
-        rep = lim.contour_limit_experiment(
-            geometric, 400, 400, seed=5, ks_bound=0.2, reversal_bound=0.2
-        )
+        rep = lim.contour_limit_experiment(geometric, 400, 400, seed=5)
         st = rep.statistics
         assert st["replicates_done"] == 400
         assert all(k < 0.2 for k in st["ks_marginal"])
@@ -65,10 +63,8 @@ class TestContourLimit:
         assert "sup_target_finite_n" in st
 
     def test_reproducible_bit_for_bit(self, geometric):
-        a = lim.contour_limit_experiment(geometric, 200, 150, seed=9, ks_bound=0.5,
-                                         reversal_bound=0.5)
-        b = lim.contour_limit_experiment(geometric, 200, 150, seed=9, ks_bound=0.5,
-                                         reversal_bound=0.5)
+        a = lim.contour_limit_experiment(geometric, 200, 150, seed=9)
+        b = lim.contour_limit_experiment(geometric, 200, 150, seed=9)
         assert strip_timing(a) == strip_timing(b)
 
     def test_budget_partial(self, geometric):

@@ -22,7 +22,7 @@ class TestGeometric:
         assert abs(geometric.variance - (second_moment - 1.0)) < 1e-12
 
     def test_aperiodic_full_support(self, geometric):
-        assert geometric.is_aperiodic
+        assert geometric.span == 1
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
     def test_parameter_out_of_range(self, p):
@@ -54,9 +54,11 @@ class TestStableFamily:
             assert abs(total - 1.0) < 1e-12
 
     def test_mean_is_one(self, stable15):
-        cap = 10_000
+        cap, th = 10_000, 1.5
         k = np.arange(cap + 1)
-        mean = float(k @ stable15.probabilities(cap)) + stable15.partial_mean_tail(cap)
+        # sum_{j>cap} j mu(j) = |binom(theta-2, cap-1)| = Gamma(cap+1-theta) / (Gamma(2-theta) (cap-1)!)
+        tail = math.exp(math.lgamma(cap + 1.0 - th) - math.lgamma(float(cap))) / gamma_fn(2 - th)
+        mean = float(k @ stable15.probabilities(cap)) + tail
         assert abs(mean - 1.0) < 1e-12
         assert stable15.is_critical
 
@@ -73,7 +75,7 @@ class TestStableFamily:
             off.make_stable_family(theta)
 
     def test_aperiodic(self, stable15):
-        assert stable15.is_aperiodic
+        assert stable15.span == 1
 
 
 class TestTilting:
@@ -158,8 +160,14 @@ class TestCalibrateBn:
 
 class TestLawSpec:
     def test_round_trip(self, geometric, stable15):
-        for law in (geometric, stable15, off.make_explicit([0.5, 0.0, 0.5])):
-            again = off.law_from_spec(json.loads(json.dumps(law.spec())))
+        specs = (
+            ({"family": "geometric", "param": 0.5, "probabilities": None}, geometric),
+            ({"family": "stable", "param": 1.5, "probabilities": None}, stable15),
+            ({"family": "explicit", "param": None, "probabilities": [0.5, 0.0, 0.5]},
+             off.make_explicit([0.5, 0.0, 0.5])),
+        )
+        for spec, law in specs:
+            again = off.law_from_spec(json.loads(json.dumps(spec)))
             assert again.family == law.family
             assert np.allclose(again.probabilities(10), law.probabilities(10))
 

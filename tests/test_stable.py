@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 from scipy.special import gamma as gamma_fn
 
 from gwtrees import exactlaw as ex
@@ -338,6 +339,14 @@ class TestExcursionMarginal:
             want, _ = quad(lambda z: stb.excursion_marginal_theta2(0.5, z), 0, y)
             assert stb.excursion_marginal_theta2_cdf(0.5, y) == pytest.approx(want, abs=1e-10)
 
+    def test_zero_off_the_positive_axis(self):
+        assert stb.excursion_marginal_theta2(0.5, -1.0) == 0.0
+        assert stb.excursion_marginal_theta2(0.5, 0.0) == 0.0
+        # the CLI's default grid -6:6:241 carries mass 1, not 2
+        ys = np.linspace(-6, 6, 241)
+        f = np.asarray(stb.excursion_marginal_theta2(0.5, ys))
+        assert abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(ys))) - 1.0) <= 1e-3
+
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.5])
     def test_domain(self, t):
         with pytest.raises(ValueError):
@@ -359,11 +368,7 @@ class TestMonteCarloConsistency:
         counts = rng.multinomial(n, pvals, size=draws)
         w = counts @ vals
         sample = np.sort(w / calibrate_bn(geometric, n))
-        cdf = np.asarray(stb.density_p1_cdf(G2, sample))
+        cdf = 0.5 * (1.0 + erf(sample / 2.0))  # P[X_1 <= x] for theta = 2 (variance 2)
         i = np.arange(draws)
         ks = max(np.max(np.abs(cdf - i / draws)), np.max(np.abs(cdf - (i + 1) / draws)))
         assert ks < 0.02
-
-    def test_cdf_only_for_theta2(self):
-        with pytest.raises(stb.StableNumericsError):
-            stb.density_p1_cdf(S15, 0.0)
