@@ -3,7 +3,7 @@
 Subcommands: sample, exact, stable, verify, codings.  Reports are JSON with a
 "schema" key; curves are CSV with a "# schema:" comment line.  Every emitted
 report carries the seed; when no seed is given one is generated and printed.
-Exit status: 0 success, 1 failed verification gate, 2 usage error.
+Exit status: 0 success, 1 failed verification gate, 2 usage, law-file or I/O error.
 """
 
 from __future__ import annotations
@@ -226,6 +226,7 @@ def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
 
 def _cmd_codings(args) -> int:
     law = _load_law(args.law)
+    b_n = calibrate_bn(law, args.n) if args.rescale_points else None  # before any tree is drawn
     seed = _resolve_seed(args)
     tree = sampler.sample_conditioned(law, args.n, rng=sampler.derive_rng(seed, 0))
     walk = codings.walk_from_tree(tree)
@@ -233,7 +234,6 @@ def _cmd_codings(args) -> int:
     contour = codings.contour_from_tree(tree)
     prefix = args.out_prefix
     if args.rescale_points:  # before the writers: their freed blocks would lift peak RSS here
-        b_n = args.b_n or calibrate_bn(law, args.n)
         rp = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
         _write_csv(_out_path(prefix + "_rescaled.csv"), ["t", "value"], rp.times, rp.values)
     _write_csv(_out_path(prefix + "_vertex.csv"), ["index", "W", "H"], np.arange(walk.values.size),
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--out-prefix", required=True)
     pc.add_argument("--rescale-points", type=int, default=0)
-    pc.add_argument("--b-n", type=float, default=None)
     pc.set_defaults(fn=_cmd_codings)
     return p
 
@@ -318,7 +317,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except (exactlaw.ExactLawError, sampler.SamplerError, stable.StableNumericsError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

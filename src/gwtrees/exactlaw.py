@@ -24,10 +24,11 @@ accuracy, and trailing entries below the rounding bound are trimmed as noise.
 Total-progeny laws are computed along two independent routes (Kemperman from
 walk tables, and the branching recursion through the generating function) and
 cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n] for all j are read
-off one W_n table, and phi*_n(j) = P[zeta_j >= n] for all j come from n/16 block
-convolutions.  Every function takes the ``OffspringLaw`` (``_step_table``
-applies the shift), and the progeny law, the W_n table behind phi, the phi*
-profile and the meander are each cached per law, built once per process.
+off one ``walk_pmf(law, n, 0)`` table, and phi*_n(j) = P[zeta_j >= n] for all j
+come from n/16 block convolutions.  Walk, progeny and meander tables share one
+type, ``PmfTable``.  Every function takes the ``OffspringLaw`` (``_step_table``
+applies the shift), and the progeny law, the W_n tables, the phi* profile and
+the meander are each cached per law, built once per process.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .report import ExperimentReport
 
 __all__ = [
     "PmfTable",
-    "SubPmf",
     "ExactLawError",
     "walk_pmf",
     "progeny_pmf",
@@ -74,24 +74,26 @@ class ExactLawError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PmfTable:
-    """Finite-support pmf with its smallest represented value and clipped mass.
+    """Finite-support (sub-)pmf with its smallest represented value and clipped mass.
 
     Entries at values <= ``exact_hi`` lost no mass to clipping but carry an
     absolute FFT rounding error of order 1e-16; values above may have lost
-    mass to ceiling clipping (tracked in truncated_mass).
+    mass to ceiling clipping (tracked in truncated_mass).  Walk and progeny
+    tables book 1 - sum as truncated_mass; a killed walk's (meander's) defect
+    1 - sum - truncated_mass is its killed mass.
     """
 
     offset: int
     masses: np.ndarray
     truncated_mass: float
-    exact_hi: Optional[int] = None
+    exact_hi: int
 
     def __post_init__(self):
         if np.any(self.masses < 0):
             raise ExactLawError("negative pmf entry")
         total = float(self.masses.sum()) + self.truncated_mass
-        if abs(total - 1.0) > MASS_TOL:
-            raise ExactLawError(f"pmf mass {total!r} differs from 1 beyond budget")
+        if total > 1.0 + MASS_TOL:
+            raise ExactLawError(f"pmf mass {total!r} exceeds 1 beyond budget")
         self.masses.flags.writeable = False
 
     @property
@@ -115,31 +117,6 @@ class PmfTable:
         ok = (i >= 0) & (i < self.masses.size)
         out[ok] = self.masses[i[ok]]
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class SubPmf:
-    """Sub-probability table (killed / clipped walk states).
-
-    ``clipped_mass`` is the mass removed by ceiling clipping; entries on
-    [offset, exact_hi] are exact.  The defect 1 - sum - clipped is the killed mass.
-    """
-
-    offset: int
-    masses: np.ndarray
-    clipped_mass: float
-    exact_hi: int
-
-    def __post_init__(self):
-        self.masses.flags.writeable = False
-
-    @property
-    def lo(self) -> int:
-        return self.offset
-
-    @property
-    def hi(self) -> int:
-        return self.offset + self.masses.size - 1
 
 
 # -- convolution plumbing --------------------------------------------------------
@@ -220,37 +197,25 @@ def _walk_table_raw(law: OffspringLaw, n: int, hi_eval: int) -> Tuple[int, np.nd
     return acc_off, acc
 
 
-def _finish_table(offset: int, arr: np.ndarray, exact_hi: Optional[int]) -> PmfTable:
-    total = float(arr.sum())
-    return PmfTable(
-        offset=offset,
-        masses=arr,
-        truncated_mass=max(0.0, 1.0 - total),
-        exact_hi=exact_hi,
-    )
+@lru_cache(maxsize=256)
+def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
+    """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi].
 
-
-def walk_pmf(
-    law: OffspringLaw, n: int, window: Optional[Tuple[int, int]] = None
-) -> PmfTable:
-    """Exact law of W_n = sum of n i.i.d. nu-steps.
-
-    ``window = (lo, hi)`` guarantees exact entries on [max(lo, -n), hi]; with
-    ``window=None`` the full support [-n, K*n] is built when the step law has a
-    usable support cap K, otherwise hi defaults to a bulk window of ~64 * n^(1/theta).
+    With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
+    has a usable support cap K, otherwise exact_hi defaults to a bulk window of
+    ~64 * n^(1/theta).  Tables are cached per law; the cache keys ``f(law, n, 0)``
+    and ``f(law, n, exact_hi=0)`` apart, so callers pass exact_hi positionally.
     """
-    if window is None:
+    if exact_hi is None:
         cap = law.support_cap(1e-18) - 1  # of nu
         if cap * n <= 1 << 22:
-            hi_eval = cap * n
+            exact_hi = cap * n
         else:
-            hi_eval = int(64.0 * n ** (1.0 / law.theta)) + 1
-    else:
-        hi_eval = int(window[1])
-    if hi_eval < 1 - n:
-        raise ExactLawError("window top below the walk's minimum")
-    off, arr = _walk_table_raw(law, n, hi_eval)
-    return _finish_table(off, arr, exact_hi=hi_eval)
+            exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
+    if exact_hi < 1 - n:
+        raise ExactLawError("exact_hi below the walk's minimum")
+    off, arr = _walk_table_raw(law, n, exact_hi)
+    return PmfTable(off, arr, max(0.0, 1.0 - float(arr.sum())), exact_hi)
 
 
 def _walk_tables_iter(
@@ -366,16 +331,11 @@ def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
     gap = float(np.max(np.abs(kem - rec)))
     if gap > MASS_TOL:
         raise ExactLawError(f"progeny routes disagree by {gap:.3e} (tolerance {MASS_TOL:.1e})")
-    return _finish_table(1, rec[1:].copy(), exact_hi=n_max)
+    arr = rec[1:].copy()
+    return PmfTable(1, arr, max(0.0, 1.0 - float(arr.sum())), n_max)
 
 
 # -- hitting-time probabilities ------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _walk_table_for_phi(law: OffspringLaw, n: int) -> PmfTable:
-    off, arr = _walk_table_raw(law, n, hi_eval=0)
-    return _finish_table(off, arr, exact_hi=0)
 
 
 def phi(law: OffspringLaw, n: int, j):
@@ -384,7 +344,7 @@ def phi(law: OffspringLaw, n: int, j):
     js = np.asarray(j)
     if n < 1 or np.any(js < 1):
         raise ExactLawError("phi needs j >= 1 and n >= 1")
-    out = js / n * _walk_table_for_phi(law, n).probs(-js)
+    out = js / n * walk_pmf(law, n, 0).probs(-js)
     return float(out) if js.ndim == 0 else out
 
 
@@ -447,22 +407,22 @@ def phi_phi_star_at(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, 
 
 
 def discrete_ratio(law: OffspringLaw, n: int, a: float, k: int) -> float:
-    """D_n^(a)(k): the weight relating {zeta = n} to {zeta >= n} on walk prefixes.
-
-    D = [phi_{n-floor(an)}(k+1) / phi_n(1)] / [phi*_{n-floor(an)}(k+1) / phi*_n(1)].
-    """
-    if not 0.0 < a < 1.0:
-        raise ExactLawError("a must lie in (0,1)")
-    if k < 0:
-        raise ExactLawError("k must be >= 0")
-    vals = discrete_ratio_window(law, n, a, k, k)
-    return float(vals[0])
+    """D_n^(a)(k), one entry of ``discrete_ratio_window``."""
+    return float(discrete_ratio_window(law, n, a, k, k)[0])
 
 
 def discrete_ratio_window(
     law: OffspringLaw, n: int, a: float, k_lo: int, k_hi: int
 ) -> np.ndarray:
-    """D_n^(a)(k) for k = k_lo..k_hi (vectorized over the window)."""
+    """D_n^(a)(k) for k = k_lo..k_hi: the weight relating {zeta = n} to {zeta >= n}
+    on walk prefixes,
+
+    D = [phi_{n-floor(an)}(k+1) / phi_n(1)] / [phi*_{n-floor(an)}(k+1) / phi*_n(1)].
+    """
+    if not 0.0 < a < 1.0:
+        raise ExactLawError("a must lie in (0,1)")
+    if not 0 <= k_lo <= k_hi:
+        raise ExactLawError(f"the window needs 0 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     m = n - int(math.floor(a * n))
     phi_m, phistar_m = phi_phi_star_at(law, m, k_hi + 1)
     rho = progeny_rho(law, n)
@@ -479,12 +439,12 @@ def discrete_ratio_window(
 
 
 @lru_cache(maxsize=32)
-def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> SubPmf:
+def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
     """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
 
     The moving ceiling starts at exact_hi + m and falls by one per step; mass
-    clipped at it is returned in ``clipped_mass`` (it all lives strictly above
-    the exact range).  The table's total plus clipped_mass equals P[zeta_1 > m].
+    clipped at it is returned in ``truncated_mass`` (it all lives strictly above
+    the exact range).  The table's total plus truncated_mass equals P[zeta_1 > m].
 
     Blocks of r <= MEANDER_BLOCK steps advance the killed table v at once: a
     path from x first leaves [0, inf) at step s with probability
@@ -510,10 +470,10 @@ def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> SubPmf:
         # alive mass not kept: above the ceiling, or jumps beyond the step table
         clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
         v = free
-    return SubPmf(
+    return PmfTable(
         offset=0,
         masses=np.pad(v, (0, top - m + 1 - v.size)),  # spans [0, exact_hi]
-        clipped_mass=max(0.0, clipped),
+        truncated_mass=max(0.0, clipped),
         exact_hi=exact_hi,
     )
 
@@ -531,7 +491,7 @@ def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:
     return meander_ratio_mean(law, n, rest, meander_pmf(law, m, 2 * rest))
 
 
-def meander_ratio_mean(law: OffspringLaw, n: int, rest: int, mea: SubPmf) -> float:
+def meander_ratio_mean(law: OffspringLaw, n: int, rest: int, mea: PmfTable) -> float:
     """E[D | zeta >= n] = sum_k mea(k) phi_rest(k+1) / phi_n(1), from ``mea``, the meander
     of the first n - rest steps, exact up to at least rest - 1.  Its clipped mass sits
     where phi_rest = 0 and phi*_rest = 1: it enters the normalization exactly and the
@@ -616,10 +576,9 @@ def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> Experiment
     # RHS: D-weighted masses under {zeta >= n} over all alive prefixes
     rest = n - m
     j_hi_needed = max(m * (max(support) - 1) + 2, 2)
-    phi_r, phistar_r = phi_phi_star_at(law, rest, j_hi_needed)
-    rho = progeny_rho(law, n)
-    phi_n1 = float(rho[n])
-    phistar_n1 = max(0.0, 1.0 - float(rho[:n].sum()))
+    phistar_r = phi_star(law, rest, np.arange(1, j_hi_needed + 1))
+    d_vals = discrete_ratio_window(law, n, a, 0, j_hi_needed - 1)  # D(j - 1) at index j - 1
+    phistar_n1 = max(0.0, 1.0 - float(progeny_rho(law, n)[:n].sum()))
 
     n_prefixes = (len(nu)) ** m
     if n_prefixes > 2_000_000:
@@ -633,8 +592,7 @@ def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> Experiment
             key = tuple(prefix)
             j = w + 1
             weight = prob * phistar_r[j - 1] / phistar_n1
-            d = (phi_r[j - 1] / phi_n1) / (phistar_r[j - 1] / phistar_n1)
-            rhs[key] = rhs.get(key, 0.0) + weight * d
+            rhs[key] = rhs.get(key, 0.0) + weight * d_vals[j - 1]
             return
         for s, ps in nu.items():
             w2 = w + s

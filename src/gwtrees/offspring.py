@@ -325,11 +325,16 @@ def calibrate_bn(law: OffspringLaw, n: int) -> float:
 
 def law_from_spec(spec: dict) -> OffspringLaw:
     """Build a law from the JSON description {"family": ..., "param": ..., "probabilities": ...}."""
+    if not isinstance(spec, dict):
+        raise LawError(f"a law spec is a JSON object, got {type(spec).__name__}")
     family = spec.get("family")
     if family == "geometric":
         return make_geometric(float(spec.get("param", 0.5)))
-    if family == "stable":
-        return make_stable_family(float(spec["param"]))
-    if family == "explicit":
-        return make_explicit(spec["probabilities"])
+    try:
+        if family == "stable":
+            return make_stable_family(float(spec["param"]))
+        if family == "explicit":
+            return make_explicit(spec["probabilities"])
+    except KeyError as exc:
+        raise LawError(f"a {family} law needs the key {exc}") from None
     raise LawError(f"unknown law family {family!r}")

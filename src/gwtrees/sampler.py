@@ -252,7 +252,7 @@ def analytic_sampler_law(law: OffspringLaw, n: int) -> List[Tuple[Tree, float]]:
     (distinct, since the sum -1 forbids periodicity) rotations of tau's
     increment sequence, so P[tau] = n * prod_i mu(c_i) / P[W_n = -1].
     """
-    table = walk_pmf(law, n, window=(-n, 0))
+    table = walk_pmf(law, n, 0)
     p_sum = table.prob(-1)
     mu = law.probabilities(n)
     out = []

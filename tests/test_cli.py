@@ -206,6 +206,21 @@ class TestCodings:
         got = np.array([float(r[1]) for r in rr])
         assert np.array_equal(got, want.values)
 
+    def test_bn_is_not_an_option(self, tmp_path):
+        assert run(["codings", "--law", "geometric", "--n", "6", "--seed", "2", "--out-prefix",
+                    str(tmp_path / "t"), "--rescale-points", "5", "--b-n", "-3"]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_law_without_bn_refused_before_sampling(self, tmp_path, monkeypatch):
+        from gwtrees import sampler
+
+        drawn = []
+        monkeypatch.setattr(sampler, "sample_conditioned", lambda *a, **k: drawn.append(a))
+        # geometric:0.4 is subcritical, so it has no stable scaling B_n
+        assert run(["codings", "--law", "geometric:0.4", "--n", "50", "--seed", "1",
+                    "--out-prefix", str(tmp_path / "t"), "--rescale-points", "8"]) == 2
+        assert drawn == [] and not any(tmp_path.iterdir())
+
 
 class TestErrors:
     def test_usage_error_exit_2(self):
@@ -254,6 +269,29 @@ class TestErrors:
         _, rows = read_csv(out)
         xs, ys = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
         assert np.all(ys[xs <= 0] == 0.0) and np.all(ys[xs > 0] > 0.0)
+
+    def test_law_file_errors_exit_2(self, tmp_path, capsys):
+        no_param, not_object = tmp_path / "stable.json", tmp_path / "list.json"
+        no_param.write_text(json.dumps({"family": "stable"}))
+        not_object.write_text(json.dumps([0.5, 0.5]))
+        for spec in (str(tmp_path / "missing.json"), str(no_param), str(not_object)):
+            assert run(["exact", "--law", spec, "--what", "progeny", "--n", "3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--law", "geometric", "--what", "progeny", "--n", "3", "--out"],
+        ["stable", "--theta", "2", "--what", "p1", "--grid=0:1:3", "--out"],
+        ["verify", "--suite", "progeny", "--seed", "7", "--fast", "--out"],
+        ["verify", "--suite", "progeny", "--seed", "7", "--fast", "--plots-dir"],
+    ])
+    def test_uncreatable_output_exit_2(self, tmp_path, capsys, argv):
+        # exit 1 is kept for a failed verification gate
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(argv + [str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWTREES_OUT_DIR", str(tmp_path))

@@ -145,14 +145,14 @@ class TestWalkPmf:
         assert np.allclose(t2.masses[: direct.size], direct[: t2.masses.size], atol=1e-15)
 
     def test_mass_accounting(self, geometric, stable15):
-        for law, window in ((geometric, None), (stable15, (-64, 500))):
-            t = ex.walk_pmf(law, 64, window=window)
+        for law, exact_hi in ((geometric, None), (stable15, 500)):
+            t = ex.walk_pmf(law, 64, exact_hi)
             assert abs(t.masses.sum() + t.truncated_mass - 1.0) < 1e-12
 
     def test_protected_window_exactness(self, stable15):
         # heavy tail: a clipped table must still be exact below its window top
-        wide = ex.walk_pmf(stable15, 12, window=(-12, 4000))
-        narrow = ex.walk_pmf(stable15, 12, window=(-12, 40))
+        wide = ex.walk_pmf(stable15, 12, 4000)
+        narrow = ex.walk_pmf(stable15, 12, 40)
         ks = np.arange(-12, 41)
         assert np.allclose(wide.probs(ks), narrow.probs(ks), atol=1e-15, rtol=0)
         assert narrow.truncated_mass > 1e-6  # plenty of mass really was clipped
@@ -168,7 +168,7 @@ class TestWalkPmf:
 
     def test_window_below_minimum_rejected(self, geometric):
         with pytest.raises(ex.ExactLawError):
-            ex.walk_pmf(geometric, 4, window=(-4, -6))
+            ex.walk_pmf(geometric, 4, -6)
 
 
 class TestProgeny:
@@ -293,6 +293,13 @@ class TestDiscreteRatio:
         with pytest.raises(ex.ExactLawError):
             ex.discrete_ratio(geometric, 6, 0.5, -1)
 
+    @pytest.mark.parametrize("a,k_lo,k_hi", [
+        (0.0, 1, 3), (-0.2, 1, 3), (1.0, 1, 3), (0.5, -1, 3), (0.5, 3, 1),
+    ])
+    def test_window_preconditions(self, geometric, a, k_lo, k_hi):
+        with pytest.raises(ex.ExactLawError):
+            ex.discrete_ratio_window(geometric, 64, a, k_lo, k_hi)
+
 
 class TestEnumerate:
     def test_single_vertex(self, geometric):
@@ -342,7 +349,15 @@ class TestMeander:
             mea = ex.meander_pmf(law, m, 144)
             rho = ex.progeny_rho(law, m)
             survival = 1.0 - float(rho[: m + 1].sum())
-            assert abs(float(mea.masses.sum()) + mea.clipped_mass - survival) < 1e-12
+            assert abs(float(mea.masses.sum()) + mea.truncated_mass - survival) < 1e-12
+
+    def test_table_passes_mass_check(self, geometric, stable15):
+        for law in (geometric, stable15):
+            mea = ex.meander_pmf(law, 48, 144)
+            assert isinstance(mea, ex.PmfTable) and mea.truncated_mass >= 0.0
+            ex.PmfTable(mea.offset, mea.masses.copy(), mea.truncated_mass, mea.exact_hi)
+            with pytest.raises(ex.ExactLawError):  # mass above 1 is refused
+                ex.PmfTable(mea.offset, mea.masses.copy(), 1.0, mea.exact_hi)
 
     def test_markov_identity(self, geometric):
         # sum_k meander_m(k) phi_rest(k+1) = P[zeta = n]
@@ -385,10 +400,10 @@ class TestMeander:
         size = max(want.size, mea.masses.size)
         got = np.pad(mea.masses, (0, size - mea.masses.size))
         assert np.max(np.abs(got - np.pad(want, (0, size - want.size)))) <= 1e-16
-        assert abs(mea.clipped_mass - want_clipped) <= 1e-13
+        assert abs(mea.truncated_mass - want_clipped) <= 1e-13
         if m == 2048:
             survival = 1.0 - float(ex.progeny_rho(law, m)[: m + 1].sum())
-            assert abs(float(mea.masses.sum()) + mea.clipped_mass - survival) <= 1e-12
+            assert abs(float(mea.masses.sum()) + mea.truncated_mass - survival) <= 1e-12
 
 
 class TestTableCache:
@@ -397,7 +412,7 @@ class TestTableCache:
         from gwtrees.offspring import make_geometric
 
         law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
-        caches = (ex.meander_pmf, ex._walk_table_for_phi, ex._phi_star_profile)
+        caches = (ex.meander_pmf, ex.walk_pmf, ex._phi_star_profile)
         before = [c.cache_info() for c in caches]
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
@@ -419,8 +434,19 @@ class TestTableCache:
         mea = ex.meander_pmf(geometric, 8, 16)
         assert mea is ex.meander_pmf(geometric, 8, 16)
         cached = (mea.masses, ex.progeny_rho(geometric, 64),
-                  ex._walk_table_for_phi(geometric, 64).masses, ex._phi_star_profile(geometric, 64))
+                  ex.walk_pmf(geometric, 64, 0).masses, ex._phi_star_profile(geometric, 64))
         assert not any(arr.flags.writeable for arr in cached)
+
+    def test_sampler_law_reads_phi_table(self):
+        from gwtrees.offspring import make_geometric
+        from gwtrees.sampler import analytic_sampler_law
+
+        law = make_geometric(0.5)  # fresh: nothing cached
+        ex.phi(law, 5, 1)
+        before = ex.walk_pmf.cache_info()
+        analytic_sampler_law(law, 5)
+        after = ex.walk_pmf.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
 
     def test_standalone_marginal_builds_one_meander(self):
         from gwtrees import limits as lim

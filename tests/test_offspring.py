@@ -149,7 +149,7 @@ class TestCalibrateBn:
 
         for law in (geometric, stable15):
             n = 4096
-            table = walk_pmf(law, n, window=(-n, 1))
+            table = walk_pmf(law, n, 1)
             fitted = p1_closed_zero(law.theta) / table.prob(0)
             assert abs(fitted / off.calibrate_bn(law, n) - 1.0) < 0.02
 
