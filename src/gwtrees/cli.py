@@ -185,6 +185,10 @@ def _cmd_verify(args) -> int:
             geometric = picked
         else:
             heavy = picked
+    out = _out_path(args.out) if args.out else None  # both made before the suites run
+    plots_dir = Path(args.plots_dir) if args.plots_dir else None
+    if plots_dir:
+        plots_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     reports = limits.run_suite(args.suite, geometric, heavy, seed=seed, fast=args.fast)
     payload = {
@@ -199,15 +203,14 @@ def _cmd_verify(args) -> int:
         if r.notes:
             line += f"  ({r.notes})"
         print(line)
-    if args.out:
-        _out_path(args.out).write_text(json.dumps(payload, indent=2, default=jsonify) + "\n")
-    if args.plots_dir:
-        _emit_plot_csvs(reports, Path(args.plots_dir))
+    if out:
+        out.write_text(json.dumps(payload, indent=2, default=jsonify) + "\n")
+    if plots_dir:
+        _emit_plot_csvs(reports, plots_dir)
     return 0 if payload["passed"] else 1
 
 
 def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
-    plots_dir.mkdir(parents=True, exist_ok=True)
     for i, r in enumerate(reports):
         st = r.statistics
         name = f"{i:02d}_{r.name}_{r.parameters.get('family', '')}"

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -79,27 +80,20 @@ class OffspringLaw:
 
     # -- mass bookkeeping ---------------------------------------------------
 
-    def tail_mass(self, k: int) -> float:
-        """Exact mass of {k+1, k+2, ...}.
+    def tail_mass(self, k):
+        """Exact mass of {k+1, k+2, ...}, for an int k (a float back) or an integer array.
 
         Geometric: p^(k+1).  Stable family: |binom(theta-1, k)| / theta, from the
         partial-sum identity of the binomial series.  Explicit: 0 beyond support.
         """
+        kk = np.asarray(k)
         if self.family == "geometric":
-            return float(self.param) ** (k + 1)
-        if self.family == "stable":
-            th = self.theta
-            if k == 0:
-                return 1.0 - 1.0 / th
-            # |binom(theta-1, k)| = (theta-1) Gamma(k-theta+1) / (Gamma(2-theta) k!);
-            # past 2^40 the lgamma difference cancels, and its Stirling series
-            # -theta log k + theta (theta-1) / (2k) is exact to O(k^-2)
-            if k < 1 << 40:
-                log_ratio = math.lgamma(k - th + 1.0) - math.lgamma(k + 1.0)
-            else:
-                log_ratio = -th * math.log(k) + th * (th - 1.0) / (2.0 * k)
-            return (th - 1.0) / (th * _gamma(2.0 - th)) * math.exp(log_ratio)
-        return 0.0
+            out = float(self.param) ** (kk + 1.0)
+        elif self.family == "stable":
+            out = _stable_tail(self.theta, kk)
+        else:
+            out = np.zeros(kk.shape)
+        return float(out) if kk.ndim == 0 else out
 
     def probabilities(self, k_max: int) -> np.ndarray:
         """mu(0..k_max) as a vector (padded with exact values or zeros)."""
@@ -180,6 +174,43 @@ def _family_probs(family: str, param: float, theta: float, k_max: int) -> np.nda
         factors[1:] = (k - theta) / (k + 1.0)
         out[2:] = np.cumprod(factors)
     return out
+
+
+# B_0 .. B_11, the Bernoulli numbers the tail series needs
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0)
+_SERIES_FROM = 32  # from here on ten terms of the series in 1/k are exact to ~1e-18
+
+
+def _bernoulli_poly(n: int, x: float) -> float:
+    return sum(math.comb(n, i) * _BERNOULLI[i] * x ** (n - i) for i in range(n + 1))
+
+
+@lru_cache(maxsize=64)
+def _stable_tail_terms(theta: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Tail masses below _SERIES_FROM, the series coefficients and the prefactor.
+
+    Below _SERIES_FROM the tail is the product (theta-1)/theta prod_{i=2..k} (i-theta)/i.
+    Beyond, tail(k) = (theta-1) / (theta Gamma(2-theta)) exp(L(k)) with
+    L(k) = log Gamma(k+a) - log Gamma(k+b), a = 1-theta, b = 1, whose asymptotic
+    series (a-b) log k + sum_j (-1)^(j+1) [B_{j+1}(a) - B_{j+1}(b)] / (j (j+1) k^j)
+    has no cancellation, unlike the difference of two lgamma values.
+    """
+    i = np.arange(2, _SERIES_FROM)
+    small = np.concatenate(
+        [[1.0 - 1.0 / theta], (theta - 1.0) / theta * np.cumprod(np.r_[1.0, (i - theta) / i])]
+    )
+    a = 1.0 - theta
+    coef = np.array([(-1) ** (j + 1) * (_bernoulli_poly(j + 1, a) - _bernoulli_poly(j + 1, 1.0))
+                     / (j * (j + 1)) for j in range(1, len(_BERNOULLI) - 1)])
+    return small, coef, (theta - 1.0) / (theta * _gamma(2.0 - theta))
+
+
+def _stable_tail(theta: float, k: np.ndarray) -> np.ndarray:
+    small, coef, prefactor = _stable_tail_terms(theta)
+    kf = np.maximum(k, _SERIES_FROM).astype(float)
+    series = (1.0 / kf)[..., None] ** np.arange(1, coef.size + 1) @ coef
+    out = prefactor * np.exp(series - theta * np.log(kf))
+    return np.where(k < _SERIES_FROM, small[np.minimum(k, _SERIES_FROM - 1)], out)
 
 
 def make_geometric(p: float) -> OffspringLaw:

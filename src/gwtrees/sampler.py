@@ -5,24 +5,30 @@ steps of the shifted law conditioned on total sum -1, rotate the block at the
 first minimum of its partial sums (cycle lemma: exactly one rotation is a
 first-passage path), and read the tree off it: child count = step + 1.
 
-Conditioning on the sum is done by block rejection.  Because step counts are a
-sufficient statistic for the sum, a block is drawn as one multinomial count
-vector (plus exact inversion of the analytic tail bucket) and only expanded to
-a shuffled sequence after acceptance, so a rejected block costs O(support)
-instead of O(n).
+Conditioning on the sum is done by block rejection on the critical tilt of
+mu.  The tilt mu(k) lam^k / f(lam) multiplies the probability of every block
+with sum -1, hence of every tree with n vertices, by the same factor
+lam^(n-1) / f(lam)^n, so the conditioned law is unchanged (Kennedy 1975); but
+P[W_n = -1] decays like a power of n on a critical law and exponentially on
+any other.  A critical law is its own tilt.  A law supported in {0,1} has no
+tilt; its only tree is the path, which is returned without a draw.
 
-Rejection runs on the critical tilt of mu.  The tilt mu(k) lam^k / f(lam)
-multiplies the probability of every block with sum -1, hence of every tree
-with n vertices, by the same factor lam^(n-1) / f(lam)^n, so the conditioned
-law is unchanged (Kennedy 1975); but P[W_n = -1] decays like a power of n on
-a critical law and exponentially on any other.  A critical law is its own
-tilt.  A law supported in {0,1} has no tilt; its only tree is the path, which
-is returned without a draw.
+A block of n i.i.d. mu-draws is drawn as a head and a rest.  The head is
+{0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET; one
+multinomial row gives the block's count of each head value and the number m
+of rest draws, which are then m i.i.d. draws of mu conditioned on > K.  Step
+counts are a sufficient statistic for the sum, so a block is expanded to a
+shuffled sequence only once it is accepted, and a rejected one costs
+O(K + m) instead of O(n).  Attempts are drawn BATCH rows per multinomial call,
+with one uniform draw for all the rows' rest values; the first row with sum
+-1 is kept.  This is exact: the rows are i.i.d. blocks, the first success of
+an i.i.d. sequence has the conditioned law, and the rows drawn after it are
+discarded unread.
 
-Both the free sampler and the rejection route read mu from one step sampler:
-a table of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) plus one bucket
-for the analytic tail beyond cap, whose values are drawn by exact bisection on
-the tail function.
+Both samplers read mu from one step sampler per (law, n): a survival table
+of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) and the analytic tail
+beyond cap, both inverted for all quantiles at once; values beyond cap are
+found by bisection on the tail function.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ __all__ = [
     "SamplerError",
 ]
 
+HEAD_TARGET = 8  # expected rest draws per block: n P[mu > K] at the head's edge K
+BATCH = 64  # blocks per multinomial call
+_VALUE_CEIL = 1 << 62  # tail draws saturate here; no tree of fewer vertices holds one
+
 
 class SamplerError(RuntimeError):
     pass
@@ -56,46 +66,69 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *path]))
 
 
-def _tail_quantile(law: OffspringLaw, kmin: int, u: float) -> int:
-    """Exact draw of mu conditioned on {value >= kmin}, at tail quantile u.
+def _tail_quantile(law: OffspringLaw, kmin: int, us: np.ndarray) -> np.ndarray:
+    """Exact draws of mu conditioned on {value >= kmin}, at tail quantiles us.
 
-    Pure bisection on the analytic tail function, so far-out values cost
-    O(log value) instead of materializing the pmf prefix.
+    Each u in [0, tail_mass(kmin - 1)) gives the smallest k >= kmin with
+    tail_mass(k) < tail_mass(kmin - 1) - u.  All quantiles are bisected at once
+    on the analytic tail function, so far-out values cost O(log value) numpy
+    passes instead of a pmf prefix.
     """
-    target = max(law.tail_mass(kmin - 1) - u, 1e-300)
-    hi = max(2 * kmin, kmin + 4)
-    while law.tail_mass(hi) >= target:
-        hi *= 2
-    lo = kmin
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if law.tail_mass(mid) < target:
-            hi = mid
-        else:
-            lo = mid + 1
+    target = np.maximum(law.tail_mass(kmin - 1) - np.asarray(us, dtype=float), 1e-300)
+    hi = np.full(target.shape, max(2 * kmin, kmin + 4), dtype=np.int64)
+    while (grow := (hi < _VALUE_CEIL) & (law.tail_mass(hi) >= target)).any():
+        hi[grow] = np.minimum(2 * hi[grow], _VALUE_CEIL)
+    lo = np.full(target.shape, kmin, dtype=np.int64)
+    while (open_ := lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        below = law.tail_mass(mid) < target
+        hi = np.where(open_ & below, mid, hi)
+        lo = np.where(open_ & ~below, mid + 1, lo)
     return lo
 
 
 class _StepSampler:
-    """mu as a table on 0..cap plus one bucket for its analytic tail beyond cap.
+    """mu as a survival table on 0..cap plus its analytic tail, split for blocks of n.
 
-    The one step sampler of both samplers: ``sample_gw`` inverts the CDF of
-    ``bulk``, the rejection sampler draws one multinomial over ``bulk`` plus
-    the ``tail`` bucket.  The cap keeps that multinomial cheap; values beyond
-    it are resolved exactly by ``tail_draws``.
+    The one step sampler of both samplers: ``draws`` inverts mu conditioned on
+    {value >= kmin} for a vector of quantiles.  ``sample_gw`` uses it with
+    kmin = 0; the rejection route draws the head counts with one multinomial
+    over ``pvals`` (mu(0..head), then P[mu > head]) and the rest values with
+    kmin = head + 1.
     """
 
-    def __init__(self, law: OffspringLaw):
+    def __init__(self, law: OffspringLaw, n: int):
         self.law = law
         self.cap = min(law.support_cap(1e-15), 1 << 14)
-        self.bulk = law.probabilities(self.cap)
-        self.tail = law.tail_mass(self.cap)
+        masses = np.append(law.probabilities(self.cap), law.tail_mass(self.cap))
+        # above[k] = P[mu >= k] on 0..cap+1, summed from the small end up
+        self.above = np.cumsum(masses[::-1])[::-1]
+        fits = np.flatnonzero(n * self.above[1:] <= HEAD_TARGET)
+        self.head = int(fits[0]) if fits.size else self.cap
+        pvals = np.append(masses[: self.head + 1], self.above[self.head + 1])
+        self.pvals = pvals / pvals.sum()
+        self.values = np.arange(-1, self.head, dtype=np.int64)  # nu = mu - 1 on the head
+        self._neg_above = -self.above  # ascending, for searchsorted
+        for arr in (self.above, self.pvals, self.values, self._neg_above):
+            arr.flags.writeable = False
 
-    def tail_draws(self, us: np.ndarray) -> np.ndarray:
-        """Values of mu beyond cap at tail quantiles us in [0, tail)."""
-        return np.array(
-            [_tail_quantile(self.law, self.cap + 1, float(u)) for u in us], dtype=np.int64
-        )
+    def draws(self, us: np.ndarray, kmin: int) -> np.ndarray:
+        """Values of mu conditioned on {value >= kmin}, at quantiles us in [0, above[kmin]).
+
+        The value at u is the smallest k >= kmin with P[mu > k] < P[mu >= kmin] - u:
+        a table search up to cap, the analytic tail beyond.
+        """
+        target = np.maximum(self.above[kmin] - us, 1e-300)
+        out = kmin + np.searchsorted(self._neg_above[kmin + 1 :], -target, side="right")
+        far = out > self.cap
+        if far.any():
+            out[far] = _tail_quantile(self.law, self.cap + 1, self.above[-1] - target[far])
+        return out
+
+
+@lru_cache(maxsize=32)  # the law hashes by identity
+def _step_sampler(law: OffspringLaw, n: int) -> _StepSampler:
+    return _StepSampler(law, n)
 
 
 # -- unconditioned sampling ------------------------------------------------------
@@ -113,18 +146,14 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]
     if law.mean > 1.0 + 1e-10:
         raise SamplerError("sample_gw needs a (sub)critical law; tilt first")
     rng = derive_rng(rng_seed)
-    steps = _StepSampler(law)
-    cdf = np.cumsum(steps.bulk)
-    head = float(cdf[-1])
+    steps = _step_sampler(law, size_cap)
     chunks: List[np.ndarray] = []
     open_slots = 1
     drawn = 0
     chunk_size = 64
     while drawn < size_cap:
         u = rng.random(min(chunk_size, size_cap - drawn))
-        chunk = np.searchsorted(cdf, u, side="right")
-        over = u >= head
-        chunk[over] = steps.tail_draws(u[over] - head)
+        chunk = steps.draws(u * steps.above[0], 0)
         partial = open_slots + np.cumsum(chunk - 1)
         hit = np.flatnonzero(partial == 0)
         if hit.size:
@@ -165,24 +194,27 @@ def conditioned_increments(
         rng = derive_rng(rng_seed)
     if n == 1:
         return np.array([-1], dtype=np.int64)
-    steps = _StepSampler(_critical_tilt(law))
-    pvals = np.maximum(np.append(steps.bulk, steps.tail), 0.0)
-    pvals /= pvals.sum()
-    values = np.arange(-1, steps.cap, dtype=np.int64)  # nu(-1 .. cap-1) = mu(0 .. cap)
+    steps = _step_sampler(_critical_tilt(law), n)
+    kmin = steps.head + 1
+    rows = np.arange(BATCH)
     max_attempts = 50 * n + 100_000  # expected ~ B_n / p1(0), so huge slack
 
-    for _ in range(max_attempts):
-        counts = rng.multinomial(n, pvals)
-        n_tail = int(counts[-1])
-        total = int(values @ counts[:-1])
-        if n_tail:  # most blocks have no tail step; skip the draw's fixed cost
-            tail_steps = steps.tail_draws(rng.random(n_tail) * steps.tail) - 1
-            total += int(tail_steps.sum())
-        if total != -1:
+    for _ in range(-(-max_attempts // BATCH)):
+        counts = rng.multinomial(n, steps.pvals, size=BATCH)
+        n_rest = counts[:, -1]
+        totals = counts[:, :-1] @ steps.values
+        m = int(n_rest.sum())
+        if m:  # rest values in row order; float sums cannot wrap, and are exact near -1
+            rest = steps.draws(rng.random(m) * steps.above[kmin], kmin) - 1
+            totals = totals + np.bincount(np.repeat(rows, n_rest), weights=rest, minlength=BATCH)
+        hits = np.flatnonzero(totals == -1)
+        if not hits.size:
             continue
-        seq = np.repeat(values, counts[:-1])
-        if n_tail:
-            seq = np.concatenate([seq, tail_steps])
+        r = int(hits[0])
+        seq = np.repeat(steps.values, counts[r, :-1])
+        if n_rest[r]:
+            end = int(n_rest[: r + 1].sum())
+            seq = np.concatenate([seq, rest[end - n_rest[r] : end]])
         rng.shuffle(seq)
         return seq
     raise SamplerError(

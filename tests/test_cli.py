@@ -293,6 +293,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--out", "--plots-dir"])
+    def test_verify_checks_outputs_before_any_suite(self, tmp_path, capsys, monkeypatch, flag):
+        from gwtrees import limits
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the output paths were checked")
+
+        monkeypatch.setattr(limits, "run_suite", no_suite)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["verify", "--suite", "all", flag, str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GWTREES_OUT_DIR", str(tmp_path))
         assert run(["sample", "--law", "geometric", "--n", "2", "--seed", "1",

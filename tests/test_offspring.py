@@ -53,6 +53,28 @@ class TestStableFamily:
             total = stable15.probabilities(cap).sum() + stable15.tail_mass(cap)
             assert abs(total - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1.002, 1.2, 1.5, 1.9])
+    def test_tail_mass_against_mpmath(self, theta):
+        # |binom(theta-1, k)| / theta in 40-digit arithmetic, k <= 2^50
+        mpmath = pytest.importorskip("mpmath")
+        law = off.make_stable_family(theta)
+        ks = np.unique(np.r_[np.arange(100), [2**j + d for j in range(6, 51) for d in (-1, 0, 1)]])
+        got = law.tail_mass(ks)
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            want = [1 - 1 / th if k == 0 else abs(mpmath.binomial(th - 1, int(k))) / th for k in ks]
+            worst = max(abs(mpmath.mpf(g) / w - 1) for g, w in zip(got, want))
+        assert worst <= 1e-13
+        assert [law.tail_mass(int(k)) for k in ks] == got.tolist()  # scalar = vector
+
+    @pytest.mark.parametrize("theta", [1.002, 1.5, 1.9])
+    def test_tail_mass_monotone_across_switches(self, theta):
+        # the product/series switch at k = 32 and the former lgamma/Stirling switch at 2^40
+        law = off.make_stable_family(theta)
+        for k0 in (off._SERIES_FROM, 1 << 40):
+            tail = law.tail_mass(np.arange(k0 - 200 if k0 > 200 else 0, k0 + 200))
+            assert np.all(np.diff(tail) < 0)
+
     def test_mean_is_one(self, stable15):
         cap, th = 10_000, 1.5
         k = np.arange(cap + 1)

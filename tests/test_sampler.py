@@ -17,6 +17,7 @@ from gwtrees import (
     sample_gw,
 )
 from gwtrees.sampler import (
+    HEAD_TARGET,
     SamplerError,
     _StepSampler,
     _tail_quantile,
@@ -27,6 +28,16 @@ from gwtrees.sampler import (
 
 def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
+
+
+def chi_square_fits(law, n, expected, seed, n_draws=20_000):
+    """Pearson chi-square of sampled trees against an exact law, at the 99% level."""
+    expected = dict(expected)
+    rng = derive_rng(seed)
+    counts = Counter(sample_conditioned(law, n, rng=rng) for _ in range(n_draws))
+    assert set(counts) <= set(expected)
+    stat = sum((counts[t] - n_draws * p) ** 2 / (n_draws * p) for t, p in expected.items())
+    return stat < chi2.ppf(0.99, len(expected) - 1)
 
 
 class TestSampleGw:
@@ -71,19 +82,43 @@ class TestStepSampler:
     """The analytic tail inversion against a direct CDF search on a longer table."""
 
     def test_tail_draws_match_table_search(self, stable15):
-        steps = _StepSampler(stable15)
-        us = np.linspace(0.0, 0.9 * steps.tail, 2001)
+        steps = _StepSampler(stable15, 1)
+        us = np.linspace(0.0, 0.9 * steps.above[-1], 2001)
         cdf = np.cumsum(stable15.probabilities(1 << 17)[steps.cap + 1 :])
         want = steps.cap + 1 + np.searchsorted(cdf, us, side="right")
-        assert np.array_equal(steps.tail_draws(us), want)
+        assert np.array_equal(steps.draws(us, steps.cap + 1), want)
 
     @pytest.mark.parametrize("kmin", [3, 50, 1000])
     def test_tail_quantile_match_table_search(self, stable15, kmin):
         us = np.linspace(0.0, 0.9 * stable15.tail_mass(kmin - 1), 2001)
         cdf = np.cumsum(stable15.probabilities(1 << 17)[kmin:])
         want = kmin + np.searchsorted(cdf, us, side="right")
-        got = [_tail_quantile(stable15, kmin, float(u)) for u in us]
-        assert got == want.tolist()
+        got = _tail_quantile(stable15, kmin, us)
+        assert got.tolist() == want.tolist()
+
+    def test_rest_draws_match_table_search(self, stable15):
+        # the rejection route's rest values (mu conditioned on > head) at n = 1e4,
+        # up to quantiles whose values lie past the table's cap
+        steps = _StepSampler(stable15, 10_000)
+        kmin = steps.head + 1
+        assert 0 < steps.head < steps.cap
+        mass = steps.above[kmin]
+        us = np.concatenate([np.linspace(0.0, 0.9 * mass, 2001),
+                             mass * (1.0 - np.geomspace(0.1, 1e-5, 200))])
+        cdf = np.cumsum(stable15.probabilities(1 << 17)[kmin:])
+        want = kmin + np.searchsorted(cdf, us, side="right")
+        got = steps.draws(us, kmin)
+        assert got.max() > steps.cap and want.max() < 1 << 17
+        assert np.array_equal(got, want)
+
+    def test_head_sized_from_n(self, geometric, stable15):
+        # n P[mu > K] <= HEAD_TARGET at the smallest such K
+        for law, n, head in ((geometric, 10_000, 10), (stable15, 10_000, 39),
+                             (stable15, 7, 0), (stable15, 9, 0)):
+            steps = _StepSampler(law, n)
+            assert steps.head == head
+            assert n * law.tail_mass(head) <= HEAD_TARGET
+            assert head == 0 or n * law.tail_mass(head - 1) > HEAD_TARGET
 
 
 class TestConditionedIncrements:
@@ -190,17 +225,20 @@ class TestSampleConditioned:
     def test_subcritical_chi_square_against_enumeration(self):
         # mean 0.8, so rejection runs on the critical tilt of [0.5, 0.2, 0.3]
         law = make_explicit([0.5, 0.2, 0.3])
-        expected = {t: p for t, p in enumerate_conditioned(law, 4)}
-        rng = derive_rng(4321)
-        n_draws = 10_000
-        counts = Counter()
-        for _ in range(n_draws):
-            counts[sample_conditioned(law, 4, rng=rng)] += 1
-        assert set(counts) <= set(expected)
-        stat = sum(
-            (counts[t] - n_draws * p) ** 2 / (n_draws * p) for t, p in expected.items()
-        )
-        assert stat < chi2.ppf(0.99, len(expected) - 1)
+        assert chi_square_fits(law, 4, enumerate_conditioned(law, 4), 4321, n_draws=10_000)
+
+    @pytest.mark.parametrize("n, seed", [(7, 71), (9, 91)])
+    def test_heavy_tail_chi_square_against_analytic_law(self, stable15, n, seed):
+        # the head is {0} alone (test_head_sized_from_n), so every other value
+        # is a rest draw, including values no n-vertex tree can hold
+        assert chi_square_fits(stable15, n, analytic_sampler_law(stable15, n), seed)
+
+    def test_rest_past_every_tree_chi_square_against_enumeration(self):
+        # support {0, 1, 2, 20}, critical; at n = 6 the head is {0} and a rest
+        # value of 20 (drawn from the table) must be rejected every time
+        law = make_explicit([0.58, 0.2, 0.2] + [0.0] * 17 + [0.02])
+        assert _StepSampler(law, 6).head == 0
+        assert chi_square_fits(law, 6, enumerate_conditioned(law, 6), 62)
 
     def test_zero_probability_size(self, stable15):
         # the stable family has mu(1) = 0, so no tree with exactly 2 vertices
