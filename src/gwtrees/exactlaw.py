@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .codings import Tree
 from .offspring import OffspringLaw
@@ -122,6 +121,20 @@ class PmfTable:
 # -- convolution plumbing --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the 5-smooth real-FFT length (cached per n)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5  # 3^b 5^c, completed by the smallest power of 2 that reaches n
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarray:
     """Full convolution of a and b.  ``memo`` holds b's real FFT for the last
     transform length, for loops whose kernel b is fixed.
@@ -133,13 +146,13 @@ def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarr
     if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
         return np.convolve(a, b)
     size = a.size + b.size - 1
-    L = sp_fft.next_fast_len(size, real=True)
+    L = _fast_len(size)
     if memo is None:
         memo = {}
     if L not in memo:
         memo.clear()
-        memo[L] = sp_fft.rfft(b, L)
-    out = sp_fft.irfft(sp_fft.rfft(a, L) * memo[L], L)[:size]
+        memo[L] = np.fft.rfft(b, L)
+    out = np.fft.irfft(np.fft.rfft(a, L) * memo[L], L)[:size]
     np.maximum(out, 0.0, out=out)
     noise = 8.0 * np.finfo(float).eps * math.sqrt(float(a @ a) * float(b @ b))
     above = out[::-1] > noise

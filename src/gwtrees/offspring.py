@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "OffspringLaw",
@@ -112,9 +111,14 @@ class OffspringLaw:
         if self.family == "geometric":
             p = float(self.param)
             return max(0, math.ceil(math.log(eps) / math.log(p)) - 1)
-        # stable family: tail(K) ~ (c/theta) K^-theta; bisect around the guess
+        # stable family: tail(K) ~ (c/theta) K^-theta; scan guess -+ 64 in one call,
+        # else bisect from 1 up to the doubled guess
         c = float(self.tail_constant)
         hi = max(2, int((c / (self.theta * eps)) ** (1.0 / self.theta)))
+        ks = np.arange(max(2, hi - 64), hi + 65)
+        below = np.flatnonzero(self.tail_mass(ks) <= eps)
+        if below.size and (below[0] > 0 or ks[0] == 2):
+            return int(ks[below[0]])
         while self.tail_mass(hi) > eps:
             hi *= 2
         lo = 1
@@ -202,7 +206,7 @@ def _stable_tail_terms(theta: float) -> Tuple[np.ndarray, np.ndarray, float]:
     a = 1.0 - theta
     coef = np.array([(-1) ** (j + 1) * (_bernoulli_poly(j + 1, a) - _bernoulli_poly(j + 1, 1.0))
                      / (j * (j + 1)) for j in range(1, len(_BERNOULLI) - 1)])
-    return small, coef, (theta - 1.0) / (theta * _gamma(2.0 - theta))
+    return small, coef, (theta - 1.0) / (theta * math.gamma(2.0 - theta))
 
 
 def _stable_tail(theta: float, k: np.ndarray) -> np.ndarray:
@@ -241,7 +245,7 @@ def make_stable_family(theta: float) -> OffspringLaw:
     """
     if not 1.0 < theta < 2.0:
         raise LawError(f"stable family needs theta in (1,2) exclusive, got {theta!r}")
-    c = (theta - 1.0) / _gamma(2.0 - theta)
+    c = (theta - 1.0) / math.gamma(2.0 - theta)
     return OffspringLaw(
         family="stable",
         param=theta,
@@ -347,7 +351,7 @@ def calibrate_bn(law: OffspringLaw, n: int) -> float:
     if law.tail_constant is not None:
         th = law.theta
         c = law.tail_constant
-        return (c * _gamma(2.0 - th) * n / (th * (th - 1.0))) ** (1.0 / th)
+        return (c * math.gamma(2.0 - th) * n / (th * (th - 1.0))) ** (1.0 / th)
     raise LawError("law has neither finite variance nor a tail constant")
 
 

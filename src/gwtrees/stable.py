@@ -30,10 +30,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import erf
-from scipy.special import gamma as _gamma
-from scipy.special import zeta as _zeta
 
 __all__ = [
     "StableLaw",
@@ -99,14 +95,31 @@ _TAIL_TERMS = 5
 _FINEST = 13  # dx >= 2^-13: at most 2^20 Hermite pieces
 
 
+# B_2j / (2j)!, j = 1..8: the Euler-Maclaurin corrections of _hurwitz_zeta
+_EM_COEF = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1))
+
+
+def _hurwitz_zeta(s: float, a):
+    """zeta(s, a) = sum_k (a + k)^-s for s > 1, a > 0: nine terms, then Euler-Maclaurin."""
+    a = np.asarray(a, dtype=float)
+    b = a + 9.0
+    out = sum((a + k) ** -s for k in range(9)) + b ** (1.0 - s) / (s - 1.0) + 0.5 * b**-s
+    term = s * b ** (-s - 1.0)  # s (s+1) ... (s+2j-2) b^(-s-2j+1)
+    for j, coef in enumerate(_EM_COEF, start=1):
+        out = out + coef * term
+        term = term * ((s + 2 * j - 1) * (s + 2 * j)) / (b * b)
+    return out
+
+
 def _tail_series(theta: float, x: np.ndarray, order: int = 0, period: float = 0.0):
     """d^order/dy^order of p_1's tail sum_k a_k y^(-1-k theta) at x, or summed at x + j period."""
     out = np.zeros(np.shape(x))
     for k in range(1, _TAIL_TERMS + 1):
-        a_k = -math.sin(math.pi * (k * theta % 2)) * _gamma(k * theta + 1) / math.factorial(k)
+        a_k = -math.sin(math.pi * (k * theta % 2)) * math.gamma(k * theta + 1) / math.factorial(k)
         s = 1.0 + k * theta + order
         c = a_k / math.pi * math.prod(1.0 - s + i for i in range(order))
-        out += c * (period**-s * _zeta(s, 1.0 + x / period) if period else x**-s)
+        out += c * (period**-s * _hurwitz_zeta(s, 1.0 + x / period) if period else x**-s)
     return out
 
 
@@ -139,7 +152,8 @@ def _grid_exponent(theta: float, abs_tol: float) -> int:
     """k of the node spacing dx = 2^-k: the largest dx, k >= 4, with
     dx^6 max|p_1^(6)| / (6! 4^3) <= abs_tol / 8."""
     c = -math.cos(theta * math.pi / 2.0)
-    d6 = _gamma(7.0 / theta) / (math.pi * theta * c ** (7.0 / theta))  # (1/pi) int u^6 e^(-c u^th) du
+    # (1/pi) int u^6 e^(-c u^th) du
+    d6 = math.gamma(7.0 / theta) / (math.pi * theta * c ** (7.0 / theta))
     return max(4, math.ceil(math.log2(8.0 * d6 / (46080.0 * abs_tol)) / 6))
 
 
@@ -167,7 +181,7 @@ def _grid(law: StableLaw) -> _Grid:
         phase = np.exp(2j * math.pi / n * np.outer(np.arange(r), np.arange(u.size)))
         w = g * (1j * u) ** order * phase
         w = np.concatenate([w, np.zeros((r, -u.size % (n // r)))], axis=1).reshape(r, -1, n // r)
-        raw = (du / math.pi * (n // r)) * sp_fft.ifft(w.sum(axis=1)).real.T.ravel()
+        raw = (du / math.pi * (n // r)) * np.fft.ifft(w.sum(axis=1)).real.T.ravel()
         xs = -_LEFT_CUT + step * np.arange(n + 1)
         return np.append(raw, raw[0]) - _tail_series(th, xs, order, _PERIOD)
 
@@ -176,8 +190,9 @@ def _grid(law: StableLaw) -> _Grid:
     # error at exact midpoints, plus the first dropped tail term (|a_k| <= Gamma(s) / (pi k!))
     s = 1.0 + (_TAIL_TERMS + 1) * th
     mids = -_LEFT_CUT + dx * (0.5 + np.arange(half.size // 2))
-    err = float(np.max(np.abs(grid.pieces(mids) - half[1::2]))) + _gamma(s) / (
-        math.pi * math.factorial(_TAIL_TERMS + 1)) * _PERIOD**-s * _zeta(s, 1 - _LEFT_CUT / _PERIOD)
+    dropped = math.gamma(s) / (math.pi * math.factorial(_TAIL_TERMS + 1)) * _PERIOD**-s
+    err = float(np.max(np.abs(grid.pieces(mids) - half[1::2]))) + dropped * float(
+        _hurwitz_zeta(s, 1 - _LEFT_CUT / _PERIOD))
     if err > law.abs_tol:
         raise StableNumericsError(f"p1 grid at theta={th} (P={_PERIOD:g}, dx={dx:g}) reached "
                                   f"error {err:.2e} > abs_tol {law.abs_tol:.1e}")
@@ -215,7 +230,7 @@ def density_pt(law: StableLaw, t: float, x) -> np.ndarray | float:
 
 def p1_closed_zero(theta: float) -> float:
     """p_1(0) = Gamma(1/theta) sin(pi/theta) / (pi theta), from the inversion integral."""
-    return _gamma(1.0 / theta) * math.sin(math.pi / theta) / (math.pi * theta)
+    return math.gamma(1.0 / theta) * math.sin(math.pi / theta) / (math.pi * theta)
 
 
 # -- first passage ---------------------------------------------------------------------
@@ -232,6 +247,12 @@ def first_passage_density(law: StableLaw, s: float, x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _erf(x) -> np.ndarray:
+    """erf elementwise, by math.erf."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel()), float, x.size).reshape(x.shape)
+
+
 def passage_integral(law: StableLaw, lower: float, x) -> np.ndarray | float:
     """int_lower^inf q_s(x) ds = theta * int_0^{x lower^(-1/theta)} p_1(-v) dv.
 
@@ -246,7 +267,7 @@ def passage_integral(law: StableLaw, lower: float, x) -> np.ndarray | float:
         raise ValueError("lower must be >= 0")
     th = law.theta
     if law.is_gaussian:
-        out = erf(xs / (2.0 * math.sqrt(lower))) if lower else np.ones(xs.shape)
+        out = _erf(xs / (2.0 * math.sqrt(lower))) if lower else np.ones(xs.shape)
     else:
         v = np.minimum(xs * (lower ** (-1.0 / th) if lower else math.inf), _LEFT_CUT)
         out = -th * _grid(law).pieces(-v, integrate=True)  # int_0^v p_1(-w) dw = -int_0^-v p_1
@@ -274,7 +295,7 @@ def zeta_tail(law: StableLaw, t: float) -> float:
     """N(zeta > t) = t^(-1/theta) / Gamma(1 - 1/theta) under the excursion measure."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return t ** (-1.0 / law.theta) / _gamma(1.0 - 1.0 / law.theta)
+    return t ** (-1.0 / law.theta) / math.gamma(1.0 - 1.0 / law.theta)
 
 
 def excursion_marginal_theta2(t: float, y) -> np.ndarray | float:
@@ -304,7 +325,7 @@ def excursion_marginal_theta2_cdf(t: float, y) -> np.ndarray | float:
         raise ValueError("t must lie in (0,1)")
     sig = math.sqrt(t * (1.0 - t))
     z = np.maximum(np.asarray(y, dtype=float), 0.0) / (math.sqrt(2.0) * sig)
-    out = erf(z / math.sqrt(2.0)) - z * np.sqrt(2.0 / math.pi) * np.exp(-(z**2) / 2.0)
+    out = _erf(z / math.sqrt(2.0)) - z * np.sqrt(2.0 / math.pi) * np.exp(-(z**2) / 2.0)
     return float(out) if np.ndim(y) == 0 else out
 
 

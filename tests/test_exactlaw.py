@@ -117,6 +117,13 @@ class TestConv:
         want = np.convolve(a, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
+        # numpy's FFT at the scipy length reproduces the scipy route bit for bit
+        assert np.array_equal(got, untrimmed_conv(a, b)[: got.size])
+
+    def test_fast_len_matches_scipy(self):
+        fast_len = ex._fast_len.__wrapped__  # uncached, so the check fills no cache
+        ns = list(range(1, 100_001)) + [2**20 + d for d in (-1, 0, 1, 7, 4097)] + [3**12 * 5 + 1]
+        assert [fast_len(n) for n in ns] == [sp_fft.next_fast_len(n, real=True) for n in ns]
 
 
 class TestWalkPmf:

@@ -20,7 +20,7 @@ def test_every_export_resolves(name):
 
 
 def test_import_skips_scipy_signal():
-    # scipy.signal costs over a second at import; the FFT path needs only scipy.fft
+    # scipy.signal costs over a second at import; the FFT path runs on numpy.fft
     env = dict(os.environ, PYTHONPATH=str(Path(gwtrees.__file__).parents[1]))
     code = "import gwtrees, sys; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -37,3 +37,20 @@ def test_stable_numerics_skip_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test oracle only: the CLI, the exact tables (FFT branch included),
+    # the stable numerics and the sampler run on numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(gwtrees.__file__).parents[1]))
+    code = ("import sys, gwtrees, gwtrees.cli, gwtrees.limits\n"
+            "from gwtrees import exactlaw\n"
+            "law, s15 = gwtrees.StableLaw(1.5), gwtrees.make_stable_family(1.5)\n"
+            "gwtrees.density_p1(law, [0.3, 1.0]); gwtrees.passage_integral(law, 0.5, 1.0)\n"
+            "exactlaw.walk_pmf(s15, 512); exactlaw.meander_pmf(s15, 64, 128)\n"
+            "gwtrees.sample_conditioned(s15, 1000, rng_seed=0)\n"
+            "print(exactlaw._fast_len.cache_info().currsize > 0)\n"  # the FFT branch ran
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["True", "[]"]

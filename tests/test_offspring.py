@@ -75,6 +75,35 @@ class TestStableFamily:
             tail = law.tail_mass(np.arange(k0 - 200 if k0 > 200 else 0, k0 + 200))
             assert np.all(np.diff(tail) < 0)
 
+    @pytest.mark.parametrize("theta", [1.005, 1.02, 1.05, 1.2, 1.5, 1.9])
+    def test_support_cap_bracket(self, theta, monkeypatch):
+        # one tail_mass call over guess -+ 64 gives the bisection's answer; at
+        # theta = 1.005, eps = 1e-20 (K ~ 4e17, past float resolution) the scan
+        # misses and the bisection runs
+        law = off.make_stable_family(theta)
+
+        def bisect(eps):
+            hi = max(2, int((law.tail_constant / (theta * eps)) ** (1.0 / theta)))
+            while law.tail_mass(hi) > eps:
+                hi *= 2
+            lo = 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if law.tail_mass(mid) > eps else (lo, mid)
+            return hi
+
+        calls = []
+        tail_mass = off.OffspringLaw.tail_mass
+        monkeypatch.setattr(off.OffspringLaw, "tail_mass",
+                            lambda self, k: calls.append(k) or tail_mass(self, k))
+        for eps in (1e-18, 1e-15, 1e-12, 1e-6) + ((1e-20,) if theta == 1.005 else ()):
+            calls.clear()
+            got = law.support_cap(eps)
+            assert (len(calls) == 1) == (eps != 1e-20)
+            assert got == bisect(eps)
+            if eps != 1e-20:
+                assert law.tail_mass(got) <= eps < law.tail_mass(got - 1)
+
     def test_mean_is_one(self, stable15):
         cap, th = 10_000, 1.5
         k = np.arange(cap + 1)

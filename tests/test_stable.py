@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 from scipy.special import gamma as gamma_fn
+from scipy.special import zeta
 
 from gwtrees import exactlaw as ex
 from gwtrees import stable as stb
@@ -126,6 +127,19 @@ class TestDensityP1:
         for xs in (near, far):
             err = np.max(np.abs(stb._p1_quadrature(law, xs) - gl_p1(law, xs)))
             assert err <= law.abs_tol
+
+    @pytest.mark.parametrize("theta", [1.02, 1.05, 1.2, 1.5, 1.9])
+    def test_hurwitz_zeta_against_scipy(self, theta):
+        # the tail-series exponents s = 1 + k theta + order of _tail_series and the
+        # grid's error bound, over a in [1e-3, 200] and at the bound's a = 1 - 16/128
+        a = np.geomspace(1e-3, 200.0, 801)
+        a0 = 1.0 - stb._LEFT_CUT / stb._PERIOD
+        for k in range(1, 7):
+            for order in range(3):
+                s = 1.0 + k * theta + order
+                got = stb._hurwitz_zeta(s, a)
+                assert np.max(np.abs(got / zeta(s, a) - 1.0)) <= 1e-14
+                assert abs(float(stb._hurwitz_zeta(s, a0)) / zeta(s, a0) - 1.0) <= 1e-14
 
     def test_theta_near_one(self):
         # theta = 1.02 needs dx = 2^-11, four interleaved transforms of 2^16 points;
@@ -256,6 +270,13 @@ class TestPassageIntegral:
                        limit=400)
         tail = stb.passage_integral(S15, 400.0, 1.0)
         assert got == pytest.approx(body + tail, abs=1e-7)
+
+    def test_erf_against_scipy(self):
+        # the theta = 2 closed form and the excursion CDF map math.erf over arrays
+        xs = np.linspace(-6.0, 6.0, 24001)
+        assert np.max(np.abs(stb._erf(xs) - erf(xs))) <= 4.5e-16
+        assert stb._erf(xs[1:].reshape(3, -1)).shape == (3, 8000)
+        assert stb.passage_integral(G2, 0.5, 1.0) == float(stb._erf(1.0 / (2 * math.sqrt(0.5))))
 
     def test_monotone_in_lower(self):
         vals = [stb.passage_integral(S15, lo, 1.0) for lo in (0.0, 0.25, 1.0, 4.0)]
