@@ -8,27 +8,30 @@ most 1 per step.  That skip-free structure gives two workhorses:
   Keane 2008, Amer. Math. Monthly 115, give a short proof).  It also advances
   the killed walk (meander) a block of steps per convolution: the mass that
   first leaves [0, inf) at each step of the block is read off W_s tables, and
-  its free continuation from -1 is subtracted.  The same block, run backward
-  on the probability of hitting -1 within t steps, gives phi*;
+  its free continuation from -1 is subtracted; the mass killed at step t is
+  P[zeta = t].  The same block, run backward on the probability of hitting -1
+  within t steps, is a correlation with no ceiling and gives phi*;
 * ceiling protection: when building the law of W_n by convolution, any mass
   clipped above ``hi + (n - m)`` at an intermediate step m can never return
   below ``hi`` within the remaining n - m steps, so the final table is exact on
   [-n, hi] no matter how heavy the step tail is.  The clipped mass is tracked
-  in ``truncated_mass``.  ``_advance`` makes every such convolution step.
+  in ``truncated_mass``.  ``_advance`` clips every such ceiling: binary
+  powering, the block tables and the killed walk's free step all go through it.
 
 "Exact" means that no mass is lost on the protected window.  Large convolutions
 run on a real FFT, whose rounding is absolute (up to 2.5e-16 on a theta = 1.5
 W_512 table, against direct summation): smaller entries have no relative
 accuracy, and trailing entries below the rounding bound are trimmed as noise.
 
-Total-progeny laws are computed along two independent routes (Kemperman from
-walk tables, and the branching recursion through the generating function) and
-cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n] for all j are read
-off one ``walk_pmf(law, n, 0)`` table, and phi*_n(j) = P[zeta_j >= n] for all j
-come from n/16 block convolutions.  Walk, progeny and meander tables share one
-type, ``PmfTable``.  Every function takes the ``OffspringLaw`` (``_step_table``
-applies the shift), and the progeny law, the W_n tables, the phi* profile and
-the meander are each cached per law, built once per process.
+Total-progeny laws are computed along two independent routes (the killed
+walk's per-step loss, and the branching recursion through the generating
+function) and cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n]
+for all j are read off one ``walk_pmf(law, n, 0)`` table, and
+phi*_n(j) = P[zeta_j >= n] for all j come from n/16 block convolutions.  Walk,
+progeny and meander tables share one type, ``PmfTable``.  Every function takes
+the ``OffspringLaw`` (``_step_table`` applies the shift), and the progeny law,
+the W_n tables, the phi* profile and the meander are each cached per law,
+built once per process.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -182,12 +185,13 @@ def _step_table(law: OffspringLaw, hi: int) -> Tuple[int, np.ndarray]:
     return -1, law.probabilities(min(hi, max(cap, 1)) + 1)
 
 
-def _walk_table_raw(law: OffspringLaw, n: int, hi_eval: int) -> Tuple[int, np.ndarray]:
+@lru_cache(maxsize=256)
+def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     """Law of W_n, exact on [-n, hi_eval], by binary-decomposition convolution.
 
     Intermediate m-step tables are clipped at hi_eval + (n - m); the walk cannot
     descend more than n - m in the remaining steps, so clipped mass never
-    contaminates the protected window.
+    contaminates the protected window.  Cached per (law, n, hi_eval).
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
@@ -207,17 +211,15 @@ def _walk_table_raw(law: OffspringLaw, n: int, hi_eval: int) -> Tuple[int, np.nd
         if bits:
             pw_off, pw = _advance(pw_off, pw, pw_off, pw, hi_eval + (n - 2 * pw_m))
             pw_m *= 2
-    return acc_off, acc
+    return PmfTable(acc_off, acc, max(0.0, 1.0 - float(acc.sum())), hi_eval)
 
 
-@lru_cache(maxsize=256)
 def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
     """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi].
 
     With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
     has a usable support cap K, otherwise exact_hi defaults to a bulk window of
-    ~64 * n^(1/theta).  Tables are cached per law; the cache keys ``f(law, n, 0)``
-    and ``f(law, n, exact_hi=0)`` apart, so callers pass exact_hi positionally.
+    ~64 * n^(1/theta).  Tables are cached per law, n and resolved exact_hi.
     """
     if exact_hi is None:
         cap = law.support_cap(1e-18) - 1  # of nu
@@ -227,24 +229,7 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
             exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
     if exact_hi < 1 - n:
         raise ExactLawError("exact_hi below the walk's minimum")
-    off, arr = _walk_table_raw(law, n, exact_hi)
-    return PmfTable(off, arr, max(0.0, 1.0 - float(arr.sum())), exact_hi)
-
-
-def _walk_tables_iter(
-    law: OffspringLaw, n: int, hi_eval: int
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (m, offset, table of W_m) for m = 1..n, exact on [-m, hi_eval] each.
-
-    A single moving ceiling hi_eval + (n - m) keeps every intermediate table
-    exact on (-inf, hi_eval] for all later steps as well.
-    """
-    t_off, t1 = _step_table(law, hi_eval + (n - 1))
-    off, arr, memo = t_off, t1, {}
-    yield 1, off, arr
-    for m in range(2, n + 1):
-        off, arr = _advance(off, arr, t_off, t1, hi_eval + (n - m), memo=memo)
-        yield m, off, arr
+    return _walk_table(law, n, exact_hi)
 
 
 def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -255,8 +240,10 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray]
     Steps beyond top + J and mass above the moving ceiling top + 1 + (J - s)
     cannot reach [-s, top + 1].
     """
-    # copies, not views that pin the wider conv outputs
-    walks = [np.ones(1)] + [w.copy() for _, _, w in _walk_tables_iter(law, J, top + 1)]
+    off, step = _step_table(law, top + J)
+    walks, memo = [np.ones(1), step], {}
+    for s in range(2, J + 1):  # copies, not views that pin the wider conv outputs
+        walks.append(_advance(1 - s, walks[-1], off, step, top + 1 + J - s, memo)[1].copy())
     kem = np.zeros((J, J))
     for s in range(1, J + 1):
         kem[s - 1, :s] = walks[s][s - 1 :: -1] * np.arange(1, s + 1) / s
@@ -329,17 +316,14 @@ def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
 def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
     """Exact law of the total progeny on {1..n_max}.
 
-    Computed twice, as (1/n) P[W_n = -1] from iterated walk tables (Kemperman)
-    and by the branching recursion; fails loudly if the two routes disagree
-    beyond MASS_TOL.
+    Computed twice, as the mass the killed walk from 0 loses at each step (read
+    off walk tables by Kemperman, see ``_killed_walk``) and by the branching
+    recursion; fails loudly if the two routes disagree beyond MASS_TOL.
     """
     if n_max < 1:
         raise ExactLawError("n_max must be >= 1")
-    kem = np.zeros(n_max + 1)
-    for m, off, arr in _walk_tables_iter(law, n_max, hi_eval=0):
-        i = -1 - off
-        if 0 <= i < arr.size:
-            kem[m] = arr[i] / m
+    # the ceiling n_max - t at step t clips only mass that cannot reach -1 by n_max
+    kem = np.append(0.0, _killed_walk(law, n_max, 0)[2])
     rec = progeny_rho(law, n_max)
     gap = float(np.max(np.abs(kem - rec)))
     if gap > MASS_TOL:
@@ -451,31 +435,31 @@ def discrete_ratio_window(
 # -- killed walk (meander) ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
-    """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
+def _killed_walk(law: OffspringLaw, m: int,
+                 exact_hi: int) -> Tuple[np.ndarray, float, np.ndarray]:
+    """The walk from 0 killed on leaving [0, inf), after m steps: its table on
+    [0, ...] (exact up to exact_hi), the alive mass clipped at the moving
+    ceiling, and the mass killed at each step t = 1..m, which is P[zeta = t].
 
-    The moving ceiling starts at exact_hi + m and falls by one per step; mass
-    clipped at it is returned in ``truncated_mass`` (it all lives strictly above
-    the exact range).  The table's total plus truncated_mass equals P[zeta_1 > m].
-
-    Blocks of r <= MEANDER_BLOCK steps advance the killed table v at once: a
-    path from x first leaves [0, inf) at step s with probability
-    (x+1)/s P[W_s = -(x+1)] (Kemperman), and then sits at -1, so
+    The ceiling starts at exact_hi + m and falls by one per step, so the clipped
+    mass lives strictly above the exact range.  Blocks of r <= MEANDER_BLOCK
+    steps advance the killed table v at once: a path from x first leaves
+    [0, inf) at step s with probability (x+1)/s P[W_s = -(x+1)] (Kemperman), and
+    then sits at -1, so
     v'(k) = sum_x v(x) P[W_r = k-x] - sum_{s<r} h_s P[W_{r-s} = k+1] for k >= 0,
     with h_s = sum_{x<s} v(x) (x+1)/s P[W_s = -(x+1)] the mass killed at step s.
     """
-    if m < 1:
-        raise ExactLawError("m must be >= 1")
     top = exact_hi + m  # ceiling at step 0
     J = min(MEANDER_BLOCK, m)
     walks, kem = _block_tables(law, top, J)
     v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
+    killed = np.zeros(m)
     while t < m:
         r = min(J, m - t)
         t += r
-        free = _conv(v, walks[r], memo if r == J else None)[r : top - t + 1 + r]
+        free = _advance(0, v, -r, walks[r], top - t, memo if r == J else None)[1][r:]
         h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
+        killed[t - r : t] = h
         for s in range(1, r):  # killed at step s, then r - s free steps from -1
             seg = walks[r - s][r - s + 1 : r - s + 1 + free.size]  # P[W_{r-s} = k + 1]
             free[: seg.size] -= h[s - 1] * seg
@@ -483,9 +467,23 @@ def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
         # alive mass not kept: above the ceiling, or jumps beyond the step table
         clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
         v = free
+    return v, clipped, killed
+
+
+@lru_cache(maxsize=32)
+def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
+    """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
+
+    Mass clipped at the moving ceiling exact_hi + m - t is returned in
+    ``truncated_mass``; the table's total plus truncated_mass equals
+    P[zeta_1 > m].  See ``_killed_walk``.
+    """
+    if m < 1:
+        raise ExactLawError("m must be >= 1")
+    v, clipped, _ = _killed_walk(law, m, exact_hi)
     return PmfTable(
         offset=0,
-        masses=np.pad(v, (0, top - m + 1 - v.size)),  # spans [0, exact_hi]
+        masses=np.pad(v, (0, exact_hi + 1 - v.size)),  # spans [0, exact_hi]
         truncated_mass=max(0.0, clipped),
         exact_hi=exact_hi,
     )

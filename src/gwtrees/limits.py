@@ -122,7 +122,7 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
                     "window_scale": LLT_WINDOW_SCALE},
         statistics=stats,
         tolerances=gates,
-        passed=bool(passed) if len(n_list) >= 2 else False,
+        passed=bool(passed),
         notes="" if len(n_list) >= 2 else "needs >= 2 sizes for the decay gate",
         wall_time_s=time.time() - t0,
     )
@@ -320,7 +320,6 @@ def height_contour_gap_experiment(
     """
     t0 = time.time()
     law.require_critical("height_contour_gap_experiment")
-    means, viols = [], 0
 
     def one(n: int, rep: int) -> tuple:
         rng = derive_rng(seed, n, rep)
@@ -345,13 +344,12 @@ def height_contour_gap_experiment(
         bad = int(np.sum(dev > allowed))
         return gap, bad
 
-    per_n = []
+    means, viols = [], 0
     for n in n_list:
         res = [one(n, r) for r in range(replicates)]
         scale = calibrate_bn(law, n) / n
-        per_n.append(float(np.mean([g for g, _ in res]) * scale))
+        means.append(float(np.mean([g for g, _ in res]) * scale))
         viols += sum(b for _, b in res)
-    means = per_n
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
     stats = {"n_list": list(n_list), "mean_gap": means, "ineq_violations": viols}
     passed = decreasing and viols == 0

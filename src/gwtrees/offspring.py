@@ -39,6 +39,9 @@ __all__ = [
 SUM_TOL = 1e-12
 CRIT_TOL = 1e-10
 LAMBDA_TOL = 1e-12
+# Largest offspring value served: support_cap raises past it, and the sampler's
+# tail draws saturate at it (no tree of fewer vertices holds one).
+VALUE_CEIL = 1 << 62
 
 
 class LawError(ValueError):
@@ -105,7 +108,7 @@ class OffspringLaw:
         return _family_probs(self.family, float(self.param), self.theta, k_max)
 
     def support_cap(self, eps: float) -> int:
-        """Smallest K with tail_mass(K) <= eps."""
+        """Smallest K with tail_mass(K) <= eps; LawError if K would pass VALUE_CEIL."""
         if self.family == "explicit":
             return self.probs.size - 1
         if self.family == "geometric":
@@ -114,13 +117,16 @@ class OffspringLaw:
         # stable family: tail(K) ~ (c/theta) K^-theta; scan guess -+ 64 in one call,
         # else bisect from 1 up to the doubled guess
         c = float(self.tail_constant)
-        hi = max(2, int((c / (self.theta * eps)) ** (1.0 / self.theta)))
-        ks = np.arange(max(2, hi - 64), hi + 65)
+        hi = min(max(2, int((c / (self.theta * eps)) ** (1.0 / self.theta))), VALUE_CEIL)
+        ks = np.arange(max(2, hi - 64), min(hi + 65, VALUE_CEIL + 1))
         below = np.flatnonzero(self.tail_mass(ks) <= eps)
         if below.size and (below[0] > 0 or ks[0] == 2):
             return int(ks[below[0]])
         while self.tail_mass(hi) > eps:
-            hi *= 2
+            if hi == VALUE_CEIL:
+                floor = float(self.tail_mass(VALUE_CEIL))
+                raise LawError(f"support_cap serves eps >= {floor!r} for this law, got {eps!r}")
+            hi = min(2 * hi, VALUE_CEIL)
         lo = 1
         while hi - lo > 1:
             mid = (lo + hi) // 2

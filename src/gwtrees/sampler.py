@@ -40,7 +40,7 @@ import numpy as np
 
 from .codings import LukasiewiczPath, Tree
 from .exactlaw import enumerate_conditioned, progeny_rho, walk_pmf
-from .offspring import OffspringLaw, tilt_to_critical
+from .offspring import VALUE_CEIL, OffspringLaw, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -54,7 +54,6 @@ __all__ = [
 
 HEAD_TARGET = 8  # expected rest draws per block: n P[mu > K] at the head's edge K
 BATCH = 64  # blocks per multinomial call
-_VALUE_CEIL = 1 << 62  # tail draws saturate here; no tree of fewer vertices holds one
 
 
 class SamplerError(RuntimeError):
@@ -76,8 +75,8 @@ def _tail_quantile(law: OffspringLaw, kmin: int, us: np.ndarray) -> np.ndarray:
     """
     target = np.maximum(law.tail_mass(kmin - 1) - np.asarray(us, dtype=float), 1e-300)
     hi = np.full(target.shape, max(2 * kmin, kmin + 4), dtype=np.int64)
-    while (grow := (hi < _VALUE_CEIL) & (law.tail_mass(hi) >= target)).any():
-        hi[grow] = np.minimum(2 * hi[grow], _VALUE_CEIL)
+    while (grow := (hi < VALUE_CEIL) & (law.tail_mass(hi) >= target)).any():
+        hi[grow] = np.minimum(2 * hi[grow], VALUE_CEIL)
     lo = np.full(target.shape, kmin, dtype=np.int64)
     while (open_ := lo < hi).any():
         mid = lo + (hi - lo) // 2
@@ -134,18 +133,17 @@ def _step_sampler(law: OffspringLaw, n: int) -> _StepSampler:
 # -- unconditioned sampling ------------------------------------------------------
 
 
-def sample_gw(law: OffspringLaw, size_cap: int, rng_seed: int) -> Optional[Tree]:
+def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Optional[Tree]:
     """One GW tree, or None when the tree exceeds size_cap vertices.
 
     The preorder degree sequence is generated chunk-wise; the tree is complete
     at the first index where 1 + sum(c_i - 1) hits zero (first passage of the
-    Lukasiewicz path).  Deterministic given the seed.
+    Lukasiewicz path).  Deterministic given the state of rng.
     """
     if size_cap < 1:
         raise SamplerError("size_cap must be >= 1")
     if law.mean > 1.0 + 1e-10:
         raise SamplerError("sample_gw needs a (sub)critical law; tilt first")
-    rng = derive_rng(rng_seed)
     steps = _step_sampler(law, size_cap)
     chunks: List[np.ndarray] = []
     open_slots = 1
@@ -177,12 +175,7 @@ def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
     return tilt_to_critical(law)
 
 
-def conditioned_increments(
-    law: OffspringLaw,
-    n: int,
-    rng_seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
+def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. steps nu(k) = mu(k+1) conditioned on summing to -1 (exact distribution).
 
     The steps are drawn on the critical tilt of mu, which leaves their
@@ -190,8 +183,6 @@ def conditioned_increments(
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
-    if rng is None:
-        rng = derive_rng(rng_seed)
     if n == 1:
         return np.array([-1], dtype=np.int64)
     steps = _step_sampler(_critical_tilt(law), n)
@@ -247,12 +238,7 @@ def cycle_shift(increments: np.ndarray) -> LukasiewiczPath:
     return LukasiewiczPath(np.concatenate([[0], np.cumsum(_first_passage_rotation(increments))]))
 
 
-def sample_conditioned(
-    law: OffspringLaw,
-    n: int,
-    rng_seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> Tree:
+def sample_conditioned(law: OffspringLaw, n: int, rng: np.random.Generator) -> Tree:
     """One tree exactly distributed as GW_mu conditioned on {zeta = n}.
 
     Serves any law with a critical tilt, at the critical law's acceptance rate,
@@ -270,7 +256,7 @@ def sample_conditioned(
     span = law.span
     if n > 1 and (span == 0 or (n - 1) % span):
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
-    inc = conditioned_increments(law, n, rng_seed, rng)
+    inc = conditioned_increments(law, n, rng)
     return Tree(_first_passage_rotation(inc) + 1)
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from gwtrees import (
     check_absolute_continuity,
+    derive_rng,
     enumerate_conditioned,
     make_geometric,
     make_stable_family,
@@ -255,12 +256,12 @@ def test_criterion_9_performance():
     times = []
     for seed in range(5):
         t0 = time.time()
-        tree = sample_conditioned(GEO, 10**6, rng_seed=seed)
+        tree = sample_conditioned(GEO, 10**6, rng=derive_rng(seed))
         times.append(time.time() - t0)
         assert tree.zeta == 10**6
     median = sorted(times)[2]
 
-    big = sample_conditioned(GEO, 10**7, rng_seed=77)
+    big = sample_conditioned(GEO, 10**7, rng=derive_rng(77))
     t0 = time.time()
     walk = walk_from_tree(big)
     h1 = height_from_walk(walk)

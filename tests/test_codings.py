@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gwtrees import codings as cod
 from gwtrees import (
+    derive_rng,
     enumerate_conditioned,
     make_geometric,
     make_stable_family,
@@ -23,10 +24,10 @@ def random_tree(seed, n=None):
     if n is None:
         t = None
         while t is None:
-            t = sample_gw(GEO, 4000, rng_seed=seed)
+            t = sample_gw(GEO, 4000, rng=derive_rng(seed))
             seed += 1_000_003
         return t
-    return sample_conditioned(GEO, n, rng_seed=seed)
+    return sample_conditioned(GEO, n, rng=derive_rng(seed))
 
 
 # -- oracle: the monotone-stack height passes, one per input coding -------------
@@ -92,7 +93,7 @@ class TestWalk:
             assert cod.tree_from_walk(cod.walk_from_tree(t)) == t
         # plus a large batch of small conditioned ones
         for seed in range(10_000):
-            t = sample_conditioned(GEO, 1 + seed % 17, rng_seed=seed)
+            t = sample_conditioned(GEO, 1 + seed % 17, rng=derive_rng(seed))
             assert cod.tree_from_walk(cod.walk_from_tree(t)) == t
 
     def test_invalid_walks_rejected(self):
@@ -130,7 +131,7 @@ class TestHeights:
     @pytest.mark.parametrize("family", ["geometric", "stable15"])
     def test_routes_agree_large(self, family, request):
         law = request.getfixturevalue(family)
-        assert_heights_match_oracle(sample_conditioned(law, 10**5 + 1, rng_seed=1))
+        assert_heights_match_oracle(sample_conditioned(law, 10**5 + 1, rng=derive_rng(1)))
 
     def test_heights_cached_read_only(self):
         t = random_tree(3)

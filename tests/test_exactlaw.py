@@ -63,6 +63,17 @@ def stepwise_meander(law, m, hi_eval, protect):
     return cur, max(0.0, clipped)
 
 
+def stepwise_walk_tables(law, n, hi_eval):
+    """Oracle: (m, offset, table of W_m) for m = 1..n, one convolution per step under
+    the moving ceiling hi_eval + (n - m), so every table is exact on [-m, hi_eval]."""
+    _, nu = ex._step_table(law, hi_eval + n - 1)  # nu on [-1, ...]
+    cur = nu
+    yield 1, -1, cur
+    for m in range(2, n + 1):
+        cur = untrimmed_conv(cur, nu)[: hi_eval + n + 1]  # on [-m, hi_eval + n - m]
+        yield m, -m, cur
+
+
 def rho_power_profiles(law, p, j_max):
     """Oracle: (phi_p(j), phi*_p(j)) for j = 1..j_max <= p from convolution powers
     of the recursion progeny law, phi_p(j) = rho^(*j)(p) and
@@ -81,14 +92,14 @@ def rho_power_profiles(law, p, j_max):
 
 def kemperman_phi_star(law, p_list):
     """Oracle: {p: phi*_p(j), j = 1..p} as 1 - sum_{q<p} (j/q) P[W_q = -j], the walk
-    tables W_1..W_{p-1} taken from the one-step loop."""
+    tables W_1..W_{p-1} taken from the one-step oracle."""
     p_max = max(p_list)
     out, acc = {}, np.zeros(p_max)  # acc[j - 1] = sum_{q<p} phi_q(j)
     js = np.arange(1, p_max + 1)
     if 1 in p_list:
         out[1] = np.ones(1)
     if p_max > 1:
-        for q, off, arr in ex._walk_tables_iter(law, p_max - 1, hi_eval=0):
+        for q, off, arr in stepwise_walk_tables(law, p_max - 1, 0):
             i = -js - off
             ok = (i >= 0) & (i < arr.size)
             acc[ok] += js[ok] / q * arr[i[ok]]
@@ -190,12 +201,19 @@ class TestProgeny:
         assert abs(ex.progeny_pmf(stable15, 3).prob(1) - 2 / 3) < 1e-15
 
     def test_routes_cross_checked(self, geometric, stable15):
-        for law in (geometric, stable15):
-            kem = np.array([arr[-1 - off] / m if 0 <= -1 - off < arr.size else 0.0
-                            for m, off, arr in ex._walk_tables_iter(law, 48, hi_eval=0)])
-            gap = np.max(np.abs(kem - ex.progeny_rho(law, 48)[1:]))
-            assert gap < 1e-13
-            ex.progeny_pmf(law, 48)  # raises on disagreement
+        # the killed walk's per-step loss (blocks of 16 steps) against the branching
+        # recursion, the one-step oracle and P[W_m = -1] / m from one W_m table each
+        for law, n_max in itertools.product((geometric, stable15), (1, 15, 16, 17, 48, 4096)):
+            block = np.append(0.0, ex._killed_walk(law, n_max, 0)[2])
+            assert np.max(np.abs(block - ex.progeny_rho(law, n_max))) < 1e-13
+            ex.progeny_pmf(law, n_max)  # raises on disagreement
+            if n_max > 48:
+                continue
+            one_step = [arr[-1 - off] / m if 0 <= -1 - off < arr.size else 0.0
+                        for m, off, arr in stepwise_walk_tables(law, n_max, 0)]
+            assert np.max(np.abs(block[1:] - one_step)) < 1e-13
+            by_table = [ex.walk_pmf(law, m, 0).prob(-1) / m for m in range(1, n_max + 1)]
+            assert np.max(np.abs(block[1:] - by_table)) < 1e-13
 
     def test_explicit_law_recursion(self):
         law = make_explicit([0.5, 0.0, 0.5])
@@ -419,7 +437,7 @@ class TestTableCache:
         from gwtrees.offspring import make_geometric
 
         law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
-        caches = (ex.meander_pmf, ex.walk_pmf, ex._phi_star_profile)
+        caches = (ex.meander_pmf, ex._walk_table, ex._phi_star_profile)
         before = [c.cache_info() for c in caches]
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
@@ -440,6 +458,10 @@ class TestTableCache:
 
         mea = ex.meander_pmf(geometric, 8, 16)
         assert mea is ex.meander_pmf(geometric, 8, 16)
+        # positional, keyword and resolved-default calls share one cache entry
+        assert ex.walk_pmf(geometric, 64, exact_hi=0) is ex.walk_pmf(geometric, 64, 0)
+        full = ex.walk_pmf(geometric, 64)
+        assert full is ex.walk_pmf(geometric, 64, exact_hi=full.exact_hi)
         cached = (mea.masses, ex.progeny_rho(geometric, 64),
                   ex.walk_pmf(geometric, 64, 0).masses, ex._phi_star_profile(geometric, 64))
         assert not any(arr.flags.writeable for arr in cached)
@@ -450,9 +472,9 @@ class TestTableCache:
 
         law = make_geometric(0.5)  # fresh: nothing cached
         ex.phi(law, 5, 1)
-        before = ex.walk_pmf.cache_info()
+        before = ex._walk_table.cache_info()
         analytic_sampler_law(law, 5)
-        after = ex.walk_pmf.cache_info()
+        after = ex._walk_table.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
 
     def test_standalone_marginal_builds_one_meander(self):

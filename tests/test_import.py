@@ -48,7 +48,7 @@ def test_runtime_imports_no_scipy():
             "law, s15 = gwtrees.StableLaw(1.5), gwtrees.make_stable_family(1.5)\n"
             "gwtrees.density_p1(law, [0.3, 1.0]); gwtrees.passage_integral(law, 0.5, 1.0)\n"
             "exactlaw.walk_pmf(s15, 512); exactlaw.meander_pmf(s15, 64, 128)\n"
-            "gwtrees.sample_conditioned(s15, 1000, rng_seed=0)\n"
+            "gwtrees.sample_conditioned(s15, 1000, rng=gwtrees.derive_rng(0))\n"
             "print(exactlaw._fast_len.cache_info().currsize > 0)\n"  # the FFT branch ran
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

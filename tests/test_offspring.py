@@ -104,6 +104,13 @@ class TestStableFamily:
             if eps != 1e-20:
                 assert law.tail_mass(got) <= eps < law.tail_mass(got - 1)
 
+    def test_support_cap_past_value_ceil(self):
+        # K ~ 4e18 is served; an eps whose K would pass 2^62 names the smallest eps served
+        law = off.make_stable_family(1.005)
+        assert law.support_cap(1e-21) == 4004321494414955777
+        with pytest.raises(off.LawError, match="serves eps >= 8.67"):
+            law.support_cap(1e-22)
+
     def test_mean_is_one(self, stable15):
         cap, th = 10_000, 1.5
         k = np.arange(cap + 1)

@@ -44,7 +44,7 @@ class TestSampleGw:
     def test_cap_one_is_single_node_or_signal(self, geometric):
         hits = 0
         for seed in range(4000):
-            t = sample_gw(geometric, 1, rng_seed=seed)
+            t = sample_gw(geometric, 1, rng=derive_rng(seed))
             if t is not None:
                 assert t.zeta == 1
                 hits += 1
@@ -55,7 +55,7 @@ class TestSampleGw:
         counts = Counter()
         n_draws = 20_000
         for seed in range(n_draws):
-            t = sample_gw(geometric, 500, rng_seed=seed)
+            t = sample_gw(geometric, 500, rng=derive_rng(seed))
             if t is not None:
                 counts[t.zeta] += 1
         for n, want in ((1, 0.5), (3, catalan(2) * 2.0**-5)):
@@ -64,15 +64,15 @@ class TestSampleGw:
 
     def test_supercritical_rejected(self):
         with pytest.raises(SamplerError):
-            sample_gw(make_geometric(0.7), 10, rng_seed=0)
+            sample_gw(make_geometric(0.7), 10, rng=derive_rng(0))
 
     def test_deterministic(self, geometric):
-        a = sample_gw(geometric, 1000, rng_seed=99)
-        b = sample_gw(geometric, 1000, rng_seed=99)
+        a = sample_gw(geometric, 1000, rng=derive_rng(99))
+        b = sample_gw(geometric, 1000, rng=derive_rng(99))
         assert (a is None and b is None) or a == b
 
     def test_heavy_tail_trees_valid(self, stable15):
-        trees = [sample_gw(stable15, 10_000, rng_seed=seed) for seed in range(50)]
+        trees = [sample_gw(stable15, 10_000, rng=derive_rng(seed)) for seed in range(50)]
         done = [t for t in trees if t is not None]
         assert done  # Tree() itself rejects an invalid degree sequence
         assert all(t.zeta <= 10_000 for t in done)
@@ -123,7 +123,7 @@ class TestStepSampler:
 
 class TestConditionedIncrements:
     def test_n1(self, geometric):
-        assert conditioned_increments(geometric, 1, rng_seed=0).tolist() == [-1]
+        assert conditioned_increments(geometric, 1, rng=derive_rng(0)).tolist() == [-1]
 
     def test_n3_uniform_over_admissible(self, geometric):
         # every admissible block has nu-probability 2^-(2n-1): 6 triples with
@@ -146,7 +146,7 @@ class TestConditionedIncrements:
                 assert abs(counts[seq] / n_draws - 1 / size) < 4 * se
 
     def test_sum_and_steps(self, stable15):
-        seq = conditioned_increments(stable15, 64, rng_seed=5)
+        seq = conditioned_increments(stable15, 64, rng=derive_rng(5))
         assert seq.sum() == -1 and seq.min() >= -1 and seq.size == 64
 
 
@@ -186,7 +186,7 @@ class TestCycleShift:
 class TestSampleConditioned:
     def test_n2_unique_tree(self, geometric):
         for seed in range(50):
-            t = sample_conditioned(geometric, 2, rng_seed=seed)
+            t = sample_conditioned(geometric, 2, rng=derive_rng(seed))
             assert t.child_counts.tolist() == [1, 0]
 
     def test_n3_even_split(self, geometric):
@@ -220,7 +220,7 @@ class TestSampleConditioned:
                        (make_geometric(0.4), 1000), (make_geometric(0.2), 2000),
                        (path_law, 1), (path_law, 60), (path_law, 1100),
                        (geometric, 1), (stable15, 1), (make_explicit([1.0]), 1)):
-            assert sample_conditioned(law, n, rng_seed=3).zeta == n
+            assert sample_conditioned(law, n, rng=derive_rng(3)).zeta == n
 
     def test_subcritical_chi_square_against_enumeration(self):
         # mean 0.8, so rejection runs on the critical tilt of [0.5, 0.2, 0.3]
@@ -243,17 +243,17 @@ class TestSampleConditioned:
     def test_zero_probability_size(self, stable15):
         # the stable family has mu(1) = 0, so no tree with exactly 2 vertices
         with pytest.raises(SamplerError):
-            sample_conditioned(stable15, 2, rng_seed=0)
+            sample_conditioned(stable15, 2, rng=derive_rng(0))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_size_fails_fast(self, geometric, n):
         with pytest.raises(SamplerError, match="n must be >= 1"):
-            sample_conditioned(geometric, n, rng_seed=0)
+            sample_conditioned(geometric, n, rng=derive_rng(0))
 
     def test_off_lattice_size_fails_fast(self):
         # support {0, 2} has span 2: zeta is always odd, beyond the exact check too
         with pytest.raises(SamplerError, match="span"):
-            sample_conditioned(make_explicit([0.5, 0.0, 0.5]), 4098, rng_seed=0)
+            sample_conditioned(make_explicit([0.5, 0.0, 0.5]), 4098, rng=derive_rng(0))
 
     def test_same_seed_same_tree_and_thread_independence(self, geometric):
         serial = [sample_conditioned(geometric, 64, rng=derive_rng(7, i)) for i in range(8)]

@@ -16,7 +16,7 @@ from scipy.special import zeta
 from gwtrees import exactlaw as ex
 from gwtrees import stable as stb
 from gwtrees.offspring import make_stable_family
-from gwtrees.sampler import sample_conditioned
+from gwtrees.sampler import derive_rng, sample_conditioned
 
 G2 = stb.StableLaw(2.0)
 S13 = stb.StableLaw(1.3)
@@ -162,7 +162,7 @@ class TestDensityP1:
         table = ex.walk_pmf(law, 64)
         assert table.exact_hi > 64 and table.truncated_mass > 0.0
         ex.progeny_pmf(law, 32)  # walk tables against the recursion, 1e-12
-        assert sample_conditioned(law, 50, rng_seed=1).zeta == 50
+        assert sample_conditioned(law, 50, rng=derive_rng(1)).zeta == 50
 
     @pytest.mark.parametrize("law", HEAVY, ids=lambda l: f"theta={l.theta}")
     def test_against_levy_stable(self, law, monkeypatch):
@@ -378,7 +378,6 @@ class TestMonteCarloConsistency:
     def test_walk_histogram_vs_density(self, geometric):
         # 1e5 samples of W_n / B_n at n = 4096 against the Gaussian limit CDF
         from gwtrees import calibrate_bn
-        from gwtrees.sampler import derive_rng
 
         n, draws = 4096, 100_000
         cap = geometric.support_cap(1e-15)
