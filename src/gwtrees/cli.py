@@ -88,7 +88,13 @@ _EMIT = {  # --emit -> (time column, value column, coding of a tree)
 }
 
 
+def _check_n(args) -> None:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+
+
 def _cmd_sample(args) -> int:
+    _check_n(args)
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     law = _load_law(args.law)
@@ -126,7 +132,8 @@ def _cmd_exact(args) -> int:
     elif args.what == "ratio":
         out["a"] = args.a
         out["k"] = args.k
-        out["ratio"] = exactlaw.discrete_ratio(law, args.n, args.a, args.k)
+        window = exactlaw.discrete_ratio_window(law, args.n, args.a, args.k, args.k)
+        out["ratio"] = float(window[0])
     elif args.what == "ac-check":
         rep = exactlaw.check_absolute_continuity(law, args.n, args.a)
         out.update(rep.to_dict())
@@ -228,6 +235,9 @@ def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
 
 
 def _cmd_codings(args) -> int:
+    _check_n(args)
+    if args.rescale_points < 0 or args.rescale_points == 1:
+        raise ValueError(f"--rescale-points must be 0 (none) or >= 2, got {args.rescale_points}")
     law = _load_law(args.law)
     b_n = calibrate_bn(law, args.n) if args.rescale_points else None  # before any tree is drawn
     seed = _resolve_seed(args)

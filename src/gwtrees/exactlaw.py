@@ -55,7 +55,6 @@ __all__ = [
     "phi",
     "phi_star",
     "phi_phi_star_at",
-    "discrete_ratio",
     "discrete_ratio_window",
     "ratio_weighted_mean",
     "meander_ratio_mean",
@@ -401,11 +400,6 @@ def phi_phi_star_at(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, 
 
 
 # -- discrete absolute-continuity ratio ------------------------------------------------
-
-
-def discrete_ratio(law: OffspringLaw, n: int, a: float, k: int) -> float:
-    """D_n^(a)(k), one entry of ``discrete_ratio_window``."""
-    return float(discrete_ratio_window(law, n, a, k, k)[0])
 
 
 def discrete_ratio_window(

@@ -40,7 +40,7 @@ SUM_TOL = 1e-12
 CRIT_TOL = 1e-10
 LAMBDA_TOL = 1e-12
 # Largest offspring value served: support_cap raises past it, and the sampler's
-# tail draws saturate at it (no tree of fewer vertices holds one).
+# tail draws saturate there (no tree of fewer vertices holds one).
 VALUE_CEIL = 1 << 62
 
 
@@ -86,7 +86,8 @@ class OffspringLaw:
         """Exact mass of {k+1, k+2, ...}, for an int k (a float back) or an integer array.
 
         Geometric: p^(k+1).  Stable family: |binom(theta-1, k)| / theta, from the
-        partial-sum identity of the binomial series.  Explicit: 0 beyond support.
+        partial-sum identity of the binomial series.  Explicit: the sum of mu(j)
+        over j > k, summed from the top of the support down (0 from the top on).
         """
         kk = np.asarray(k)
         if self.family == "geometric":
@@ -94,7 +95,8 @@ class OffspringLaw:
         elif self.family == "stable":
             out = _stable_tail(self.theta, kk)
         else:
-            out = np.zeros(kk.shape)
+            above = np.append(np.cumsum(self.probs[::-1])[::-1], 0.0)  # above[j] = P[mu >= j]
+            out = above[np.clip(kk + 1, 0, self.probs.size)]
         return float(out) if kk.ndim == 0 else out
 
     def probabilities(self, k_max: int) -> np.ndarray:
@@ -108,26 +110,36 @@ class OffspringLaw:
         return _family_probs(self.family, float(self.param), self.theta, k_max)
 
     def support_cap(self, eps: float) -> int:
-        """Smallest K with tail_mass(K) <= eps; LawError if K would pass VALUE_CEIL."""
+        """Smallest K with tail_mass(K) <= eps: the package's one inverse of mu's tail.
+
+        Served for every eps in [tail_mass(VALUE_CEIL), 1]; LawError below it.
+        A first guess (closed form for the geometric family, the power law
+        tail(K) ~ (c/theta) K^-theta for the stable family) is checked with one
+        tail_mass call over guess -+ 64, and a bisection runs only when that scan
+        misses.  An explicit law returns the top of its support for every eps:
+        tables and draws built from it then cover every support point.
+        """
         if self.family == "explicit":
             return self.probs.size - 1
-        if self.family == "geometric":
-            p = float(self.param)
-            return max(0, math.ceil(math.log(eps) / math.log(p)) - 1)
-        # stable family: tail(K) ~ (c/theta) K^-theta; scan guess -+ 64 in one call,
-        # else bisect from 1 up to the doubled guess
-        c = float(self.tail_constant)
-        hi = min(max(2, int((c / (self.theta * eps)) ** (1.0 / self.theta))), VALUE_CEIL)
-        ks = np.arange(max(2, hi - 64), min(hi + 65, VALUE_CEIL + 1))
+        if not eps > 0.0:
+            guess = math.inf
+        elif self.family == "geometric":
+            guess = math.log(eps) / math.log(float(self.param)) - 1.0
+        else:
+            guess = (float(self.tail_constant) / (self.theta * eps)) ** (1.0 / self.theta)
+        guess = int(min(max(guess, 0.0), VALUE_CEIL))
+        ks = np.arange(max(0, guess - 64), min(guess + 64, VALUE_CEIL) + 1)
         below = np.flatnonzero(self.tail_mass(ks) <= eps)
-        if below.size and (below[0] > 0 or ks[0] == 2):
+        if below.size and (below[0] > 0 or ks[0] == 0):
             return int(ks[below[0]])
-        while self.tail_mass(hi) > eps:
-            if hi == VALUE_CEIL:
-                floor = float(self.tail_mass(VALUE_CEIL))
+        # the scan missed: bisect with tail(lo) > eps >= tail(hi), lo = -1 for tail = 1
+        if below.size:
+            lo, hi = -1, int(ks[0])
+        else:
+            floor = self.tail_mass(VALUE_CEIL)
+            if floor > eps:
                 raise LawError(f"support_cap serves eps >= {floor!r} for this law, got {eps!r}")
-            hi = min(2 * hi, VALUE_CEIL)
-        lo = 1
+            lo, hi = int(ks[-1]), VALUE_CEIL
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self.tail_mass(mid) > eps:

@@ -26,20 +26,20 @@ an i.i.d. sequence has the conditioned law, and the rows drawn after it are
 discarded unread.
 
 Both samplers read mu from one step sampler per (law, n): a survival table
-of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)) and the analytic tail
-beyond cap, both inverted for all quantiles at once; values beyond cap are
-found by bisection on the tail function.
+of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)), inverted for all
+quantiles at once, and the analytic tail beyond cap, whose values are read
+one by one off the law's own tail inverse, ``OffspringLaw.support_cap``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .codings import LukasiewiczPath, Tree
-from .exactlaw import enumerate_conditioned, progeny_rho, walk_pmf
+from .exactlaw import progeny_rho
 from .offspring import VALUE_CEIL, OffspringLaw, tilt_to_critical
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "conditioned_increments",
     "cycle_shift",
     "sample_conditioned",
-    "analytic_sampler_law",
     "SamplerError",
 ]
 
@@ -63,27 +62,6 @@ class SamplerError(RuntimeError):
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic stream for (seed, replicate path); independent of threading."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *path]))
-
-
-def _tail_quantile(law: OffspringLaw, kmin: int, us: np.ndarray) -> np.ndarray:
-    """Exact draws of mu conditioned on {value >= kmin}, at tail quantiles us.
-
-    Each u in [0, tail_mass(kmin - 1)) gives the smallest k >= kmin with
-    tail_mass(k) < tail_mass(kmin - 1) - u.  All quantiles are bisected at once
-    on the analytic tail function, so far-out values cost O(log value) numpy
-    passes instead of a pmf prefix.
-    """
-    target = np.maximum(law.tail_mass(kmin - 1) - np.asarray(us, dtype=float), 1e-300)
-    hi = np.full(target.shape, max(2 * kmin, kmin + 4), dtype=np.int64)
-    while (grow := (hi < VALUE_CEIL) & (law.tail_mass(hi) >= target)).any():
-        hi[grow] = np.minimum(2 * hi[grow], VALUE_CEIL)
-    lo = np.full(target.shape, kmin, dtype=np.int64)
-    while (open_ := lo < hi).any():
-        mid = lo + (hi - lo) // 2
-        below = law.tail_mass(mid) < target
-        hi = np.where(open_ & below, mid, hi)
-        lo = np.where(open_ & ~below, mid + 1, lo)
-    return lo
 
 
 class _StepSampler:
@@ -115,13 +93,16 @@ class _StepSampler:
         """Values of mu conditioned on {value >= kmin}, at quantiles us in [0, above[kmin]).
 
         The value at u is the smallest k >= kmin with P[mu > k] < P[mu >= kmin] - u:
-        a table search up to cap, the analytic tail beyond.
+        a table search up to cap, and ``law.support_cap`` beyond, where "tail <
+        target" is "tail <= the float below target" and the far draws saturate
+        near VALUE_CEIL.
         """
         target = np.maximum(self.above[kmin] - us, 1e-300)
         out = kmin + np.searchsorted(self._neg_above[kmin + 1 :], -target, side="right")
-        far = out > self.cap
-        if far.any():
-            out[far] = _tail_quantile(self.law, self.cap + 1, self.above[-1] - target[far])
+        far = np.flatnonzero(out > self.cap)
+        if far.size:
+            eps = np.maximum(np.nextafter(target[far], 0.0), self.law.tail_mass(VALUE_CEIL))
+            out[far] = [self.law.support_cap(e) for e in eps.tolist()]
         return out
 
 
@@ -258,23 +239,3 @@ def sample_conditioned(law: OffspringLaw, n: int, rng: np.random.Generator) -> T
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
     inc = conditioned_increments(law, n, rng)
     return Tree(_first_passage_rotation(inc) + 1)
-
-
-# -- analytic sampler law ------------------------------------------------------------
-
-
-def analytic_sampler_law(law: OffspringLaw, n: int) -> List[Tuple[Tree, float]]:
-    """The sampler's output law computed analytically, tree by tree.
-
-    A tree tau is produced exactly when the drawn block is one of the n
-    (distinct, since the sum -1 forbids periodicity) rotations of tau's
-    increment sequence, so P[tau] = n * prod_i mu(c_i) / P[W_n = -1].
-    """
-    table = walk_pmf(law, n, 0)
-    p_sum = table.prob(-1)
-    mu = law.probabilities(n)
-    out = []
-    for tree, _ in enumerate_conditioned(law, n):
-        prob = n * float(np.prod(mu[tree.child_counts])) / p_sum
-        out.append((tree, prob))
-    return out

@@ -35,7 +35,8 @@ from gwtrees.codings import (
     visit_times,
     walk_from_tree,
 )
-from gwtrees.sampler import analytic_sampler_law
+
+from oracles import analytic_sampler_law
 
 GEO = make_geometric(0.5)
 STB = make_stable_family(1.5)

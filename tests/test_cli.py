@@ -221,6 +221,18 @@ class TestCodings:
                     "--out-prefix", str(tmp_path / "t"), "--rescale-points", "8"]) == 2
         assert drawn == [] and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("extra", [["--rescale-points", "1"], ["--rescale-points", "-3"],
+                                       ["--n", "0"]])
+    def test_bad_sizes_refused_before_sampling(self, tmp_path, monkeypatch, extra):
+        from gwtrees import sampler
+
+        drawn = []
+        monkeypatch.setattr(sampler, "sample_conditioned", lambda *a, **k: drawn.append(a))
+        argv = ["codings", "--law", "geometric", "--n", "50", "--seed", "1",
+                "--out-prefix", str(tmp_path / "sub" / "t")]
+        assert run(argv + extra) == 2  # a repeated option takes its last value
+        assert drawn == [] and not any(tmp_path.iterdir())
+
 
 class TestErrors:
     def test_usage_error_exit_2(self):
@@ -250,6 +262,13 @@ class TestErrors:
     def test_negative_count_refused_before_output(self, tmp_path):
         out = tmp_path / "sub" / "w.csv"
         assert run(["sample", "--law", "geometric", "--n", "5", "--count", "-2",
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_nonpositive_n_refused_before_output(self, tmp_path, n):
+        out = tmp_path / "sub" / "w.csv"
+        assert run(["sample", "--law", "geometric", "--n", n, "--count", "0",
                     "--seed", "1", "--out", str(out)]) == 2
         assert not out.parent.exists()
 

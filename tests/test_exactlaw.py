@@ -298,14 +298,14 @@ class TestPhiStarBlock:
 
 class TestDiscreteRatio:
     def test_nonnegative(self, geometric):
-        for n, a, k in itertools.product((6, 10, 14), (0.3, 0.5), (0, 1, 3)):
-            assert ex.discrete_ratio(geometric, n, a, k) >= 0.0
+        for n, a in itertools.product((6, 10, 14), (0.3, 0.5)):
+            assert np.all(ex.discrete_ratio_window(geometric, n, a, 0, 3) >= 0.0)
 
     def test_pinned_value_n6(self, geometric):
         # from Catalan closed forms: phi_3(1) = 1/16, phi_6(1) = 21/1024,
         # phi*_3(1) = 3/8, phi*_6(1) = 63/256, so D = (64/21) / (32/21) = 2
-        d = ex.discrete_ratio(geometric, 6, 0.5, 0)
-        assert abs(d - 2.0) < 1e-12
+        d = ex.discrete_ratio_window(geometric, 6, 0.5, 0, 0)
+        assert d.shape == (1,) and abs(d[0] - 2.0) < 1e-12
 
     def test_weighted_mean_is_one(self, geometric, stable15):
         for law in (geometric, stable15):
@@ -314,9 +314,9 @@ class TestDiscreteRatio:
 
     def test_preconditions(self, geometric):
         with pytest.raises(ex.ExactLawError):
-            ex.discrete_ratio(geometric, 6, 1.5, 0)
+            ex.discrete_ratio_window(geometric, 6, 1.5, 0, 0)
         with pytest.raises(ex.ExactLawError):
-            ex.discrete_ratio(geometric, 6, 0.5, -1)
+            ex.discrete_ratio_window(geometric, 6, 0.5, -1, -1)
 
     @pytest.mark.parametrize("a,k_lo,k_hi", [
         (0.0, 1, 3), (-0.2, 1, 3), (1.0, 1, 3), (0.5, -1, 3), (0.5, 3, 1),
@@ -468,7 +468,7 @@ class TestTableCache:
 
     def test_sampler_law_reads_phi_table(self):
         from gwtrees.offspring import make_geometric
-        from gwtrees.sampler import analytic_sampler_law
+        from oracles import analytic_sampler_law
 
         law = make_geometric(0.5)  # fresh: nothing cached
         ex.phi(law, 5, 1)

@@ -111,6 +111,19 @@ class TestStableFamily:
         with pytest.raises(off.LawError, match="serves eps >= 8.67"):
             law.support_cap(1e-22)
 
+    @pytest.mark.parametrize("theta", [None, 1.005, 1.5, 1.9])
+    def test_support_cap_inverts_tail_on_its_whole_range(self, theta):
+        # tail(K) <= eps < tail(K - 1) for every eps in [tail(VALUE_CEIL), 1],
+        # including eps >= tail(0) = 1 - 1/theta, where K = 0
+        law = off.make_geometric(0.5) if theta is None else off.make_stable_family(theta)
+        floor = law.tail_mass(off.VALUE_CEIL)
+        grid = np.r_[floor, np.geomspace(max(floor, 1e-300), 1.0, 400), np.linspace(0.0, 1.0, 41)]
+        for eps in np.unique(grid[grid >= floor]):
+            cap = law.support_cap(float(eps))
+            assert 0 <= cap <= off.VALUE_CEIL
+            assert law.tail_mass(cap) <= eps
+            assert cap == 0 or eps < law.tail_mass(cap - 1)
+
     def test_mean_is_one(self, stable15):
         cap, th = 10_000, 1.5
         k = np.arange(cap + 1)
@@ -232,6 +245,15 @@ class TestLawSpec:
     def test_unknown_family(self):
         with pytest.raises(off.LawError):
             off.law_from_spec({"family": "zeta"})
+
+
+class TestExplicit:
+    def test_tail_mass_sums_above_k(self):
+        law = off.make_explicit([0.5, 0.25, 0.25])
+        assert [law.tail_mass(k) for k in range(4)] == [0.5, 0.25, 0.0, 0.0]
+        assert law.tail_mass(np.arange(4)).tolist() == [0.5, 0.25, 0.0, 0.0]
+        # support_cap stays at the support's top, so tables cover every support point
+        assert [law.support_cap(eps) for eps in (1e-18, 0.3, 1.0)] == [2, 2, 2]
 
 
 class TestTruncate:

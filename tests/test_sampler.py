@@ -20,10 +20,10 @@ from gwtrees.sampler import (
     HEAD_TARGET,
     SamplerError,
     _StepSampler,
-    _tail_quantile,
-    analytic_sampler_law,
     derive_rng,
 )
+
+from oracles import analytic_sampler_law
 
 
 def catalan(k):
@@ -90,11 +90,13 @@ class TestStepSampler:
 
     @pytest.mark.parametrize("kmin", [3, 50, 1000])
     def test_tail_quantile_match_table_search(self, stable15, kmin):
+        # mu conditioned on >= kmin at u: the smallest k with tail(k) < tail(kmin - 1) - u
         us = np.linspace(0.0, 0.9 * stable15.tail_mass(kmin - 1), 2001)
         cdf = np.cumsum(stable15.probabilities(1 << 17)[kmin:])
         want = kmin + np.searchsorted(cdf, us, side="right")
-        got = _tail_quantile(stable15, kmin, us)
-        assert got.tolist() == want.tolist()
+        targets = stable15.tail_mass(kmin - 1) - us
+        got = [stable15.support_cap(float(np.nextafter(t, 0.0))) for t in targets]
+        assert got == want.tolist()
 
     def test_rest_draws_match_table_search(self, stable15):
         # the rejection route's rest values (mu conditioned on > head) at n = 1e4,
