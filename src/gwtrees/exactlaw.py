@@ -284,7 +284,7 @@ def _rho_recursion(law: OffspringLaw, n_max: int) -> np.ndarray:
             s0 = float(np.dot(rho[1 : m + 1], rev))
             s1 = float(np.dot(jrho[1 : m + 1], rev))
             A[m] = (m * s0 - (1.0 + th) * s1) / m
-            rho[m + 1] = rho[m] + A[m] / th
+            rho[m + 1] = rho[m] + A[m] / th if m > 1 else 0.0  # rho(2) = mu(0) mu(1) = 0
             jrho[m + 1] = (m + 1) * rho[m + 1]
         return rho
     # explicit: incremental powers P_k = R^k, rho(m+1) = sum_k mu(k) P_k[m]

@@ -89,14 +89,15 @@ class OffspringLaw:
         partial-sum identity of the binomial series.  Explicit: the sum of mu(j)
         over j > k, summed from the top of the support down (0 from the top on).
         """
-        kk = np.asarray(k)
+        kk = np.maximum(np.asarray(k), -1)
         if self.family == "geometric":
             out = float(self.param) ** (kk + 1.0)
         elif self.family == "stable":
             out = _stable_tail(self.theta, kk)
         else:
             above = np.append(np.cumsum(self.probs[::-1])[::-1], 0.0)  # above[j] = P[mu >= j]
-            out = above[np.clip(kk + 1, 0, self.probs.size)]
+            out = above[np.minimum(kk + 1, self.probs.size)]
+        out = np.where(kk < 0, 1.0, out)
         return float(out) if kk.ndim == 0 else out
 
     def probabilities(self, k_max: int) -> np.ndarray:
@@ -153,16 +154,6 @@ class OffspringLaw:
     @property
     def is_critical(self) -> bool:
         return abs(self.mean - 1.0) <= CRIT_TOL
-
-    @property
-    def span(self) -> int:
-        """gcd of support differences (1 = aperiodic)."""
-        if self.family in ("geometric", "stable"):
-            return 1  # supports {0,1,2,...} and {0,2,3,...}
-        support = np.flatnonzero(self.probs > 0)
-        if support.size < 2:
-            return 0
-        return int(np.gcd.reduce(np.diff(support)))
 
     def require_critical(self, what: str = "operation") -> None:
         if not self.is_critical:
@@ -301,10 +292,11 @@ def make_explicit(probs: Sequence[float]) -> OffspringLaw:
 # -- operations ----------------------------------------------------------------
 
 
-def _tilted_mean(probs: np.ndarray, lam: float) -> float:
+def _tilt(probs: np.ndarray, lam: float) -> np.ndarray:
+    """mu(k) lam^k normalized, from lam^(k - top) for lam > 1 so that no power overflows."""
     k = np.arange(probs.size, dtype=float)
-    w = probs * lam**k
-    return float((k @ w) / w.sum())
+    w = probs * lam ** (k - k[-1] if lam > 1.0 else k)
+    return w / w.sum()
 
 
 def tilt_to_critical(law: OffspringLaw) -> OffspringLaw:
@@ -326,28 +318,25 @@ def tilt_to_critical(law: OffspringLaw) -> OffspringLaw:
     if float(probs[1:].sum()) <= 0.0 or np.flatnonzero(probs).max() < 2:
         # support inside {0,1}: tilted mean < 1 for every lam
         raise LawError("no tilt parameter can reach mean 1: support lies in {0,1}")
+    k = np.arange(probs.size, dtype=float)
     lo, hi = 1.0, 1.0
     if law.mean > 1.0:
-        while _tilted_mean(probs, lo) > 1.0:
+        while k @ _tilt(probs, lo) > 1.0:
             lo *= 0.5
             if lo < 1e-300:
                 raise LawError("tilt bracketing failed below (mean stays > 1)")
     else:
-        while _tilted_mean(probs, hi) < 1.0:
+        while k @ _tilt(probs, hi) < 1.0:
             hi *= 2.0
             if hi > 1e300:
                 raise LawError("tilt bracketing failed above (mean stays < 1)")
     while hi - lo > LAMBDA_TOL * max(1.0, lo):
         mid = 0.5 * (lo + hi)
-        if _tilted_mean(probs, mid) < 1.0:
+        if k @ _tilt(probs, mid) < 1.0:
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    k = np.arange(probs.size, dtype=float)
-    tilted = probs * lam**k
-    tilted /= tilted.sum()
-    out = make_explicit(tilted)
+    out = make_explicit(_tilt(probs, 0.5 * (lo + hi)))
     if abs(out.mean - 1.0) > CRIT_TOL:
         raise LawError(f"tilted mean {out.mean!r} missed criticality tolerance")
     return out

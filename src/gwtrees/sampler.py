@@ -11,7 +11,8 @@ with sum -1, hence of every tree with n vertices, by the same factor
 lam^(n-1) / f(lam)^n, so the conditioned law is unchanged (Kennedy 1975); but
 P[W_n = -1] decays like a power of n on a critical law and exponentially on
 any other.  A critical law is its own tilt.  A law supported in {0,1} has no
-tilt; its only tree is the path, which is returned without a draw.
+tilt; its only tree is the path, which is returned without a draw.  A size n
+with P[zeta = n] = 0 is refused before any draw (see ``_child_count_sums``).
 
 A block of n i.i.d. mu-draws is drawn as a head and a rest.  The head is
 {0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET; one
@@ -26,20 +27,19 @@ an i.i.d. sequence has the conditioned law, and the rows drawn after it are
 discarded unread.
 
 Both samplers read mu from one step sampler per (law, n): a survival table
-of mu on 0..cap (cap = min(support_cap(1e-15), 2^14)), inverted for all
-quantiles at once, and the analytic tail beyond cap, whose values are read
-one by one off the law's own tail inverse, ``OffspringLaw.support_cap``.
+of mu on 0..cap (cap = support_cap(1e-15), at most 2^14 for closed forms),
+inverted for all quantiles at once, and the analytic tail beyond cap, whose
+values are read one by one off the law's own tail inverse, ``support_cap``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .codings import LukasiewiczPath, Tree
-from .exactlaw import progeny_rho
 from .offspring import VALUE_CEIL, OffspringLaw, tilt_to_critical
 
 __all__ = [
@@ -76,7 +76,7 @@ class _StepSampler:
 
     def __init__(self, law: OffspringLaw, n: int):
         self.law = law
-        self.cap = min(law.support_cap(1e-15), 1 << 14)
+        self.cap = min(law.support_cap(1e-15), VALUE_CEIL if law.family == "explicit" else 1 << 14)
         masses = np.append(law.probabilities(self.cap), law.tail_mass(self.cap))
         # above[k] = P[mu >= k] on 0..cap+1, summed from the small end up
         self.above = np.cumsum(masses[::-1])[::-1]
@@ -109,6 +109,25 @@ class _StepSampler:
 @lru_cache(maxsize=32)  # the law hashes by identity
 def _step_sampler(law: OffspringLaw, n: int) -> _StepSampler:
     return _StepSampler(law, n)
+
+
+@lru_cache(maxsize=32)  # the law hashes by identity
+def _child_count_sums(law: OffspringLaw) -> Tuple[int, Tuple[bool, ...]]:
+    """(span, sums): as mu(0) > 0, a tree with n vertices exists iff n - 1 is a sum of
+    positive support points, i.e. n - 1 = span * m (span: their gcd) with sums[m], whose
+    last entry stands for every larger m.  With s the least point over span, the table ends
+    at its first run of s true entries, past which adding s reaches every m.  For the closed
+    forms the stored prefix of probs, which holds 1, or 2 and 3, decides the table."""
+    points = np.flatnonzero(law.probs[1:]) + 1
+    if not points.size:  # support {0}: the single vertex is the only tree
+        return 1, (True, False)
+    span = int(np.gcd.reduce(points))
+    points, s = points // span, int(points[0]) // span
+    sums = np.arange(s) == 0  # the empty sum
+    while not sums[-s:].all():  # a block of s entries reads only earlier ones
+        prev = sums.size + np.arange(s) - points[points < sums.size + s, None]
+        sums = np.append(sums, (sums[prev.clip(0)] & (prev >= 0)).any(axis=0))
+    return span, tuple(sums.tolist())
 
 
 # -- unconditioned sampling ------------------------------------------------------
@@ -148,7 +167,7 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
 # -- conditioned increments ---------------------------------------------------------
 
 
-@lru_cache(maxsize=64)  # one tilted object per law, so the guard's progeny_rho cache hits
+@lru_cache(maxsize=64)  # one tilted object per law, so the caches keyed on it hit
 def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
     """law's critical tilt; a law supported in {0,1} has none and is kept."""
     if law.family == "explicit" and law.probs.size <= 2:
@@ -159,14 +178,18 @@ def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
 def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. steps nu(k) = mu(k+1) conditioned on summing to -1 (exact distribution).
 
-    The steps are drawn on the critical tilt of mu, which leaves their
-    conditioned law unchanged (see the module docstring).
+    The steps are drawn on the critical tilt of mu, which leaves their conditioned
+    law unchanged (see the module docstring); a size no tree has is refused at once.
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
     if n == 1:
         return np.array([-1], dtype=np.int64)
-    steps = _step_sampler(_critical_tilt(law), n)
+    law = _critical_tilt(law)
+    span, sums = _child_count_sums(law)
+    if (n - 1) % span or not sums[min((n - 1) // span, len(sums) - 1)]:
+        raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is no sum of child counts (span {span})")
+    steps = _step_sampler(law, n)
     kmin = steps.head + 1
     rows = np.arange(BATCH)
     max_attempts = 50 * n + 100_000  # expected ~ B_n / p1(0), so huge slack
@@ -191,7 +214,7 @@ def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) 
         return seq
     raise SamplerError(
         f"no block with sum -1 in {max_attempts} attempts (n={n}); "
-        "the conditional event may have zero or vanishing probability"
+        "the conditional event has vanishing probability"
     )
 
 
@@ -229,13 +252,5 @@ def sample_conditioned(law: OffspringLaw, n: int, rng: np.random.Generator) -> T
         raise SamplerError("n must be >= 1")
     if law.family == "explicit" and law.probs.size == 2:
         return Tree([1] * (n - 1) + [0])  # support {0,1}: the path is the only tree
-    law = _critical_tilt(law)  # before the guard: P[zeta = n] underflows off criticality
-    if n <= 4096 and float(progeny_rho(law, n)[n]) <= 0.0:
-        raise SamplerError(f"P[zeta = {n}] = 0 for this law")
-    # zeta - 1 is a sum of child counts; with mu(0) > 0 each is a multiple of the
-    # span (0 for a one-point support, whose only finite tree is the single vertex)
-    span = law.span
-    if n > 1 and (span == 0 or (n - 1) % span):
-        raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is not a multiple of the span {span}")
     inc = conditioned_increments(law, n, rng)
     return Tree(_first_passage_rotation(inc) + 1)

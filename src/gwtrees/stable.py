@@ -174,14 +174,11 @@ def _grid(law: StableLaw) -> _Grid:
     g[0] *= 0.5  # trapezoid end weight; the rule spans the whole line by symmetry
 
     def on_grid(order: int, step: float) -> np.ndarray:
-        """p_1^(order) at -16 + j step, j = 0 .. P / step, by r interleaved x-offsets."""
+        """p_1^(order) at -16 + j step, j = 0 .. n = P / step: (du/pi) Re sum_k w_k
+        exp(2 pi i k j / n), one ifft once the w_k are folded mod n."""
         n = round(_PERIOD / step)
-        r = max(1, n >> 16)  # each transform has at most 2^16 points
-        # row i: (du/pi) Re sum_k w_k exp(i u_k x) at x = -16 + (r j + i) step, k folded mod n / r
-        phase = np.exp(2j * math.pi / n * np.outer(np.arange(r), np.arange(u.size)))
-        w = g * (1j * u) ** order * phase
-        w = np.concatenate([w, np.zeros((r, -u.size % (n // r)))], axis=1).reshape(r, -1, n // r)
-        raw = (du / math.pi * (n // r)) * np.fft.ifft(w.sum(axis=1)).real.T.ravel()
+        w = np.concatenate([g * (1j * u) ** order, np.zeros(-u.size % n)]).reshape(-1, n).sum(0)
+        raw = (du / math.pi * n) * np.fft.ifft(w).real
         xs = -_LEFT_CUT + step * np.arange(n + 1)
         return np.append(raw, raw[0]) - _tail_series(th, xs, order, _PERIOD)
 

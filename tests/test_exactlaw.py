@@ -215,6 +215,13 @@ class TestProgeny:
             by_table = [ex.walk_pmf(law, m, 0).prob(-1) / m for m in range(1, n_max + 1)]
             assert np.max(np.abs(block[1:] - by_table)) < 1e-13
 
+    def test_stable_size_two_exactly_impossible(self):
+        # mu(1) = 0, so P[zeta = 2] = mu(0) mu(1) is 0, never rounding noise of either sign
+        for theta in [k / 100 for k in range(101, 200)]:
+            law = make_stable_family(theta)
+            assert ex.progeny_rho(law, 4)[2] == 0.0
+            assert ex.progeny_pmf(law, 4).prob(2) == 0.0  # raised on a negative entry
+
     def test_explicit_law_recursion(self):
         law = make_explicit([0.5, 0.0, 0.5])
         rec = ex.progeny_pmf(law, 21)

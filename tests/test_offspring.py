@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import binom as binom_real
 from scipy.special import gamma as gamma_fn
 
 from gwtrees import offspring as off
+from gwtrees.sampler import _child_count_sums
 
 
 class TestGeometric:
@@ -22,7 +24,8 @@ class TestGeometric:
         assert abs(geometric.variance - (second_moment - 1.0)) < 1e-12
 
     def test_aperiodic_full_support(self, geometric):
-        assert geometric.span == 1
+        # 1 is a support point: a tree of every size
+        assert _child_count_sums(geometric) == (1, (True,))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
     def test_parameter_out_of_range(self, p):
@@ -146,7 +149,8 @@ class TestStableFamily:
             off.make_stable_family(theta)
 
     def test_aperiodic(self, stable15):
-        assert stable15.span == 1
+        # support {0, 2, 3, ...}: a tree of every size but 2
+        assert _child_count_sums(stable15) == (1, (True, False, True, True))
 
 
 class TestTilting:
@@ -182,6 +186,15 @@ class TestTilting:
         for (t1, p1), (t2, p2) in zip(before, after):
             assert t1 == t2
             assert abs(p1 - p2) < 1e-12
+
+    @pytest.mark.parametrize("cap", [2000, 5000])
+    def test_wide_explicit_law_tilts_without_overflow(self, stable15, cap):
+        # truncation leaves the law subcritical, so lam > 1 and lam^cap must not be formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilted = off.tilt_to_critical(stable15.truncate(cap))
+        assert abs(tilted.mean - 1.0) <= off.CRIT_TOL
+        assert np.array_equal(tilted.probs > 0, stable15.truncate(cap).probs > 0)
 
     def test_subcritical_support_01_fails(self):
         with pytest.raises(off.LawError):
@@ -254,6 +267,13 @@ class TestExplicit:
         assert law.tail_mass(np.arange(4)).tolist() == [0.5, 0.25, 0.0, 0.0]
         # support_cap stays at the support's top, so tables cover every support point
         assert [law.support_cap(eps) for eps in (1e-18, 0.3, 1.0)] == [2, 2, 2]
+
+    @pytest.mark.parametrize("law", [off.make_explicit([0.5, 0.25, 0.25]), off.make_geometric(0.5),
+                                     off.make_stable_family(1.5)], ids=lambda law: law.family)
+    def test_tail_mass_is_one_below_zero(self, law):
+        # P[mu > k] = 1 for every k <= -1, on all three families
+        assert [law.tail_mass(k) for k in (-1, -2, -3, -40)] == [1.0] * 4
+        assert law.tail_mass(np.array([-3, -1, 0])).tolist() == [1.0, 1.0, law.tail_mass(0)]
 
 
 class TestTruncate:

@@ -13,12 +13,15 @@ from gwtrees import (
     enumerate_conditioned,
     make_explicit,
     make_geometric,
+    make_stable_family,
     sample_conditioned,
     sample_gw,
 )
+from gwtrees.exactlaw import progeny_rho
 from gwtrees.sampler import (
     HEAD_TARGET,
     SamplerError,
+    _child_count_sums,
     _StepSampler,
     derive_rng,
 )
@@ -111,6 +114,17 @@ class TestStepSampler:
         want = kmin + np.searchsorted(cdf, us, side="right")
         got = steps.draws(us, kmin)
         assert got.max() > steps.cap and want.max() < 1 << 17
+        assert np.array_equal(got, want)
+
+    def test_explicit_draws_match_table_search_past_two_to_the_14(self, stable15):
+        # an explicit law's table covers its whole support, so far quantiles keep their values
+        law = stable15.truncate(20_000)
+        steps = _StepSampler(law, 1)
+        us = np.concatenate([np.linspace(0.0, 1.0, 2001)[:-1], 1.0 - np.geomspace(1e-3, 1e-10, 400)])
+        cdf = np.cumsum(law.probs)
+        want = np.minimum(np.searchsorted(cdf, us * cdf[-1], side="right"), law.probs.size - 1)
+        got = steps.draws(us * steps.above[0], 0)
+        assert want.max() > 1 << 14
         assert np.array_equal(got, want)
 
     def test_head_sized_from_n(self, geometric, stable15):
@@ -221,7 +235,8 @@ class TestSampleConditioned:
         for law, n in ((geometric, 137), (stable15, 137), (geometric, 2048),
                        (make_geometric(0.4), 1000), (make_geometric(0.2), 2000),
                        (path_law, 1), (path_law, 60), (path_law, 1100),
-                       (geometric, 1), (stable15, 1), (make_explicit([1.0]), 1)):
+                       (geometric, 1), (stable15, 1), (make_explicit([1.0]), 1),
+                       (stable15.truncate(2000), 1100), (stable15.truncate(200), 4096)):
             assert sample_conditioned(law, n, rng=derive_rng(3)).zeta == n
 
     def test_subcritical_chi_square_against_enumeration(self):
@@ -242,10 +257,45 @@ class TestSampleConditioned:
         assert _StepSampler(law, 6).head == 0
         assert chi_square_fits(law, 6, enumerate_conditioned(law, 6), 62)
 
-    def test_zero_probability_size(self, stable15):
-        # the stable family has mu(1) = 0, so no tree with exactly 2 vertices
-        with pytest.raises(SamplerError):
-            sample_conditioned(stable15, 2, rng=derive_rng(0))
+    def test_zero_probability_size(self):
+        # the stable family has mu(1) = 0, so no tree with exactly 2 vertices;
+        # refused before any draw
+        for theta in [k / 100 for k in range(101, 200)]:
+            rng = derive_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(SamplerError, match="P\\[zeta = 2\\] = 0"):
+                sample_conditioned(make_stable_family(theta), 2, rng=rng)
+            assert rng.bit_generator.state == state
+
+    def test_size_rule_matches_progeny_law(self, geometric):
+        # trees of n vertices exist iff P[zeta = n] > 0, on random explicit supports
+        # with points <= 13 and on the closed-form families, for n <= 60
+        gen = np.random.default_rng(17)
+        laws = [geometric, make_stable_family(1.05), make_stable_family(1.5)]
+        for _ in range(200):
+            points = gen.choice(np.arange(1, 14), size=gen.integers(1, 5), replace=False)
+            probs = np.zeros(points.max() + 1)
+            probs[points] = gen.uniform(0.1, 1.0, points.size)
+            probs[0] = gen.uniform(0.2, 0.8)
+            probs[1:] *= (1.0 - probs[0]) / probs[1:].sum()
+            laws.append(make_explicit(probs))
+        for law in laws:
+            span, sums = _child_count_sums(law)
+            admits = [(n - 1) % span == 0 and sums[min((n - 1) // span, len(sums) - 1)]
+                      for n in range(1, 61)]
+            assert admits == (progeny_rho(law, 60)[1:] > 0).tolist()
+
+    def test_sizes_past_the_frobenius_gap(self):
+        # support {0, 100, 101}: 4999 is no sum of 100s and 101s, refused before any
+        # draw; 5000 = 50 * 100 is one, whose trees are too rare for the attempt budget
+        law = make_explicit([0.5] + [0.0] * 99 + [0.25, 0.25])
+        rng = derive_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplerError, match="P\\[zeta = 5000\\] = 0"):
+            sample_conditioned(law, 5000, rng=rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(SamplerError, match="vanishing probability"):
+            sample_conditioned(law, 5001, rng=rng)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_size_fails_fast(self, geometric, n):
@@ -253,7 +303,7 @@ class TestSampleConditioned:
             sample_conditioned(geometric, n, rng=derive_rng(0))
 
     def test_off_lattice_size_fails_fast(self):
-        # support {0, 2} has span 2: zeta is always odd, beyond the exact check too
+        # support {0, 2} has span 2: zeta is always odd
         with pytest.raises(SamplerError, match="span"):
             sample_conditioned(make_explicit([0.5, 0.0, 0.5]), 4098, rng=derive_rng(0))
 
