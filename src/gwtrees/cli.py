@@ -185,7 +185,7 @@ def _cmd_stable(args) -> int:
 
 def _cmd_verify(args) -> int:
     geometric = make_geometric(0.5)
-    heavy = make_stable_family(args.theta)
+    heavy = make_stable_family(1.5)
     if args.law:
         picked = _load_law(args.law)
         if picked.theta == 2.0:
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suite", choices=limits.SUITES + ("all",), default="all")
     pv.add_argument("--law", default=None, help="override one of the two default laws")
-    pv.add_argument("--theta", type=float, default=1.5)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--fast", action="store_true", help="reduced sizes (smoke test)")
     pv.add_argument("--out", default=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -219,7 +219,6 @@ def contour_limit_experiment(
     n: int,
     replicates: int,
     seed: int = 0,
-    budget_s: Optional[float] = None,
 ) -> ExperimentReport:
     """Monte Carlo check of the theta = 2 functional limit of the contour.
 
@@ -238,12 +237,8 @@ def contour_limit_experiment(
     scale = b_n / n
     idx = [int(round(2 * n * t)) for t in CONTOUR_T]
     top = 2 * (n - 1)
-    partial = False
     rows: List = []
     for rep in range(replicates):
-        if budget_s and rows and time.time() - t0 > budget_s:
-            partial = True
-            break
         tree = sample_conditioned(law, n, rng=derive_rng(seed, rep))
         c = contour_from_tree(tree).values
         rows.append((
@@ -299,7 +294,6 @@ def contour_limit_experiment(
         passed=bool(passed),
         seed=seed,
         notes=notes,
-        partial=partial,
         wall_time_s=time.time() - t0,
     )
 
@@ -328,10 +322,8 @@ def height_contour_gap_experiment(
         c = contour_from_tree(tree).values
         # both (B_n/n) C_{2nt} and (B_n/n) H_{nt} are piecewise linear with
         # breakpoints inside the grid t = i/(2n), so the sup over t is exact
-        h_pad = np.concatenate([h, [0, 0]]).astype(np.float64)
-        half = 0.5 * (h_pad[:-1] + h_pad[1:])
-        i_all = np.arange(c.size)  # i = 0..2n-2
-        h_at_half_steps = np.where(i_all % 2 == 0, h_pad[i_all // 2], half[i_all // 2])
+        h_at_half_steps = np.interp(np.arange(c.size) / 2.0, np.arange(h.size + 1),
+                                    np.append(h, 0.0))
         gap = np.max(np.abs(c - h_at_half_steps))
         # tail window [2n-2, 2n]: C = 0, H_{nt} interpolates H_{n-1} -> 0
         gap = max(gap, float(h[-1]))

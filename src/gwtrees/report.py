@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = ["ExperimentReport"]
 
-REPORT_SCHEMA = "gwtrees.report/1"
+REPORT_SCHEMA = "gwtrees.report/2"
 
 
 @dataclass
@@ -30,7 +30,6 @@ class ExperimentReport:
     passed: bool
     seed: Optional[int] = None
     notes: str = ""
-    partial: bool = False
     wall_time_s: float = 0.0
     created_utc: float = field(default_factory=time.time)
 
@@ -46,7 +45,6 @@ class ExperimentReport:
             "passed": self.passed,
             "seed": self.seed,
             "notes": self.notes,
-            "partial": self.partial,
             "timing": {"wall_time_s": self.wall_time_s, "created_utc": self.created_utc},
         }
 
@@ -54,10 +52,7 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent, default=jsonify)
 
     def summary_line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        if self.partial:
-            flag += " (partial)"
-        return f"[{flag}] {self.name}"
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
 
 
 def jsonify(obj):

@@ -11,8 +11,10 @@ with sum -1, hence of every tree with n vertices, by the same factor
 lam^(n-1) / f(lam)^n, so the conditioned law is unchanged (Kennedy 1975); but
 P[W_n = -1] decays like a power of n on a critical law and exponentially on
 any other.  A critical law is its own tilt.  A law supported in {0,1} has no
-tilt; its only tree is the path, which is returned without a draw.  A size n
-with P[zeta = n] = 0 is refused before any draw (see ``_child_count_sums``).
+tilt and needs none: each block of n - 1 zeros and one -1 has probability
+mu(0) mu(1)^(n-1), so one draw places the -1.  ``conditioned_increments``
+decides all this, and refuses a size with P[zeta = n] = 0 before any draw (see
+``_child_count_sums``); ``sample_conditioned`` only rotates its block.
 
 A block of n i.i.d. mu-draws is drawn as a head and a rest.  The head is
 {0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET; one
@@ -167,28 +169,28 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
 # -- conditioned increments ---------------------------------------------------------
 
 
-@lru_cache(maxsize=64)  # one tilted object per law, so the caches keyed on it hit
-def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
-    """law's critical tilt; a law supported in {0,1} has none and is kept."""
-    if law.family == "explicit" and law.probs.size <= 2:
-        return law
-    return tilt_to_critical(law)
+# one tilted object per law (the law hashes by identity), so the caches keyed on it hit
+_critical_tilt = lru_cache(maxsize=64)(tilt_to_critical)
 
 
 def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. steps nu(k) = mu(k+1) conditioned on summing to -1 (exact distribution).
 
-    The steps are drawn on the critical tilt of mu, which leaves their conditioned
-    law unchanged (see the module docstring); a size no tree has is refused at once.
+    The one place a request is decided (see the module docstring).  The size rule
+    reads the law as passed, as the tilt keeps its support.
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
-    if n == 1:
-        return np.array([-1], dtype=np.int64)
-    law = _critical_tilt(law)
     span, sums = _child_count_sums(law)
     if (n - 1) % span or not sums[min((n - 1) // span, len(sums) - 1)]:
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is no sum of child counts (span {span})")
+    if n == 1:
+        return np.array([-1], dtype=np.int64)
+    if law.probs.size == 2:  # support {0,1}; the closed forms always store more
+        seq = np.zeros(n, dtype=np.int64)
+        seq[rng.integers(n)] = -1
+        return seq
+    law = _critical_tilt(law)
     steps = _step_sampler(law, n)
     kmin = steps.head + 1
     rows = np.arange(BATCH)
@@ -243,14 +245,5 @@ def cycle_shift(increments: np.ndarray) -> LukasiewiczPath:
 
 
 def sample_conditioned(law: OffspringLaw, n: int, rng: np.random.Generator) -> Tree:
-    """One tree exactly distributed as GW_mu conditioned on {zeta = n}.
-
-    Serves any law with a critical tilt, at the critical law's acceptance rate,
-    and any law supported in {0,1}.
-    """
-    if n < 1:
-        raise SamplerError("n must be >= 1")
-    if law.family == "explicit" and law.probs.size == 2:
-        return Tree([1] * (n - 1) + [0])  # support {0,1}: the path is the only tree
-    inc = conditioned_increments(law, n, rng)
-    return Tree(_first_passage_rotation(inc) + 1)
+    """One tree of GW_mu conditioned on {zeta = n}: ``conditioned_increments``, rotated."""
+    return Tree(_first_passage_rotation(conditioned_increments(law, n, rng)) + 1)

@@ -142,6 +142,24 @@ class TestStable:
         _, rows = read_csv(out)
         assert float(rows[0][1]) == pytest.approx(1 / math.gamma(1 / 3))
 
+    @pytest.mark.parametrize("what, extra, curve", [
+        ("pt", ["--t", "0.7"], lambda gw, law, xs: gw.density_pt(law, 0.7, xs)),
+        ("qs", ["--s", "1.3"], lambda gw, law, xs: gw.first_passage_density(law, 1.3, xs)),
+        ("integral", ["--lower", "0.4"], lambda gw, law, xs: gw.passage_integral(law, 0.4, xs)),
+        ("gamma", ["--a", "0.3"], lambda gw, law, xs: gw.gamma_a(law, 0.3, xs)),
+    ])
+    def test_curve_equals_library_call(self, tmp_path, what, extra, curve):
+        import gwtrees as gw
+
+        out = tmp_path / f"{what}.csv"
+        assert run(["stable", "--theta", "1.5", "--what", what, "--grid", "0.5:3:6",
+                    "--out", str(out)] + extra) == 0
+        header, rows = read_csv(out)
+        xs = np.linspace(0.5, 3.0, 6)
+        assert header == ["x", "value"] and [float(r[0]) for r in rows] == xs.tolist()
+        want = curve(gw, gw.StableLaw(theta=1.5), xs)
+        assert [float(r[1]) for r in rows] == np.asarray(want).tolist()
+
 
 class TestVerify:
     def test_fast_progeny_suite(self, tmp_path, capsys):
@@ -174,6 +192,44 @@ class TestVerify:
         assert len(files) == 2
         header, rows = read_csv(files[0])
         assert header[0] == "n" and len(rows) == 2
+
+    def test_plot_csv_of_contour_report(self, tmp_path, monkeypatch, geometric):
+        from gwtrees import limits
+
+        rep = limits.contour_limit_experiment(geometric, 200, 60, seed=1)
+        monkeypatch.setattr(limits, "run_suite", lambda *args, **kwargs: [rep])
+        assert run(["verify", "--suite", "contour", "--seed", "1",
+                    "--plots-dir", str(tmp_path / "plots")]) == (0 if rep.passed else 1)
+        header, rows = read_csv(tmp_path / "plots" / "00_contour_limit_geometric.csv")
+        assert header == ["t", "ks_marginal", "ks_reversal"]
+        st = rep.statistics
+        assert [[float(v) for v in r] for r in rows] == [
+            list(r) for r in zip(st["t_list"], st["ks_marginal"], st["ks_reversal"])]
+
+    @pytest.mark.parametrize("spec, geometric_slot, heavy_slot", [
+        ("stable:1.3", ("geometric", 0.5), ("stable", 1.3)),
+        ("geometric:0.5", ("geometric", 0.5), ("stable", 1.5)),
+        ("law.json", ("explicit", None), ("stable", 1.5)),
+    ])
+    def test_law_replaces_the_default_of_its_theta(self, tmp_path, monkeypatch, spec,
+                                                   geometric_slot, heavy_slot):
+        from gwtrees import limits
+
+        law_file = tmp_path / "law.json"
+        law_file.write_text(json.dumps({"family": "explicit",
+                                        "probabilities": [0.25, 0.5, 0.25]}))
+        seen = []
+        monkeypatch.setattr(limits, "run_suite",
+                            lambda suite, geometric, heavy, **kw: seen.append((geometric, heavy))
+                            or [])
+        spec = str(law_file) if spec == "law.json" else spec
+        assert run(["verify", "--suite", "progeny", "--fast", "--law", spec]) == 0
+        (geometric, heavy), = seen
+        assert (geometric.family, geometric.param) == geometric_slot
+        assert (heavy.family, heavy.param) == heavy_slot
+
+    def test_theta_is_not_an_option(self):
+        assert run(["verify", "--suite", "progeny", "--fast", "--theta", "1.3"]) == 2
 
 
 class TestCodings:

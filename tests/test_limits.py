@@ -67,12 +67,6 @@ class TestContourLimit:
         b = lim.contour_limit_experiment(geometric, 200, 150, seed=9)
         assert strip_timing(a) == strip_timing(b)
 
-    def test_budget_partial(self, geometric):
-        rep = lim.contour_limit_experiment(geometric, 400, 100_000, seed=1,
-                                           budget_s=1.0)
-        assert rep.partial
-        assert rep.statistics["replicates_done"] < 100_000
-
 
 class TestHeightContourGap:
     def test_decreasing_and_pathwise_bound(self, geometric, stable15):

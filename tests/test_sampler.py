@@ -165,6 +165,24 @@ class TestConditionedIncrements:
         seq = conditioned_increments(stable15, 64, rng=derive_rng(5))
         assert seq.sum() == -1 and seq.min() >= -1 and seq.size == 64
 
+    @pytest.mark.parametrize("n", [60, 1100])
+    def test_zero_one_support_is_one_draw(self, n):
+        # support {0,1}: every block of n - 1 zeros and one -1 has probability
+        # mu(0) mu(1)^(n-1), so the -1's position is the only draw
+        rng, twin = derive_rng(n), derive_rng(n)
+        seq = conditioned_increments(make_explicit([0.5, 0.5]), n, rng=rng)
+        assert sorted(seq.tolist()) == [-1] + [0] * (n - 1)
+        assert int(np.argmin(seq)) == twin.integers(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_one_support_position_uniform(self):
+        n, n_draws = 5, 20_000
+        law, rng = make_explicit([0.5, 0.5]), derive_rng(55)
+        at = [int(np.argmin(conditioned_increments(law, n, rng=rng))) for _ in range(n_draws)]
+        counts = np.bincount(at, minlength=n)
+        stat = float(((counts - n_draws / n) ** 2).sum() / (n_draws / n))
+        assert stat < chi2.ppf(0.99, n - 1)
+
 
 class TestCycleShift:
     def test_examples(self):
