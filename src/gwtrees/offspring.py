@@ -39,8 +39,7 @@ __all__ = [
 SUM_TOL = 1e-12
 CRIT_TOL = 1e-10
 LAMBDA_TOL = 1e-12
-# Largest offspring value served: support_cap raises past it, and the sampler's
-# tail draws saturate there (no tree of fewer vertices holds one).
+# Largest offspring value served: support_cap raises past it.
 VALUE_CEIL = 1 << 62
 
 
@@ -69,6 +68,8 @@ class OffspringLaw:
         p = self.probs
         if p.ndim != 1 or p.size < 1:
             raise LawError("probability vector must be one-dimensional and nonempty")
+        if not np.all(np.isfinite(p)):
+            raise LawError("probabilities must be finite")
         if np.any(p < 0):
             raise LawError("negative probability entries")
         if p[0] <= 0.0:
@@ -118,7 +119,7 @@ class OffspringLaw:
         tail(K) ~ (c/theta) K^-theta for the stable family) is checked with one
         tail_mass call over guess -+ 64, and a bisection runs only when that scan
         misses.  An explicit law returns the top of its support for every eps:
-        tables and draws built from it then cover every support point.
+        tables built from it then cover every support point.
         """
         if self.family == "explicit":
             return self.probs.size - 1
@@ -269,6 +270,8 @@ def make_stable_family(theta: float) -> OffspringLaw:
 def make_explicit(probs: Sequence[float]) -> OffspringLaw:
     """Finite-support law from an explicit probability vector."""
     arr = np.asarray(probs, dtype=float)
+    if arr.ndim != 1:
+        raise LawError(f"explicit probabilities must be a flat list, got {arr.ndim} dimensions")
     arr = np.trim_zeros(arr, trim="b")
     if arr.size == 0:
         raise LawError("empty probability vector")
@@ -365,18 +368,27 @@ def calibrate_bn(law: OffspringLaw, n: int) -> float:
 # -- law file format ------------------------------------------------------------
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LawError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def law_from_spec(spec: dict) -> OffspringLaw:
     """Build a law from the JSON description {"family": ..., "param": ..., "probabilities": ...}."""
     if not isinstance(spec, dict):
         raise LawError(f"a law spec is a JSON object, got {type(spec).__name__}")
     family = spec.get("family")
-    if family == "geometric":
-        return make_geometric(float(spec.get("param", 0.5)))
     try:
+        if family == "geometric":
+            return make_geometric(_number(spec.get("param", 0.5), "param"))
         if family == "stable":
-            return make_stable_family(float(spec["param"]))
+            return make_stable_family(_number(spec["param"], "param"))
         if family == "explicit":
-            return make_explicit(spec["probabilities"])
+            probs = spec["probabilities"]
+            if not isinstance(probs, list):
+                raise LawError(f"probabilities must be a list of numbers, got {probs!r}")
+            return make_explicit([_number(p, "each probability") for p in probs])
     except KeyError as exc:
         raise LawError(f"a {family} law needs the key {exc}") from None
     raise LawError(f"unknown law family {family!r}")

@@ -28,21 +28,23 @@ with one uniform draw for all the rows' rest values; the first row with sum
 an i.i.d. sequence has the conditioned law, and the rows drawn after it are
 discarded unread.
 
-Both samplers read mu from one step sampler per (law, n): a survival table
-of mu on 0..cap (cap = support_cap(1e-15), at most 2^14 for closed forms),
-inverted for all quantiles at once, and the analytic tail beyond cap, whose
-values are read one by one off the law's own tail inverse, ``support_cap``.
+Both samplers read mu from one step sampler per (law, n): a survival table of
+mu on 0..top + 1, with top = n - 1 or the law's last value of positive tail if
+smaller, inverted for all quantiles at once.  It costs 8 bytes per value, and
+it is exact: no tree of n vertices has a vertex of n or more children, so each
+draw past top, read as top + 1 >= n, rejects its block or ends ``sample_gw``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .codings import LukasiewiczPath, Tree
-from .offspring import VALUE_CEIL, OffspringLaw, tilt_to_critical
+from .offspring import OffspringLaw, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -67,45 +69,40 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 class _StepSampler:
-    """mu as a survival table on 0..cap plus its analytic tail, split for blocks of n.
+    """mu as a survival table on 0..top + 1, split for blocks of n.
 
     The one step sampler of both samplers: ``draws`` inverts mu conditioned on
-    {value >= kmin} for a vector of quantiles.  ``sample_gw`` uses it with
+    {value >= kmin} for a vector of uniforms.  ``sample_gw`` uses it with
     kmin = 0; the rejection route draws the head counts with one multinomial
     over ``pvals`` (mu(0..head), then P[mu > head]) and the rest values with
-    kmin = head + 1.
+    kmin = head + 1.  Only -P[mu >= k], ascending for searchsorted, is kept.
     """
 
     def __init__(self, law: OffspringLaw, n: int):
-        self.law = law
-        self.cap = min(law.support_cap(1e-15), VALUE_CEIL if law.family == "explicit" else 1 << 14)
-        masses = np.append(law.probabilities(self.cap), law.tail_mass(self.cap))
-        # above[k] = P[mu >= k] on 0..cap+1, summed from the small end up
-        self.above = np.cumsum(masses[::-1])[::-1]
-        fits = np.flatnonzero(n * self.above[1:] <= HEAD_TARGET)
-        self.head = int(fits[0]) if fits.size else self.cap
-        pvals = np.append(masses[: self.head + 1], self.above[self.head + 1])
+        self.top = n - 1 if law.tail_mass(n - 1) > 0 else law.support_cap(0.0)
+        neg_above = law.probabilities(self.top + 1)
+        neg_above[-1] = law.tail_mass(self.top)  # mu(0..top), then P[mu > top]
+        np.cumsum(neg_above[::-1], out=neg_above[::-1])  # P[mu >= k], summed from the top down
+        np.negative(neg_above, out=neg_above)
+        # the smallest K with n P[mu > K] <= HEAD_TARGET, searched without an n-sized
+        # temporary; K <= top, as n P[mu > n - 1] <= E[mu] <= 1 (Markov)
+        self.head = bisect_left(neg_above, True, 1, key=lambda v: n * v >= -HEAD_TARGET) - 1
+        pvals = np.append(law.probabilities(self.head), -neg_above[self.head + 1])
         self.pvals = pvals / pvals.sum()
         self.values = np.arange(-1, self.head, dtype=np.int64)  # nu = mu - 1 on the head
-        self._neg_above = -self.above  # ascending, for searchsorted
-        for arr in (self.above, self.pvals, self.values, self._neg_above):
+        self._neg_above = neg_above
+        for arr in (self.pvals, self.values, self._neg_above):
             arr.flags.writeable = False
 
     def draws(self, us: np.ndarray, kmin: int) -> np.ndarray:
-        """Values of mu conditioned on {value >= kmin}, at quantiles us in [0, above[kmin]).
+        """Values of mu conditioned on {value >= kmin} at uniforms us in [0, 1).
 
-        The value at u is the smallest k >= kmin with P[mu > k] < P[mu >= kmin] - u:
-        a table search up to cap, and ``law.support_cap`` beyond, where "tail <
-        target" is "tail <= the float below target" and the far draws saturate
-        near VALUE_CEIL.
+        The value at u is the smallest k >= kmin with P[mu > k] < (1 - u) P[mu >= kmin],
+        one table search; a u in the last bin reads top + 1.
         """
-        target = np.maximum(self.above[kmin] - us, 1e-300)
-        out = kmin + np.searchsorted(self._neg_above[kmin + 1 :], -target, side="right")
-        far = np.flatnonzero(out > self.cap)
-        if far.size:
-            eps = np.maximum(np.nextafter(target[far], 0.0), self.law.tail_mass(VALUE_CEIL))
-            out[far] = [self.law.support_cap(e) for e in eps.tolist()]
-        return out
+        mass = -self._neg_above[kmin]
+        target = np.maximum(mass - us * mass, 1e-300)  # u near 1 stays off an empty last bin
+        return kmin + np.searchsorted(self._neg_above[kmin + 1 :], -target, side="right")
 
 
 @lru_cache(maxsize=32)  # the law hashes by identity
@@ -140,7 +137,9 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
 
     The preorder degree sequence is generated chunk-wise; the tree is complete
     at the first index where 1 + sum(c_i - 1) hits zero (first passage of the
-    Lukasiewicz path).  Deterministic given the state of rng.
+    Lukasiewicz path).  Each vertex closes at most one open slot, so drawing
+    stops, with None, once the open slots outnumber the vertices left under
+    size_cap.  Deterministic given the state of rng.
     """
     if size_cap < 1:
         raise SamplerError("size_cap must be >= 1")
@@ -151,9 +150,8 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
     open_slots = 1
     drawn = 0
     chunk_size = 64
-    while drawn < size_cap:
-        u = rng.random(min(chunk_size, size_cap - drawn))
-        chunk = steps.draws(u * steps.above[0], 0)
+    while open_slots <= size_cap - drawn:
+        chunk = steps.draws(rng.random(min(chunk_size, size_cap - drawn)), 0)
         partial = open_slots + np.cumsum(chunk - 1)
         hit = np.flatnonzero(partial == 0)
         if hit.size:
@@ -202,7 +200,7 @@ def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) 
         totals = counts[:, :-1] @ steps.values
         m = int(n_rest.sum())
         if m:  # rest values in row order; float sums cannot wrap, and are exact near -1
-            rest = steps.draws(rng.random(m) * steps.above[kmin], kmin) - 1
+            rest = steps.draws(rng.random(m), kmin) - 1
             totals = totals + np.bincount(np.repeat(rows, n_rest), weights=rest, minlength=BATCH)
         hits = np.flatnonzero(totals == -1)
         if not hits.size:

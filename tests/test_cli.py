@@ -354,6 +354,20 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "geometric", "param": None},
+        {"family": "explicit", "probabilities": {"a": 1}},
+        {"family": "explicit", "probabilities": None},
+        {"family": "explicit", "probabilities": [[0.5, 0.5]]},
+    ])
+    def test_malformed_law_file_exit_2(self, tmp_path, capsys, spec):
+        # exit 1 is kept for a failed verification gate
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(spec))
+        assert run(["exact", "--law", str(path), "--what", "progeny", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["exact", "--law", "geometric", "--what", "progeny", "--n", "3", "--out"],
         ["stable", "--theta", "2", "--what", "p1", "--grid=0:1:3", "--out"],

@@ -268,6 +268,11 @@ class TestExplicit:
         # support_cap stays at the support's top, so tables cover every support point
         assert [law.support_cap(eps) for eps in (1e-18, 0.3, 1.0)] == [2, 2, 2]
 
+    def test_non_finite_probabilities_refused(self):
+        # nan passes every comparison of the sum and sign checks, so it is refused by name
+        with pytest.raises(off.LawError, match="finite"):
+            off.make_explicit([math.nan, 0.5, 0.5])
+
     @pytest.mark.parametrize("law", [off.make_explicit([0.5, 0.25, 0.25]), off.make_geometric(0.5),
                                      off.make_stable_family(1.5)], ids=lambda law: law.family)
     def test_tail_mass_is_one_below_zero(self, law):

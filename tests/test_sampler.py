@@ -74,6 +74,26 @@ class TestSampleGw:
         b = sample_gw(geometric, 1000, rng=derive_rng(99))
         assert (a is None and b is None) or a == b
 
+    def test_stops_once_the_tree_cannot_fit(self):
+        # support {0, 200}, critical: a root with 200 children cannot fit under a cap
+        # of 200, so a None call ends after its first chunk of 64 uniforms
+        law = make_explicit([1.0 - 1 / 200] + [0.0] * 199 + [1 / 200])
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def random(self, size):
+                self.drawn += size
+                return self.rng.random(size)
+
+        drawn = []
+        for seed in range(2000):
+            rng = CountingRng(derive_rng(seed))
+            if sample_gw(law, 200, rng=rng) is None:
+                drawn.append(rng.drawn)
+        assert drawn and set(drawn) == {64}
+
     def test_heavy_tail_trees_valid(self, stable15):
         trees = [sample_gw(stable15, 10_000, rng=derive_rng(seed)) for seed in range(50)]
         done = [t for t in trees if t is not None]
@@ -82,14 +102,22 @@ class TestSampleGw:
 
 
 class TestStepSampler:
-    """The analytic tail inversion against a direct CDF search on a longer table."""
+    """The table's top and its searches against a direct CDF search on a longer table."""
 
-    def test_tail_draws_match_table_search(self, stable15):
-        steps = _StepSampler(stable15, 1)
-        us = np.linspace(0.0, 0.9 * steps.above[-1], 2001)
-        cdf = np.cumsum(stable15.probabilities(1 << 17)[steps.cap + 1 :])
-        want = steps.cap + 1 + np.searchsorted(cdf, us, side="right")
-        assert np.array_equal(steps.draws(us, steps.cap + 1), want)
+    def test_table_top_and_draws_past_it(self, stable15, geometric):
+        # top is n - 1 unless the tail vanishes before: at an explicit law's support top,
+        # and at 1074 for geometric(1/2), where 0.5^1075 underflows; past it draws read n
+        explicit = stable15.truncate(20_000)
+        for n in (1, 10_000, 100_000):
+            for law, top in ((stable15, n - 1), (explicit, min(n - 1, 20_000)),
+                             (geometric, min(n - 1, 1074))):
+                steps = _StepSampler(law, n)
+                assert steps.top == top
+                mass = law.tail_mass(top)
+                assert mass == 0.0 or top == n - 1
+                if mass > 0.0:
+                    past = 1.0 - np.geomspace(0.5 * mass, 1e-3 * mass, 50)
+                    assert np.array_equal(steps.draws(past, 0), np.full(50, n))
 
     @pytest.mark.parametrize("kmin", [3, 50, 1000])
     def test_tail_quantile_match_table_search(self, stable15, kmin):
@@ -103,27 +131,27 @@ class TestStepSampler:
 
     def test_rest_draws_match_table_search(self, stable15):
         # the rejection route's rest values (mu conditioned on > head) at n = 1e4,
-        # up to quantiles whose values lie past the table's cap
-        steps = _StepSampler(stable15, 10_000)
+        # up to quantiles whose values lie past the table's top, which read n
+        n = 10_000
+        steps = _StepSampler(stable15, n)
         kmin = steps.head + 1
-        assert 0 < steps.head < steps.cap
-        mass = steps.above[kmin]
-        us = np.concatenate([np.linspace(0.0, 0.9 * mass, 2001),
-                             mass * (1.0 - np.geomspace(0.1, 1e-5, 200))])
+        assert 0 < steps.head < steps.top
+        us = np.concatenate([np.linspace(0.0, 0.9, 2001), 1.0 - np.geomspace(0.1, 1e-5, 200)])
+        mass = stable15.tail_mass(steps.head)
         cdf = np.cumsum(stable15.probabilities(1 << 17)[kmin:])
-        want = kmin + np.searchsorted(cdf, us, side="right")
+        want = kmin + np.searchsorted(cdf, us * mass, side="right")
         got = steps.draws(us, kmin)
-        assert got.max() > steps.cap and want.max() < 1 << 17
-        assert np.array_equal(got, want)
+        assert want.max() > n and want.max() < 1 << 17
+        assert np.array_equal(got, np.minimum(want, n))
 
     def test_explicit_draws_match_table_search_past_two_to_the_14(self, stable15):
-        # an explicit law's table covers its whole support, so far quantiles keep their values
+        # a table that covers an explicit law's whole support keeps every far quantile's value
         law = stable15.truncate(20_000)
-        steps = _StepSampler(law, 1)
+        steps = _StepSampler(law, 30_000)
         us = np.concatenate([np.linspace(0.0, 1.0, 2001)[:-1], 1.0 - np.geomspace(1e-3, 1e-10, 400)])
         cdf = np.cumsum(law.probs)
         want = np.minimum(np.searchsorted(cdf, us * cdf[-1], side="right"), law.probs.size - 1)
-        got = steps.draws(us * steps.above[0], 0)
+        got = steps.draws(us, 0)
         assert want.max() > 1 << 14
         assert np.array_equal(got, want)
 
@@ -270,7 +298,7 @@ class TestSampleConditioned:
 
     def test_rest_past_every_tree_chi_square_against_enumeration(self):
         # support {0, 1, 2, 20}, critical; at n = 6 the head is {0} and a rest
-        # value of 20 (drawn from the table) must be rejected every time
+        # value of 20 (read as 6, past the table's top of 5) must be rejected every time
         law = make_explicit([0.58, 0.2, 0.2] + [0.0] * 17 + [0.02])
         assert _StepSampler(law, 6).head == 0
         assert chi_square_fits(law, 6, enumerate_conditioned(law, 6), 62)
