@@ -62,6 +62,7 @@ __all__ = [
     "check_absolute_continuity",
     "progeny_rho",
     "meander_pmf",
+    "conditioned_walk_marginal",
 ]
 
 MASS_TOL = 1e-12
@@ -481,6 +482,24 @@ def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
         truncated_mass=max(0.0, clipped),
         exact_hi=exact_hi,
     )
+
+
+def conditioned_walk_marginal(law: OffspringLaw, n: int, m: int) -> PmfTable:
+    """P[W_m = k | zeta = n] for k = 0..n - m - 1, for 1 <= m < n.
+
+    By the Markov property at m, P[W_m = k, zeta = n] = mea_m(k) phi_{n-m}(k + 1):
+    the walk stays >= 0 up to m, then needs exactly n - m more steps to reach -1
+    from k.  phi_p(j) = 0 for j > p, so the meander is needed exact on [0, n - m]
+    only, and the table holds the whole conditional law.
+    """
+    if not 1 <= m < n:
+        raise ExactLawError(f"the marginal needs 1 <= m < n, got m = {m}, n = {n}")
+    p_n = float(progeny_rho(law, n)[n])
+    if p_n <= 0.0:
+        raise ExactLawError(f"P[zeta = {n}] = 0")
+    rest = n - m
+    mea = meander_pmf(law, m, rest).masses[:rest]
+    return PmfTable(0, mea * phi(law, rest, np.arange(1, rest + 1)) / p_n, 0.0, rest - 1)
 
 
 def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:

@@ -174,19 +174,23 @@ class OffspringLaw:
 # -- constructors -------------------------------------------------------------
 
 
+_PROBS_BLOCK = 1 << 16  # ratios per block when _family_probs fills a long table
+
+
 def _family_probs(family: str, param: float, theta: float, k_max: int) -> np.ndarray:
     out = np.zeros(k_max + 1)
     if family == "geometric":
         out[:] = (1.0 - param) * param ** np.arange(k_max + 1)
         return out
-    # stable: mu(0)=1/theta, mu(1)=0, mu(2)=(theta-1)/2, ratio (k-theta)/(k+1)
+    # stable: mu(0)=1/theta, mu(1)=0, mu(2)=(theta-1)/2, ratio (k-theta)/(k+1); the
+    # ratios are written in place blockwise, so no temporary is as long as the result
     out[0] = 1.0 / theta
     if k_max >= 2:
-        factors = np.ones(k_max - 1)
-        factors[0] = (theta - 1.0) / 2.0  # mu(2)
-        k = np.arange(2, k_max, dtype=float)
-        factors[1:] = (k - theta) / (k + 1.0)
-        out[2:] = np.cumprod(factors)
+        out[2] = (theta - 1.0) / 2.0
+        for lo in range(2, k_max, _PROBS_BLOCK):
+            k = np.arange(lo, min(lo + _PROBS_BLOCK, k_max), dtype=float)
+            out[lo + 1 : lo + 1 + k.size] = (k - theta) / (k + 1.0)
+        np.cumprod(out[2:], out=out[2:])
     return out
 
 

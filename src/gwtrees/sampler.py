@@ -17,16 +17,41 @@ decides all this, and refuses a size with P[zeta = n] = 0 before any draw (see
 ``_child_count_sums``); ``sample_conditioned`` only rotates its block.
 
 A block of n i.i.d. mu-draws is drawn as a head and a rest.  The head is
-{0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET; one
-multinomial row gives the block's count of each head value and the number m
-of rest draws, which are then m i.i.d. draws of mu conditioned on > K.  Step
-counts are a sufficient statistic for the sum, so a block is expanded to a
-shuffled sequence only once it is accepted, and a rejected one costs
-O(K + m) instead of O(n).  Attempts are drawn BATCH rows per multinomial call,
-with one uniform draw for all the rows' rest values; the first row with sum
--1 is kept.  This is exact: the rows are i.i.d. blocks, the first success of
-an i.i.d. sequence has the conditioned law, and the rows drawn after it are
-discarded unread.
+{0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET, and
+p = P[mu > K]; one multinomial row gives the block's count c of each head
+value and the number m of rest values, i.i.d. with law R_1(k) = mu(k) / p for
+k > K.  Step counts are a sufficient statistic for the sum, so a row is
+expanded to a shuffled sequence only once it is kept, and a row costs
+O(K + m) instead of O(n).
+
+One rest value per row is conditioned exactly (the degree-count multinomial
+with rejection of Devroye 2012, SIAM J. Comput. 41, with its last step
+forced).  Let M = max R_1 over K < k <= top, b0 = (1 - p)^n = P[m = 0] and
+s = b0 (1 - M) / (b0 + M (1 - b0)).  Each row then goes through three steps:
+
+* swap: with probability s, a row with m >= 1 is replaced by a fresh
+  head-only row, multinomial(n, mu(0..K) / (1 - p)).  The row's m then has
+  law q(m) proportional to Binom(n, p)(m) w(m), with w(0) = 1 and w(m) = M
+  for m >= 1;
+* a row with m >= 1 draws m - 1 rest values and forces the last one to the
+  value k that brings the block's sum to -1; it is kept iff u M < R_1(k),
+  with u uniform and R_1(k) = 0 unless K < k <= top;
+* a row with m = 0 is kept iff its head sums to -1.
+
+This is exact.  Each row is an i.i.d. (proposal, coin) pair, so the first kept
+row has the law of one row conditioned on being kept.  A kept row with m >= 1,
+head counts c and rest values r_1..r_m (r_m forced) has probability
+q(m) Mult(n - m)(c) R_1(r_1)..R_1(r_(m-1)) R_1(r_m) / M; a kept row with m = 0
+has probability q(0) Mult(n)(c), on {sum = -1}.  Both are proportional to
+Binom(n, p)(m) Mult(c) prod R_1(r_i) on {sum = -1}, which is the block's law of
+counts and rest values given that it sums to -1; the block given these is a
+uniform shuffle.  Rows are drawn BATCH per multinomial call, with one uniform
+per row, then the drawn rest values.  A row's uniform c serves twice: c < s
+swaps it, and otherwise u = (c - s) / (1 - s).  A swapped row's head-only row
+is drawn only once no earlier row of its batch was kept, and the rows after
+the kept one are discarded unread.  M is of order 1/K on a stable law, and
+the block's sum spreads on the same scale B_n, so a tree costs O(1) rows as
+n grows: 1.4 batches of 64 on average at theta = 1.5, n = 1e4, and 2 at 1e6.
 
 Both samplers read mu from one step sampler per (law, n): a survival table of
 mu on 0..top + 1, with top = n - 1 or the law's last value of positive tail if
@@ -37,6 +62,7 @@ draw past top, read as top + 1 >= n, rejects its block or ends ``sample_gw``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -57,6 +83,8 @@ __all__ = [
 
 HEAD_TARGET = 8  # expected rest draws per block: n P[mu > K] at the head's edge K
 BATCH = 64  # blocks per multinomial call
+_BLOCK = 1 << 16  # table entries per block when the build scans mu
+_ROWS = np.arange(BATCH)
 
 
 class SamplerError(RuntimeError):
@@ -73,9 +101,11 @@ class _StepSampler:
 
     The one step sampler of both samplers: ``draws`` inverts mu conditioned on
     {value >= kmin} for a vector of uniforms.  ``sample_gw`` uses it with
-    kmin = 0; the rejection route draws the head counts with one multinomial
-    over ``pvals`` (mu(0..head), then P[mu > head]) and the rest values with
-    kmin = head + 1.  Only -P[mu >= k], ascending for searchsorted, is kept.
+    kmin = 0; the conditioned route draws the head counts with one multinomial
+    over ``pvals`` (mu(0..head), then P[mu > head]), a swapped row's over
+    ``head_pvals``, and the rest values with kmin = head + 1, and reads M
+    (``rest_max``) and the swap probability s (``swap``), both set here.  Only
+    -P[mu >= k], ascending for searchsorted, is kept n long.
     """
 
     def __init__(self, law: OffspringLaw, n: int):
@@ -87,11 +117,25 @@ class _StepSampler:
         # the smallest K with n P[mu > K] <= HEAD_TARGET, searched without an n-sized
         # temporary; K <= top, as n P[mu > n - 1] <= E[mu] <= 1 (Markov)
         self.head = bisect_left(neg_above, True, 1, key=lambda v: n * v >= -HEAD_TARGET) - 1
-        pvals = np.append(law.probabilities(self.head), -neg_above[self.head + 1])
+        head_probs = law.probabilities(self.head)
+        p_rest = -neg_above[self.head + 1]  # P[mu > K]
+        pvals = np.append(head_probs, p_rest)
         self.pvals = pvals / pvals.sum()
-        self.values = np.arange(-1, self.head, dtype=np.int64)  # nu = mu - 1 on the head
+        self.head_pvals = head_probs / head_probs.sum()  # mu on the head alone
+        self.values = np.append(np.arange(self.head + 1), 0)  # mu on the head; 0 on the rest count
         self._neg_above = neg_above
-        for arr in (self.pvals, self.values, self._neg_above):
+        # M = max R_1 (see the module docstring), with mu(k) read off the table for
+        # K < k <= top in blocks, so that no temporary is n long
+        mu_max = max((np.diff(neg_above[i : i + _BLOCK + 1]).max()
+                      for i in range(self.head + 1, self.top + 1, _BLOCK)), default=0.0)
+        self.rest_max = mu_max / p_rest if p_rest else 0.0
+        b0 = math.exp(n * math.log1p(-self.pvals[-1]))  # P[m = 0]
+        # the swap probability s = (pi0 - b0) / (1 - b0), pi0 = b0 / (b0 + M (1 - b0))
+        self.swap = b0 * (1.0 - self.rest_max) / (b0 + self.rest_max * (1.0 - b0))
+        # a row's uniform c swaps it when c < s, and otherwise keeps the forced value k
+        # iff (c - s) / (1 - s) < mu(k) / mu_max
+        self._coin_scale = (1.0 - self.swap) / mu_max if mu_max else 0.0
+        for arr in (self.pvals, self.head_pvals, self.values, self._neg_above):
             arr.flags.writeable = False
 
     def draws(self, us: np.ndarray, kmin: int) -> np.ndarray:
@@ -100,9 +144,11 @@ class _StepSampler:
         The value at u is the smallest k >= kmin with P[mu > k] < (1 - u) P[mu >= kmin],
         one table search; a u in the last bin reads top + 1.
         """
-        mass = -self._neg_above[kmin]
-        target = np.maximum(mass - us * mass, 1e-300)  # u near 1 stays off an empty last bin
-        return kmin + np.searchsorted(self._neg_above[kmin + 1 :], -target, side="right")
+        mass = -float(self._neg_above[kmin])
+        neg_target = us * mass
+        neg_target -= mass
+        np.minimum(neg_target, -1e-300, out=neg_target)  # u near 1 stays off an empty last bin
+        return kmin + self._neg_above[kmin + 1 :].searchsorted(neg_target, side="right")
 
 
 @lru_cache(maxsize=32)  # the law hashes by identity
@@ -191,27 +237,42 @@ def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) 
     law = _critical_tilt(law)
     steps = _step_sampler(law, n)
     kmin = steps.head + 1
-    rows = np.arange(BATCH)
+    rest_above = steps._neg_above[kmin:]  # -P[mu >= k] for k = K + 1..top + 1
     max_attempts = 50 * n + 100_000  # expected ~ B_n / p1(0), so huge slack
 
     for _ in range(-(-max_attempts // BATCH)):
         counts = rng.multinomial(n, steps.pvals, size=BATCH)
         n_rest = counts[:, -1]
-        totals = counts[:, :-1] @ steps.values
-        m = int(n_rest.sum())
-        if m:  # rest values in row order; float sums cannot wrap, and are exact near -1
-            rest = steps.draws(rng.random(m), kmin) - 1
-            totals = totals + np.bincount(np.repeat(rows, n_rest), weights=rest, minlength=BATCH)
-        hits = np.flatnonzero(totals == -1)
-        if not hits.size:
-            continue
-        r = int(hits[0])
-        seq = np.repeat(steps.values, counts[r, :-1])
-        if n_rest[r]:
-            end = int(n_rest[: r + 1].sum())
-            seq = np.concatenate([seq, rest[end - n_rest[r] : end]])
-        rng.shuffle(seq)
-        return seq
+        live = n_rest > 0
+        drawn = n_rest - live  # the last rest value of a row is forced, not drawn
+        us = rng.random(BATCH + drawn.sum())  # a coin per row, then the drawn rest values
+        coins = us[:BATCH]
+        rest = steps.draws(us[BATCH:], kmin)  # in row order
+        sums = np.bincount(np.repeat(_ROWS, drawn), weights=rest, minlength=BATCH)
+        # the sum of a row's n - 1 drawn mu-values (all n in a head-only row); float sums
+        # of ints < 2^53 are exact
+        drawn_sum = counts @ steps.values + sums.astype(np.int64)
+        # the n mu-values sum to n - 1, so the forced one is k = n - 1 - drawn_sum, at k - kmin
+        # in rest_above; mu(k) reads 0 for k <= K and past top, where both clipped reads agree
+        at = (n - 1 - kmin) - drawn_sum
+        mu = rest_above.take(at + 1, mode="clip") - rest_above.take(at, mode="clip")
+        # candidates: head-only rows summing to n - 1, and rest rows whose coin swaps or keeps
+        cand = np.where(live, coins < mu * steps._coin_scale + steps.swap, at == -kmin)
+        for r in cand.nonzero()[0].tolist():
+            if coins[r] < steps.swap and live[r]:  # swapped: a fresh head-only row, drawn only now
+                heads = rng.multinomial(n, steps.head_pvals)
+                if heads @ steps.values[:-1] != n - 1:
+                    continue
+                seq = np.repeat(steps.values[:-1], heads)
+            else:  # the head values, then the rest count's placeholders
+                seq = np.repeat(steps.values, counts[r])
+                if live[r]:
+                    end = sum(drawn[: r + 1].tolist())
+                    seq[n - n_rest[r] : -1] = rest[end - drawn[r] : end]
+                    seq[-1] = at[r] + kmin
+            seq -= 1  # nu = mu - 1
+            rng.shuffle(seq)
+            return seq
     raise SamplerError(
         f"no block with sum -1 in {max_attempts} attempts (n={n}); "
         "the conditional event has vanishing probability"

@@ -438,6 +438,37 @@ class TestMeander:
             assert abs(float(mea.masses.sum()) + mea.truncated_mass - survival) <= 1e-12
 
 
+class TestConditionedWalkMarginal:
+    def test_against_enumeration(self, geometric, stable15):
+        # P[W_m = k | zeta = n] read off every conditioned tree, for every m < n
+        for law, n in ((geometric, 8), (stable15, 9), (make_explicit([0.09, 0.85, 0.03, 0.03]), 9)):
+            walks = [(np.concatenate([[0], np.cumsum(t.child_counts - 1)]), p)
+                     for t, p in ex.enumerate_conditioned(law, n)]
+            for m in range(1, n):
+                want = np.zeros(n - m)
+                for w, p in walks:
+                    want[w[m]] += p
+                tab = ex.conditioned_walk_marginal(law, n, m)
+                assert (tab.lo, tab.hi, tab.exact_hi) == (0, n - m - 1, n - m - 1)
+                # absolute rounding of order 1e-16 in the tables, divided by P[zeta = n]
+                assert np.max(np.abs(tab.masses - want)) < 1e-13
+
+    def test_mass_one_at_large_n(self, geometric, stable15):
+        for law in (geometric, stable15):
+            tab = ex.conditioned_walk_marginal(law, 1000, 500)
+            assert abs(float(tab.masses.sum()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n, m", [(5, 0), (5, 5), (1, 1)])
+    def test_preconditions(self, geometric, n, m):
+        with pytest.raises(ex.ExactLawError, match="1 <= m < n"):
+            ex.conditioned_walk_marginal(geometric, n, m)
+
+    def test_impossible_size_refused(self, stable15):
+        # the stable family has mu(1) = 0: no tree has 2 vertices
+        with pytest.raises(ex.ExactLawError, match="P\\[zeta = 2\\] = 0"):
+            ex.conditioned_walk_marginal(stable15, 2, 1)
+
+
 class TestTableCache:
     def test_each_table_built_once(self, geometric):
         from gwtrees import limits as lim

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,28 @@ class TestStableFamily:
         ks = np.arange(2, 60)
         oracle = np.abs(binom_real(th, ks)) / th
         assert np.allclose(stable15.probabilities(59)[2:], oracle, rtol=1e-13)
+
+    @pytest.mark.parametrize("theta", [1.1, 1.5, 1.9])
+    def test_probabilities_filled_in_place(self, theta):
+        # the ratio product (k - theta)/(k + 1) as one array expression: bit-identical
+        # across block edges, and built without temporaries as long as the result
+        def reference(k_max):
+            factors = np.ones(k_max - 1)
+            factors[0] = (theta - 1.0) / 2.0
+            k = np.arange(2, k_max, dtype=float)
+            factors[1:] = (k - theta) / (k + 1.0)
+            return np.concatenate([[1.0 / theta, 0.0], np.cumprod(factors)])
+
+        law = off.make_stable_family(theta)
+        for k_max in (2, 3, 256, 1 << 16, (1 << 16) + 2, 10**6):
+            assert np.array_equal(law.probabilities(k_max), reference(k_max))
+        tracemalloc.start()
+        try:
+            result = law.probabilities(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * result.nbytes
 
     def test_total_mass_with_analytic_tail(self, stable15):
         for cap in (1, 2, 10, 100, 5000):

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from gwtrees import (
+    Tree,
     conditioned_increments,
     cycle_shift,
     enumerate_conditioned,
@@ -17,7 +18,7 @@ from gwtrees import (
     sample_conditioned,
     sample_gw,
 )
-from gwtrees.exactlaw import progeny_rho
+from gwtrees.exactlaw import conditioned_walk_marginal, progeny_rho
 from gwtrees.sampler import (
     HEAD_TARGET,
     SamplerError,
@@ -363,6 +364,35 @@ class TestSampleConditioned:
         assert all(a == b for a, b in zip(serial, threaded))
         again = [sample_conditioned(geometric, 64, rng=derive_rng(7, i)) for i in range(8)]
         assert all(a == b for a, b in zip(serial, again))
+
+    def test_head_only_rows_weighted_against_enumeration(self):
+        # critical, n = 9: the head is {0, 1} and the rest {2, 3}, so head-only rows
+        # (m = 0) carry the path's mass; without the swap to head-only rows the
+        # path's frequency would read about 0.79
+        law = make_explicit([0.09, 0.85, 0.03, 0.03])
+        n, n_draws = 9, 20_000
+        assert _StepSampler(law, n).head == 1
+        want = dict(enumerate_conditioned(law, n))[Tree(np.array([1] * (n - 1) + [0]))]
+        assert abs(want - 0.88559) < 1e-5
+        # the path is the one tree whose block is n - 1 zeros and a -1, in any rotation
+        rng = derive_rng(909)
+        hits = sum(int(np.count_nonzero(conditioned_increments(law, n, rng=rng))) == 1
+                   for _ in range(n_draws))
+        assert abs(hits / n_draws - want) < 4 * math.sqrt(want * (1 - want) / n_draws)
+
+    @pytest.mark.parametrize("law_name", ["geometric", "stable15"])
+    def test_walk_marginal_ks_against_exact_law(self, law_name, request):
+        # W_{n/2} of 10^4 trees at n = 10^3 against P[W_{n/2} = k | zeta = n]; both
+        # CDFs are constant on [k, k + 1), so the sup over integers k is the KS
+        # distance with ties counted exactly
+        law = request.getfixturevalue(law_name)
+        n, m, n_draws = 1000, 500, 10_000
+        rng = derive_rng(1000)
+        at = [int(sample_conditioned(law, n, rng=rng).child_counts[:m].sum()) - m
+              for _ in range(n_draws)]
+        exact = np.cumsum(conditioned_walk_marginal(law, n, m).masses)
+        empirical = np.cumsum(np.bincount(at, minlength=exact.size)) / n_draws
+        assert math.sqrt(n_draws) * np.max(np.abs(empirical - exact)) <= 1.63
 
 
 class TestAnalyticSamplerLaw:
