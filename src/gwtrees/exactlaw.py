@@ -54,10 +54,7 @@ __all__ = [
     "progeny_pmf",
     "phi",
     "phi_star",
-    "phi_phi_star_at",
     "discrete_ratio_window",
-    "ratio_weighted_mean",
-    "meander_ratio_mean",
     "enumerate_conditioned",
     "check_absolute_continuity",
     "progeny_rho",
@@ -227,7 +224,7 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
             exact_hi = cap * n
         else:
             exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
-    if exact_hi < 1 - n:
+    if exact_hi < -n:
         raise ExactLawError("exact_hi below the walk's minimum")
     return _walk_table(law, n, exact_hi)
 
@@ -390,16 +387,6 @@ def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
     return out
 
 
-def phi_phi_star_at(law: OffspringLaw, p: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectors (phi_p(j))_{j=1..j_max} and (phi*_p(j))_{j=1..j_max}.
-
-    Beyond j = p they are exactly phi = 0 and phi* = 1 (zeta_j >= j); callers
-    that need one of the two call ``phi`` or ``phi_star`` instead.
-    """
-    js = np.arange(1, j_max + 1)
-    return phi(law, p, js), phi_star(law, p, js)
-
-
 # -- discrete absolute-continuity ratio ------------------------------------------------
 
 
@@ -410,18 +397,22 @@ def discrete_ratio_window(
     on walk prefixes,
 
     D = [phi_{n-floor(an)}(k+1) / phi_n(1)] / [phi*_{n-floor(an)}(k+1) / phi*_n(1)].
+
+    D is undefined where P[zeta = n] = phi_n(1) vanishes, and is refused there.
     """
     if not 0.0 < a < 1.0:
         raise ExactLawError("a must lie in (0,1)")
     if not 0 <= k_lo <= k_hi:
         raise ExactLawError(f"the window needs 0 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
-    m = n - int(math.floor(a * n))
-    phi_m, phistar_m = phi_phi_star_at(law, m, k_hi + 1)
+    rest = n - int(math.floor(a * n))
     rho = progeny_rho(law, n)
     phi_n1 = float(rho[n])
+    if phi_n1 <= 0.0:
+        raise ExactLawError(f"P[zeta = {n}] = 0")
     phistar_n1 = max(0.0, 1.0 - float(rho[:n].sum()))
-    num = phi_m[k_lo : k_hi + 1] / phi_n1
-    den = phistar_m[k_lo : k_hi + 1] / phistar_n1
+    js = np.arange(k_lo + 1, k_hi + 2)
+    num = phi(law, rest, js) / phi_n1
+    den = phi_star(law, rest, js) / phistar_n1
     if np.any(den <= 0.0):
         raise ExactLawError("phi* vanished on the requested window")
     return num / den
@@ -500,28 +491,6 @@ def conditioned_walk_marginal(law: OffspringLaw, n: int, m: int) -> PmfTable:
     rest = n - m
     mea = meander_pmf(law, m, rest).masses[:rest]
     return PmfTable(0, mea * phi(law, rest, np.arange(1, rest + 1)) / p_n, 0.0, rest - 1)
-
-
-def ratio_weighted_mean(law: OffspringLaw, n: int, a: float) -> float:
-    """E[D_n^(a)(W_{floor(an)}) | zeta >= n], which Lemma-type algebra makes exactly 1.
-
-    Computed from the killed-walk table and the phi-profiles; a strong internal
-    consistency check across three exact routes.
-    """
-    m = int(math.floor(a * n))
-    rest = n - m
-    if m < 1 or rest < 1:
-        raise ExactLawError("floor(a*n) and n - floor(a*n) must be >= 1")
-    return meander_ratio_mean(law, n, rest, meander_pmf(law, m, 2 * rest))
-
-
-def meander_ratio_mean(law: OffspringLaw, n: int, rest: int, mea: PmfTable) -> float:
-    """E[D | zeta >= n] = sum_k mea(k) phi_rest(k+1) / phi_n(1), from ``mea``, the meander
-    of the first n - rest steps, exact up to at least rest - 1.  Its clipped mass sits
-    where phi_rest = 0 and phi*_rest = 1: it enters the normalization exactly and the
-    numerator not at all."""
-    phi_r = phi(law, rest, np.arange(mea.lo, mea.hi + 1) + 1)
-    return float((mea.masses * phi_r).sum()) / float(progeny_rho(law, n)[n])
 
 
 # -- exhaustive small-n machinery ------------------------------------------------------

@@ -182,7 +182,8 @@ def ratio_vs_gamma_experiment(
 
     Pass: the sup-gap decreases along n_list and the final gap is below
     RATIO_FINAL_BOUND; the weighted-mean identity E[D | zeta >= n] = 1 is also
-    verified at every n at 1e-9.
+    verified at every n at 1e-9.  That mean is the total mass of
+    P[W_{floor(an)} = . | zeta = n] from ``exactlaw.conditioned_walk_marginal``.
     """
     t0 = time.time()
     law.require_critical("ratio_vs_gamma_experiment")
@@ -196,7 +197,8 @@ def ratio_vs_gamma_experiment(
         ks = np.arange(k_lo, k_hi + 1)
         g_vals = np.asarray(stable.gamma_a(slaw, a, ks / b_n))
         gaps.append(float(np.max(np.abs(d_vals - g_vals))))
-        means.append(exactlaw.ratio_weighted_mean(law, n, a))
+        m = int(math.floor(a * n))
+        means.append(float(exactlaw.conditioned_walk_marginal(law, n, m).masses.sum()))
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
@@ -370,7 +372,8 @@ def lukasiewicz_marginal_experiment(
     continuation weights phi*; Gamma_a is extended by its boundary limits
     1/(1-a) below x = 1e-3 and 0 above x = 1e3 (total weight there is tiny,
     and is reported).  The exact f = 1 identity E[D_n | zeta >= n] = 1 is
-    checked alongside at 1e-9, on the same meander table.
+    checked alongside at 1e-9: the same weights against
+    ``exactlaw.discrete_ratio_window`` in place of Gamma_a.
     """
     t0 = time.time()
     law.require_critical("lukasiewicz_marginal_experiment")
@@ -378,7 +381,8 @@ def lukasiewicz_marginal_experiment(
     b_n = calibrate_bn(law, n)
     m = int(math.floor(a * n))
     rest = n - m
-    # one table, exact on [0, max(50 B_n, rest) + rest], serves Gamma_a and the weighted mean
+    # one table, exact on [0, max(50 B_n, rest) + rest]: Gamma_a reads all of it, the
+    # D-weighted mean its first rest entries (D = 0 beyond, as phi_rest(k + 1) = 0 for k >= rest)
     mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest) + rest)
     ks = np.arange(mea.lo, mea.hi + 1)
     w = mea.masses * exactlaw.phi_star(law, rest, ks + 1)
@@ -392,7 +396,7 @@ def lukasiewicz_marginal_experiment(
     gam[xs > stable.GAMMA_X_HI] = 0.0
     expect_gamma = float((w * gam).sum()) / alive
     boundary_weight = float(w[~inside].sum()) / alive
-    d_mean = exactlaw.meander_ratio_mean(law, n, rest, mea)
+    d_mean = float(w[:rest] @ exactlaw.discrete_ratio_window(law, n, a, 0, rest - 1)) / alive
 
     stats = {
         "n": n,

@@ -30,6 +30,20 @@ class TestExact:
                     "--j", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["phi"] == pytest.approx(1 / 16)
 
+    def test_walk_of_a_point_mass_at_the_minimum(self, tmp_path, capsys):
+        law_file = tmp_path / "leaf.json"
+        law_file.write_text(json.dumps({"family": "explicit", "probabilities": [1.0]}))
+        assert run(["exact", "--law", str(law_file), "--what", "walk", "--n", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["offset"], payload["pmf"]) == (-3, [1.0])
+
+    def test_ratio_refused_where_size_is_impossible(self, capsys):
+        # stable:1.5 has mu(1) = 0, so P[zeta = 2] = 0 and D_2 is undefined
+        assert run(["exact", "--law", "stable:1.5", "--what", "ratio", "--n", "2",
+                    "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "P[zeta = 2] = 0" in captured.err
+
     def test_ac_check_exit_codes(self, capsys):
         assert run(["exact", "--law", "geometric", "--what", "ac-check", "--n", "4",
                     "--a", "0.5"]) == 0

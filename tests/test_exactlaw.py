@@ -156,6 +156,13 @@ class TestWalkPmf:
         for k, p in oracle.items():
             assert abs(t.prob(k) - p) < 1e-13
 
+    def test_point_mass_reaches_the_minimum(self):
+        # every vertex a leaf: each step is -1, so W_n = -n, the walk's minimum
+        law = make_explicit([1.0])
+        for n in (1, 3, 5):
+            t = ex.walk_pmf(law, n)
+            assert (t.lo, t.masses.tolist(), t.exact_hi) == (-n, [1.0], -n)
+
     def test_two_steps_is_self_convolution(self, geometric):
         t2 = ex.walk_pmf(geometric, 2)
         nu = geometric.probabilities(81)  # nu(-1..80) = mu(0..81)
@@ -185,8 +192,9 @@ class TestWalkPmf:
         assert np.max(np.abs(t.masses - want)) <= 1e-15
 
     def test_window_below_minimum_rejected(self, geometric):
-        with pytest.raises(ex.ExactLawError):
-            ex.walk_pmf(geometric, 4, -6)
+        for exact_hi in (-5, -6):  # W_4 >= -4
+            with pytest.raises(ex.ExactLawError, match="minimum"):
+                ex.walk_pmf(geometric, 4, exact_hi)
 
 
 class TestProgeny:
@@ -315,9 +323,16 @@ class TestDiscreteRatio:
         assert d.shape == (1,) and abs(d[0] - 2.0) < 1e-12
 
     def test_weighted_mean_is_one(self, geometric, stable15):
+        # E[D | zeta >= n] is the total mass of P[W_{n/2} = . | zeta = n]
         for law in (geometric, stable15):
             for n in (8, 32, 64):
-                assert abs(ex.ratio_weighted_mean(law, n, 0.5) - 1.0) < 1e-11
+                mass = float(ex.conditioned_walk_marginal(law, n, n // 2).masses.sum())
+                assert abs(mass - 1.0) < 1e-11
+
+    def test_refused_where_size_is_impossible(self, stable15):
+        # mu(1) = 0 for theta = 1.5, so P[zeta = 2] = mu(1) mu(0) = 0 and D is undefined
+        with pytest.raises(ex.ExactLawError, match=r"P\[zeta = 2\] = 0"):
+            ex.discrete_ratio_window(stable15, 2, 0.5, 0, 0)
 
     def test_preconditions(self, geometric):
         with pytest.raises(ex.ExactLawError):
@@ -396,8 +411,7 @@ class TestMeander:
         n, m = 40, 20
         mea = ex.meander_pmf(geometric, m, 60)
         ks = np.arange(mea.lo, mea.hi + 1)
-        phi_r, _ = ex.phi_phi_star_at(geometric, n - m, int(ks[-1]) + 1)
-        lhs = float((mea.masses * phi_r[ks]).sum())
+        lhs = float((mea.masses * ex.phi(geometric, n - m, ks + 1)).sum())
         assert abs(lhs - ex.progeny_rho(geometric, n)[n]) < 1e-14
 
     def test_against_killed_walk_oracle(self, geometric, stable15):
@@ -480,17 +494,19 @@ class TestTableCache:
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
         (mea0, walk0, star0), (mea1, walk1, star1) = before, [c.cache_info() for c in caches]
-        # meanders: the ratio's weighted mean (m = 512, exact on [0, 1024]) and the
-        # marginal's wider one, which also serves the marginal's weighted mean
+        # meanders: the ratio's conditioned marginal (m = 512, exact on [0, 512]) and
+        # the marginal's wider one, which also serves the marginal's D-weighted mean
         assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 0)
-        # phi at p = 512 reads one W_512 table: the ratio window, then both
-        # weighted means
+        # phi at p = 512 reads one W_512 table: the ratio window builds it, the
+        # ratio's conditioned marginal and the marginal's D window read it
         assert (walk1.misses - walk0.misses, walk1.hits - walk0.hits) == (1, 2)
-        # one phi* profile at p = 512: the ratio window builds it, the marginal reads it
-        assert (star1.misses - star0.misses, star1.hits - star0.hits) == (1, 1)
+        # one phi* profile at p = 512: the ratio window builds it, the marginal's
+        # weights and its D window read it
+        assert (star1.misses - star0.misses, star1.hits - star0.hits) == (1, 2)
 
-        phi_wide, phistar_wide = ex.phi_phi_star_at(geometric, 64, 200)
-        phi_p, phistar_p = ex.phi_phi_star_at(geometric, 64, 64)
+        js = np.arange(1, 201)  # beyond j = p, phi = 0 and phi* = 1 (zeta_j >= j)
+        phi_wide, phistar_wide = ex.phi(geometric, 64, js), ex.phi_star(geometric, 64, js)
+        phi_p, phistar_p = ex.phi(geometric, 64, js[:64]), ex.phi_star(geometric, 64, js[:64])
         assert np.array_equal(phi_wide, np.concatenate([phi_p, np.zeros(136)]))
         assert np.array_equal(phistar_wide, np.concatenate([phistar_p, np.ones(136)]))
 
