@@ -29,7 +29,7 @@ from .offspring import (
 from .report import ExperimentReport, jsonify
 
 CSV_SCHEMA = "gwtrees.csv/1"
-CSV_BLOCK = 1 << 16  # rows per %-format call in _write_csv
+CSV_BLOCK = 1 << 16  # rows per block: _write_csv's temporaries are O(CSV_BLOCK), not O(rows)
 
 
 def _out_path(raw: str) -> Path:
@@ -55,18 +55,64 @@ def _load_law(spec: str) -> OffspringLaw:
     raise ValueError(f"unknown law {spec!r} (use geometric[:p], stable[:theta], or a file)")
 
 
+def _int_span(col):
+    """(min, max) of an integer ndarray or a range as Python ints; None for other columns."""
+    if isinstance(col, range):
+        return (min(col[0], col[-1]), max(col[0], col[-1])) if col else (0, 0)
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return (int(col.min()), int(col.max())) if col.size else (0, 0)
+    return None
+
+
+def _int_field(block, lo: int, hi: int) -> np.ndarray:
+    """Decimals of an integer block in [lo, hi]: a (width, rows) uint8 matrix, right-aligned
+    and NUL-padded, width fitting the column's widest value."""
+    if isinstance(block, range):
+        block = np.arange(block.start, block.stop, block.step)
+    # uint32 // 10 is ~5x cheaper than int64's (and % 10 ~10x dearer than // 10);
+    # wrap-around negation gives |x| exactly, -2**63 included, where np.abs overflows
+    q = block.astype(np.uint32 if max(hi, -lo) < 2**32 else np.uint64)
+    if lo < 0:
+        neg = np.flatnonzero(block < 0)
+        q[neg] = -q[neg]
+    out = np.empty((max(len(str(lo)), len(str(hi))), len(q)), np.uint8)
+    nxt = q // 10
+    out[-1] = q - nxt * 10 + 48
+    for row in out[-2::-1]:
+        q, nxt = nxt, nxt // 10
+        row[:] = (q - nxt * 10 + 48) * (q != 0)  # NUL once the leading digit is written
+    if lo < 0:
+        out[(out[:, neg] != 0).argmax(axis=0) - 1, neg] = ord("-")
+    return out
+
+
+def _str_field(block) -> np.ndarray:
+    """str() of each item (a 3 in a list stays "3"): a (width, rows) uint8 matrix, NUL-padded."""
+    items = block.tolist() if isinstance(block, np.ndarray) else block
+    text = np.array([str(x) for x in items], dtype=np.bytes_)
+    return text.view(np.uint8).reshape(len(items), -1).T
+
+
 def _write_csv(path: Path, header: List[str], *columns) -> None:
-    """Equal-length columns (arrays or lists) in csv.writer's bytes: str() fields, CRLF rows."""
-    k = len(columns)
-    line = ",".join(["%s"] * k) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {CSV_SCHEMA}\n" + ",".join(header) + "\r\n")
+    """Equal-length columns in csv.writer's bytes: str() fields, CRLF rows.
+
+    Integer ndarrays and ranges are printed by numpy digit arithmetic and never become
+    Python objects; other columns (float arrays, lists) take str() of each item.  Each
+    block of CSV_BLOCK rows is laid out as one (bytes per row, rows) uint8 matrix with
+    separators, transposed, and written without its NUL padding.
+    """
+    spans = [_int_span(c) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(f"# schema: {CSV_SCHEMA}\n{','.join(header)}\r\n".encode())
         for lo in range(0, len(columns[0]), CSV_BLOCK):
-            block = [c[lo : lo + CSV_BLOCK] for c in columns]
-            fields = [None] * (k * len(block[0]))
-            for j, col in enumerate(block):
-                fields[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
-            fh.write(line * len(block[0]) % tuple(fields))
+            parts = []
+            for col, span in zip(columns, spans):
+                block = col[lo : lo + CSV_BLOCK]
+                parts.append(_str_field(block) if span is None else _int_field(block, *span))
+                parts.append(np.full((1, len(block)), ord(","), np.uint8))
+            parts[-1] = np.tile(np.array([[13], [10]], np.uint8), (1, len(block)))  # \r\n
+            rows = np.concatenate(parts).T.ravel()
+            fh.write(rows[rows != 0])
 
 
 def _resolve_seed(args) -> int:
@@ -246,13 +292,13 @@ def _cmd_codings(args) -> int:
     height = codings.height_from_tree(tree)
     contour = codings.contour_from_tree(tree)
     prefix = args.out_prefix
-    if args.rescale_points:  # before the writers: their freed blocks would lift peak RSS here
+    if args.rescale_points:
         rp = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
         _write_csv(_out_path(prefix + "_rescaled.csv"), ["t", "value"], rp.times, rp.values)
-    _write_csv(_out_path(prefix + "_vertex.csv"), ["index", "W", "H"], np.arange(walk.values.size),
+    _write_csv(_out_path(prefix + "_vertex.csv"), ["index", "W", "H"], range(walk.values.size),
                walk.values, np.append(height.values, -1))  # zeta+1 walk entries: pad H
     _write_csv(_out_path(prefix + "_contour.csv"), ["time", "C"],
-               np.arange(contour.values.size), contour.values)
+               range(contour.values.size), contour.values)
     return 0
 
 

@@ -100,6 +100,19 @@ class TestSample:
         assert [r[0] for r in rows] == ["0"] * rows_per + ["1"] * rows_per
         assert [int(r[1]) for r in rows] == list(range(rows_per)) * 2
 
+    def test_contour_file_is_csv_module_bytes_of_library_arrays(self, tmp_path):
+        from gwtrees import codings, make_geometric, sampler
+
+        law, n, seed, out = make_geometric(0.5), 500, 23, tmp_path / "c.csv"
+        assert run(["sample", "--law", "geometric", "--n", str(n), "--count", "3",
+                    "--seed", str(seed), "--emit", "contour", "--out", str(out)]) == 0
+        contours = [codings.contour_from_tree(sampler.sample_conditioned(
+            law, n, rng=sampler.derive_rng(seed, rep))).values for rep in range(3)]
+        rows = [(rep, t, c) for rep, values in enumerate(contours)
+                for t, c in enumerate(values.tolist())]
+        want = csv_module_bytes(tmp_path / "want.csv", ["sample", "time", "C"], *zip(*rows))
+        assert out.read_bytes() == want
+
     def test_generated_seed_printed(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         assert run(["sample", "--law", "geometric", "--n", "3", "--emit", "tree",
@@ -137,6 +150,47 @@ class TestWriteCsv:
     def test_block_edges(self, tmp_path, rows):
         t = np.arange(rows)
         self.check(tmp_path, ["t", "C", "r"], t, t % 7 - 3, (t / 3.0).tolist())
+
+    def test_int64_extremes(self, tmp_path):
+        # np.abs(-2**63) overflows; the digits must not
+        big = 2**63 - 1
+        self.check(tmp_path, ["a", "b"], np.array([big, -big, -(2**63), 0, -1], np.int64),
+                   np.array([-(2**63), 9, -10, 10, -99], np.int64))
+
+    def test_uint64_above_int64(self, tmp_path):
+        self.check(tmp_path, ["u"], np.array([2**64 - 1, 2**63, 0, 10**19], np.uint64))
+
+    def test_narrow_and_bool_dtypes(self, tmp_path):
+        self.check(tmp_path, ["i32", "u8", "b"], np.array([-(2**31), 2**31 - 1, 0], np.int32),
+                   np.array([255, 0, 9], np.uint8), np.array([True, False, True]))
+
+    @pytest.mark.parametrize("r", [range(0), range(1), range(7), range(40, -3, -3),
+                                   range(-5, 2 * CSV_BLOCK + 9)])
+    def test_range_columns(self, tmp_path, r):
+        self.check(tmp_path, ["r", "x"], r, np.full(len(r), -4))
+
+    def test_all_negative_column(self, tmp_path):
+        self.check(tmp_path, ["x"], -np.arange(1, 2000) ** 2)
+
+    def test_widest_value_in_second_block(self, tmp_path):
+        # one width serves the whole column, not the first block's values
+        col = np.arange(CSV_BLOCK + 10) % 10
+        col[CSV_BLOCK + 3], col[CSV_BLOCK + 7] = -(10**12), 10**15
+        self.check(tmp_path, ["t", "x"], range(len(col)), col)
+
+    def test_memory_is_o_csv_block(self, tmp_path):
+        # an n-sized int64 temporary alone is 16 MB
+        import tracemalloc
+
+        n = 2_000_000
+        values = np.arange(n, dtype=np.int64) % 9973 - 17
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "big.csv", ["i", "x"], range(n), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestStable:
@@ -275,6 +329,27 @@ class TestCodings:
         _, rr = read_csv(tmp_path / "heavy_rescaled.csv")
         got = np.array([float(r[1]) for r in rr])
         assert np.array_equal(got, want.values)
+
+    def test_files_are_csv_module_bytes_of_library_arrays(self, tmp_path):
+        from gwtrees import calibrate_bn, codings, make_geometric, sampler
+
+        law, n, seed = make_geometric(0.5), 100_000, 17
+        prefix = str(tmp_path / "big")
+        assert run(["codings", "--law", "geometric", "--n", str(n), "--seed", str(seed),
+                    "--out-prefix", prefix, "--rescale-points", "64"]) == 0
+        tree = sampler.sample_conditioned(law, n, rng=sampler.derive_rng(seed, 0))
+        walk = codings.walk_from_tree(tree).values
+        height = codings.height_from_tree(tree).values
+        contour = codings.contour_from_tree(tree)
+        rp = codings.rescale(contour, n=n, b_n=calibrate_bn(law, n), grid_points=64)
+        want = {
+            "rescaled": (["t", "value"], rp.times, rp.values),
+            "vertex": (["index", "W", "H"], range(n + 1), walk, np.append(height, -1)),
+            "contour": (["time", "C"], range(contour.values.size), contour.values),
+        }
+        for part, (header, *columns) in want.items():
+            got = (tmp_path / f"big_{part}.csv").read_bytes()
+            assert got == csv_module_bytes(tmp_path / f"want_{part}.csv", header, *columns)
 
     def test_bn_is_not_an_option(self, tmp_path):
         assert run(["codings", "--law", "geometric", "--n", "6", "--seed", "2", "--out-prefix",
