@@ -27,11 +27,12 @@ Total-progeny laws are computed along two independent routes (the killed
 walk's per-step loss, and the branching recursion through the generating
 function) and cross-checked; hitting probabilities phi_n(j) = P[zeta_j = n]
 for all j are read off one ``walk_pmf(law, n, 0)`` table, and
-phi*_n(j) = P[zeta_j >= n] for all j come from n/16 block convolutions.  Walk,
-progeny and meander tables share one type, ``PmfTable``.  Every function takes
-the ``OffspringLaw`` (``_step_table`` applies the shift), and the progeny law,
-the W_n tables, the phi* profile and the meander are each cached per law,
-built once per process.
+phi*_n(j) = P[zeta_j >= n] for all j come from n/32 block convolutions
+(``MEANDER_BLOCK`` steps each, as in the killed walk).  Walk, progeny and meander
+tables share one type, ``PmfTable``.  Every function takes the ``OffspringLaw``
+(``_step_table`` applies the shift), and the W_n tables, the phi* profile and
+the meander are each cached per law, built once per process; the progeny
+recursion keeps one table per law and resumes it for a larger n.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
-MEANDER_BLOCK = 16  # walk steps per block of meander_pmf and of the phi* recursion
+MEANDER_BLOCK = 32  # walk steps per block of meander_pmf and of the phi* recursion
 MAX_ENUMERATED = 250_000  # trees enumerate_conditioned may list
 
 
@@ -250,64 +251,102 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray]
 # -- total progeny -----------------------------------------------------------------
 
 
-def _rho_recursion(law: OffspringLaw, n_max: int) -> np.ndarray:
-    """P[zeta = p] for p = 0..n_max via the branching (generating-function) route.
+class _ProgenyRecursion:
+    """P[zeta = p] for p = 0..n by the branching (generating-function) route,
+    resumable: ``extend(n)`` carries the recursion on from where it stopped.
 
     Uses the coefficient recursion of R(z) = z f(R(z)) specialized per family:
     geometric laws close through F = (1-p) + p F R, the stable family through
     the series A = (1-R)^theta, and explicit laws through incremental powers
     of R.  No walk table is consulted, so this is independent of Kemperman.
+    Each coefficient reads only earlier ones, so a resumed table is bit-identical
+    to a fresh run; ``rho`` is read-only and each extension replaces it by a
+    longer copy, so prefixes already handed out never change.
     """
-    rho = np.zeros(n_max + 1)
-    if n_max < 1:
-        return rho
-    if law.family == "geometric":
-        p = float(law.param)
-        F = np.empty(max(n_max, 1))
-        F[0] = 1.0 - p
-        rho[1] = F[0]
-        for m in range(1, n_max):
-            F[m] = p * float(np.dot(F[:m], rho[m:0:-1]))
-            rho[m + 1] = F[m]
-        return rho
-    if law.family == "stable":
-        th = law.theta
-        rho[1] = 1.0 / th
-        A = np.empty(max(n_max, 1))
-        A[0] = 1.0
-        jrho = np.zeros(n_max + 1)  # j * rho(j), filled as rho grows
-        jrho[1] = rho[1]
-        for m in range(1, n_max):
-            rev = A[m - 1 :: -1]
-            s0 = float(np.dot(rho[1 : m + 1], rev))
-            s1 = float(np.dot(jrho[1 : m + 1], rev))
-            A[m] = (m * s0 - (1.0 + th) * s1) / m
-            rho[m + 1] = rho[m] + A[m] / th if m > 1 else 0.0  # rho(2) = mu(0) mu(1) = 0
-            jrho[m + 1] = (m + 1) * rho[m + 1]
-        return rho
-    # explicit: incremental powers P_k = R^k, rho(m+1) = sum_k mu(k) P_k[m]
-    mu = law.probs
-    K = mu.size - 1
-    if n_max * n_max * max(K, 1) > 1 << 31:
-        raise ExactLawError("explicit-law progeny recursion too large; use Kemperman")
-    rho[1] = mu[0]
-    P = np.zeros((K + 1, n_max + 1))
-    P[0, 0] = 1.0
-    for m in range(1, n_max):
-        kq = min(K, m)
-        for k in range(1, kq + 1):
-            # [z^m] R^k = sum_i rho(i) [z^(m-i)] R^(k-1); zero entries pad the dot
-            P[k, m] = float(np.dot(rho[1 : m + 1], P[k - 1, m - 1 :: -1]))
-        rho[m + 1] = float(mu[1 : kq + 1] @ P[1 : kq + 1, m])
-    return rho
+
+    def __init__(self, law: OffspringLaw):
+        self.law = law
+        self.steps = 0  # coefficients rho(2), rho(3), ... computed, over all extensions
+        rho = np.zeros(2)
+        if law.family == "geometric":
+            rho[1] = 1.0 - float(law.param)
+            self.aux = [rho[1:].copy()]  # F
+        elif law.family == "stable":
+            rho[1] = 1.0 / law.theta
+            self.aux = [np.ones(1), rho.copy()]  # A, j * rho(j)
+        else:
+            mu = law.probs
+            rho[1] = mu[0]
+            P = np.zeros((mu.size, 2))  # P[k, m] = [z^m] R^k
+            P[0, 0] = 1.0
+            self.aux = [P]
+        rho.flags.writeable = False
+        self.rho = rho
+
+    def extend(self, n_max: int) -> None:
+        start = self.rho.size - 1
+        if n_max <= start:
+            return
+        law, K = self.law, self.law.probs.size - 1
+        if law.family == "explicit" and n_max * n_max * max(K, 1) > 1 << 31:
+            raise ExactLawError("explicit-law progeny recursion too large; use Kemperman")
+        rho = _grown(self.rho, n_max + 1)
+        if law.family == "geometric":
+            p = float(law.param)
+            F = self.aux[0] = _grown(self.aux[0], n_max)
+            for m in range(start, n_max):
+                F[m] = p * float(np.dot(F[:m], rho[m:0:-1]))
+                rho[m + 1] = F[m]
+        elif law.family == "stable":
+            th = law.theta
+            A = self.aux[0] = _grown(self.aux[0], n_max)
+            jrho = self.aux[1] = _grown(self.aux[1], n_max + 1)
+            for m in range(start, n_max):
+                rev = A[m - 1 :: -1]
+                s0 = float(np.dot(rho[1 : m + 1], rev))
+                s1 = float(np.dot(jrho[1 : m + 1], rev))
+                A[m] = (m * s0 - (1.0 + th) * s1) / m
+                rho[m + 1] = rho[m] + A[m] / th if m > 1 else 0.0  # rho(2) = mu(0) mu(1) = 0
+                jrho[m + 1] = (m + 1) * rho[m + 1]
+        else:  # rho(m+1) = sum_k mu(k) P_k[m], with P_k = R^k built incrementally
+            mu = law.probs
+            P = self.aux[0] = _grown(self.aux[0], n_max + 1)
+            for m in range(start, n_max):
+                kq = min(K, m)
+                for k in range(1, kq + 1):
+                    # [z^m] R^k = sum_i rho(i) [z^(m-i)] R^(k-1); zero entries pad the dot
+                    P[k, m] = float(np.dot(rho[1 : m + 1], P[k - 1, m - 1 :: -1]))
+                rho[m + 1] = float(mu[1 : kq + 1] @ P[1 : kq + 1, m])
+        self.steps += n_max - start
+        rho.flags.writeable = False
+        self.rho = rho
+
+
+def _grown(arr: np.ndarray, size: int) -> np.ndarray:
+    """A writable copy of arr, zero-padded along its last axis to ``size`` entries."""
+    out = np.zeros(arr.shape[:-1] + (size,))
+    out[..., : arr.shape[-1]] = arr
+    return out
 
 
 @lru_cache(maxsize=64)
+def _progeny_recursion(law: OffspringLaw) -> _ProgenyRecursion:
+    """The one resumable progeny recursion of a law (keyed on the law object)."""
+    return _ProgenyRecursion(law)
+
+
 def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
-    """P[zeta = p], p = 0..n_max, by the branching recursion (read-only array)."""
-    out = _rho_recursion(law, n_max)
-    out.flags.writeable = False
-    return out
+    """P[zeta = p], p = 0..n_max, by the branching recursion (read-only array).
+
+    One recursion table per law serves every n_max: a larger request resumes
+    it, a smaller one reads a prefix; either way the values are bit-identical to
+    a fresh recursion to n_max.
+    """
+    if n_max < 0:
+        raise ExactLawError("n_max must be >= 0")
+    table = _progeny_recursion(law)
+    table.extend(n_max)
+    return table.rho[: n_max + 1]
 
 
 def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:

@@ -381,9 +381,9 @@ def lukasiewicz_marginal_experiment(
     b_n = calibrate_bn(law, n)
     m = int(math.floor(a * n))
     rest = n - m
-    # one table, exact on [0, max(50 B_n, rest) + rest]: Gamma_a reads all of it, the
-    # D-weighted mean its first rest entries (D = 0 beyond, as phi_rest(k + 1) = 0 for k >= rest)
-    mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest) + rest)
+    # one table, exact on [0, max(50 B_n, rest)]: Gamma_a reads all of it, the D-weighted
+    # mean its first rest entries (D = 0 beyond, as phi_rest(k + 1) = 0 for k >= rest)
+    mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest))
     ks = np.arange(mea.lo, mea.hi + 1)
     w = mea.masses * exactlaw.phi_star(law, rest, ks + 1)
     alive = float(w.sum()) + mea.truncated_mass  # clipped states have phi* = 1

@@ -209,13 +209,14 @@ class TestProgeny:
         assert abs(ex.progeny_pmf(stable15, 3).prob(1) - 2 / 3) < 1e-15
 
     def test_routes_cross_checked(self, geometric, stable15):
-        # the killed walk's per-step loss (blocks of 16 steps) against the branching
-        # recursion, the one-step oracle and P[W_m = -1] / m from one W_m table each
-        for law, n_max in itertools.product((geometric, stable15), (1, 15, 16, 17, 48, 4096)):
+        # the killed walk's per-step loss (blocks of J steps, edges included) against the
+        # branching recursion, the one-step oracle and P[W_m = -1] / m from one W_m table each
+        sizes = (1, J - 1, J, J + 1, 48, 2 * J + 1, 4096)
+        for law, n_max in itertools.product((geometric, stable15), sizes):
             block = np.append(0.0, ex._killed_walk(law, n_max, 0)[2])
             assert np.max(np.abs(block - ex.progeny_rho(law, n_max))) < 1e-13
             ex.progeny_pmf(law, n_max)  # raises on disagreement
-            if n_max > 48:
+            if n_max > 2 * J + 1:
                 continue
             one_step = [arr[-1 - off] / m if 0 <= -1 - off < arr.size else 0.0
                         for m, off, arr in stepwise_walk_tables(law, n_max, 0)]
@@ -239,6 +240,66 @@ class TestProgeny:
             assert abs(rec.prob(2 * m + 1) - want) < 1e-14
             if 2 * m <= 20 and m > 0:
                 assert rec.prob(2 * m) == 0.0
+
+
+PROGENY_LAWS = {  # factories: each test builds fresh laws, whose recursion is not cached yet
+    "geometric": lambda: make_geometric(0.5),
+    "theta1.2": lambda: make_stable_family(1.2),
+    "theta1.5": lambda: make_stable_family(1.5),
+    "binary": lambda: make_explicit([0.5, 0.0, 0.5]),
+}
+PROGENY_SIZES = [0, 1, 2, J - 1, J, J + 1, 2 * J + 1, 1000, 2048]
+
+
+class TestProgenyTable:
+    @pytest.mark.parametrize("law_name", sorted(PROGENY_LAWS))
+    def test_resumed_prefixes_equal_fresh_runs(self, law_name):
+        make = PROGENY_LAWS[law_name]
+        direct = {n: ex.progeny_rho(make(), n).copy() for n in PROGENY_SIZES}
+        interleaved = [J, 2048, 1, 2 * J + 1, 0, 1000, J - 1, 2, J + 1]
+        for order in (PROGENY_SIZES, PROGENY_SIZES[::-1], interleaved):
+            law = make()
+            for n in order:
+                got = ex.progeny_rho(law, n)
+                assert got.shape == (n + 1,) and np.array_equal(got, direct[n])
+
+    @pytest.mark.parametrize("law_name", sorted(PROGENY_LAWS))
+    def test_prefixes_are_read_only(self, law_name):
+        law = PROGENY_LAWS[law_name]()
+        short = ex.progeny_rho(law, J)
+        long = ex.progeny_rho(law, 4 * J)  # resumed: the table is replaced, not written
+        for arr in (short, long, ex.progeny_rho(law, 2)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert np.array_equal(short, long[: J + 1])
+
+    def test_suites_run_the_recursion_once_per_law(self):
+        from gwtrees import limits as lim
+
+        geo, heavy = PROGENY_LAWS["geometric"](), PROGENY_LAWS["theta1.5"]()
+        before = ex._progeny_recursion.cache_info().misses
+        for suite in ("progeny", "ratio", "marginal"):
+            lim.run_suite(suite, geo, heavy)
+        assert ex._progeny_recursion.cache_info().misses - before == 2
+        for law in (geo, heavy):
+            table = ex._progeny_recursion(law)
+            # rho(2)..rho(4096), each computed once although 2048 came before 4096
+            assert (table.rho.size - 1, table.steps) == (4096, 4095)
+
+    @pytest.mark.parametrize("law_name", sorted(PROGENY_LAWS))
+    def test_mass_check_across_a_resume_point(self, law_name):
+        make = PROGENY_LAWS[law_name]
+        law = make()
+        ex.progeny_rho(law, J + 3)  # the next request resumes mid-block
+        table = ex.progeny_pmf(law, 3 * J)  # raises if the routes disagree beyond MASS_TOL
+        assert np.array_equal(table.masses, ex.progeny_rho(make(), 3 * J)[1:])
+
+    def test_negative_size_refused(self, geometric):
+        with pytest.raises(ex.ExactLawError, match="n_max"):
+            ex.progeny_rho(geometric, -1)
 
 
 class TestKemperman:
@@ -283,7 +344,7 @@ class TestPhi:
             assert np.array_equal(got, [[f(stable15, 9, int(j)) for j in row] for row in js])
 
 
-PHI_STAR_P = [1, 2, J - 1, J, J + 1, 128, 2048]
+PHI_STAR_P = [1, 2, J - 1, J, J + 1, 2 * J + 1, 128, 2048]
 
 
 class TestPhiStarBlock:
@@ -428,15 +489,21 @@ class TestMeander:
                 assert np.max(np.abs(mea.masses - want)) < 1e-15
 
     @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
-    @pytest.mark.parametrize("m", [1, J - 1, J, J + 1, 2048])
+    @pytest.mark.parametrize("m", sorted({1, 15, 16, 17, J - 1, J, J + 1, 2 * J + 1, 2048}))
     def test_block_matches_stepwise(self, law_name, m):
-        # the ratio suite's window: hi_eval = n - m, protect = n at a = 1/2
+        # the ratio suite's window: hi_eval = n - m, protect = n at a = 1/2; m at the
+        # block edges, and m = 15..17 as one short block
         self.check_block(MEANDER_LAWS[law_name], m, m, 2 * m)
 
     @pytest.mark.parametrize("law_name,hi_eval", [("geometric", 3200), ("theta1.5", 9768)])
     def test_block_matches_stepwise_marginal_window(self, law_name, hi_eval):
-        # the marginal's window at n = 4096: hi_eval = 50 B_n
+        # the marginal's window at n = 4096, hi_eval = 50 B_n, widened by rest
         self.check_block(MEANDER_LAWS[law_name], 2048, hi_eval, 4096)
+
+    @pytest.mark.parametrize("law_name,hi_eval", [("geometric", 3200), ("theta1.5", 9768)])
+    def test_block_matches_stepwise_marginal_exact_window(self, law_name, hi_eval):
+        # the table the marginal reads at n = 4096: exact on [0, 50 B_n], no wider
+        self.check_block(MEANDER_LAWS[law_name], 2048, hi_eval, 2048)
 
     @staticmethod
     def check_block(law, m, hi_eval, protect):
