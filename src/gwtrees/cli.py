@@ -293,8 +293,8 @@ def _cmd_codings(args) -> int:
     contour = codings.contour_from_tree(tree)
     prefix = args.out_prefix
     if args.rescale_points:
-        rp = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
-        _write_csv(_out_path(prefix + "_rescaled.csv"), ["t", "value"], rp.times, rp.values)
+        t, scaled = codings.rescale(contour, n=args.n, b_n=b_n, grid_points=args.rescale_points)
+        _write_csv(_out_path(prefix + "_rescaled.csv"), ["t", "value"], t, scaled)
     _write_csv(_out_path(prefix + "_vertex.csv"), ["index", "W", "H"], range(walk.values.size),
                walk.values, np.append(height.values, -1))  # zeta+1 walk entries: pad H
     _write_csv(_out_path(prefix + "_contour.csv"), ["time", "C"],

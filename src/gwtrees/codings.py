@@ -13,13 +13,13 @@ identity (k < i is an ancestor of i iff i < k + subtree size of k) turned into
 interval counting after one sort of the (level, index) keys; see _height_kernel.
 A Tree computes its heights once and its height, contour and visit-time
 codings share them. The contour is the cumulative sum of its +-1 steps, the
-up steps being the first visits b_p = 2p - H_p.
+up steps being the first visits that visit_times returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "LukasiewiczPath",
     "HeightSeq",
     "ContourSeq",
-    "RescaledPath",
     "walk_from_tree",
     "tree_from_walk",
     "height_from_walk",
@@ -48,7 +47,6 @@ class Tree:
     """Plane tree as its preorder degree sequence."""
 
     child_counts: np.ndarray = field(repr=False)
-    _heights: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.child_counts, dtype=np.int64)
@@ -66,18 +64,16 @@ class Tree:
     def zeta(self) -> int:
         return self.child_counts.size
 
-    @property
+    @cached_property
     def heights(self) -> np.ndarray:
         """Read-only H_0..H_{zeta-1}, computed on first use and kept."""
-        if self._heights is None:
-            c = self.child_counts
-            levels = np.empty(c.size, dtype=np.int64)
-            levels[0] = 0
-            np.cumsum(c[:-1] - 1, out=levels[1:])
-            h = _height_kernel(levels, c == 0)
-            h.flags.writeable = False
-            object.__setattr__(self, "_heights", h)
-        return self._heights
+        c = self.child_counts
+        levels = np.empty(c.size, dtype=np.int64)
+        levels[0] = 0
+        np.cumsum(c[:-1] - 1, out=levels[1:])
+        h = _height_kernel(levels, c == 0)
+        h.flags.writeable = False
+        return h
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and np.array_equal(
@@ -105,10 +101,6 @@ class LukasiewiczPath:
             raise CodingError("walk hits -1 before its final step")
         w.flags.writeable = False
 
-    @property
-    def zeta(self) -> int:
-        return self.values.size - 1
-
 
 @dataclass(frozen=True, eq=False)
 class HeightSeq:
@@ -124,10 +116,6 @@ class HeightSeq:
         if h.size > 1 and np.diff(h).max() > 1:
             raise CodingError("height climbs by more than 1")
         h.flags.writeable = False
-
-    @property
-    def zeta(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,35 +138,6 @@ class ContourSeq:
         if c.size > 1 and not np.all(np.abs(np.diff(c)) == 1):
             raise CodingError("contour steps must be +-1")
         c.flags.writeable = False
-
-    @property
-    def zeta(self) -> int:
-        return (self.values.size - 1) // 2 + 1
-
-    @property
-    def duration(self) -> int:
-        """Length 2*(zeta-1) of the active window."""
-        return self.values.size - 1
-
-
-@dataclass(frozen=True)
-class RescaledPath:
-    """Path sampled on a uniform [0,1] grid after the scaling-limit rescaling."""
-
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    n: int
-    b_n: float
-    coding: str
-    scale: float
-
-    def __post_init__(self):
-        if self.times.size != self.values.size:
-            raise CodingError("times/values size mismatch")
-        if np.any(np.diff(self.times) <= 0):
-            raise CodingError("time grid must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise CodingError("non-finite rescaled values")
 
 
 # -- transforms -------------------------------------------------------------------
@@ -246,13 +205,9 @@ def contour_from_tree(tree: Tree) -> ContourSeq:
     first visit b_p (see visit_times): between visits p and p+1 the contour
     descends from H_p to H_{p+1} - 1, and after the last vertex it descends to 0.
     """
-    h = tree.heights
     c = np.full(2 * tree.zeta - 1, -1, dtype=np.int64)
     c[0] = 0
-    up = np.arange(2, 2 * tree.zeta, 2, dtype=np.int64)
-    up -= h[1:]
-    c[up] = 1
-    del up
+    c[visit_times(tree)[1:-1]] = 1
     np.cumsum(c, out=c)
     return ContourSeq(c)
 
@@ -268,8 +223,8 @@ def visit_times(tree: Tree) -> np.ndarray:
 # -- rescaling ---------------------------------------------------------------------
 
 
-def rescale(path, n: int, b_n: float, grid_points: int) -> RescaledPath:
-    """Sample the rescaled coding on a uniform grid of [0,1]; path's type names the coding.
+def rescale(path, n: int, b_n: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, values): the coding rescaled on the uniform grid t of [0,1]; path's type names it.
 
     walk:    t -> W_{floor(n t)} / B_n            (cadlag step evaluation)
     height:  t -> (B_n / n) * H_{n t}             (linear interpolation, 0-padded)
@@ -277,24 +232,20 @@ def rescale(path, n: int, b_n: float, grid_points: int) -> RescaledPath:
     """
     if grid_points < 2:
         raise CodingError("grid_points must be >= 2")
-    coding = {LukasiewiczPath: "walk", HeightSeq: "height", ContourSeq: "contour"}.get(type(path))
-    if coding is None:
+    if not isinstance(path, (LukasiewiczPath, HeightSeq, ContourSeq)):
         raise CodingError(f"cannot infer coding for {type(path).__name__}")
     t = np.linspace(0.0, 1.0, grid_points)
     v = path.values.astype(np.float64)
-    if coding == "walk":
+    if isinstance(path, LukasiewiczPath):
         idx = np.floor(n * t).astype(np.int64)
         vals = np.zeros(t.size)
         inside = idx < v.size  # W_k = 0 for k > zeta
         vals[inside] = v[idx[inside]]
         vals /= b_n
-        scale = 1.0 / b_n
-    elif coding == "height":
+    elif isinstance(path, HeightSeq):
         grid = np.arange(v.size + 1, dtype=np.float64)  # sentinel H_zeta = 0
         vals = np.interp(n * t, grid, np.append(v, 0.0), right=0.0) * (b_n / n)
-        scale = b_n / n
     else:
         grid = np.arange(v.size, dtype=np.float64)
         vals = np.interp(2.0 * n * t, grid, v, right=0.0) * (b_n / n)
-        scale = b_n / n
-    return RescaledPath(times=t, values=vals, n=n, b_n=float(b_n), coding=coding, scale=scale)
+    return t, vals

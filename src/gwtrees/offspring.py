@@ -318,8 +318,6 @@ def tilt_to_critical(law: OffspringLaw) -> OffspringLaw:
     if law.family == "geometric":
         # tilting maps geometric(p) to geometric(p*lam); criticality at p*lam=1/2
         return make_geometric(0.5)
-    if law.family == "stable":
-        return law  # already critical by construction
 
     probs = law.probs
     if float(probs[1:].sum()) <= 0.0 or np.flatnonzero(probs).max() < 2:

@@ -325,10 +325,10 @@ class TestCodings:
                     "--out-prefix", prefix, "--rescale-points", str(points)]) == 0
         _, cr = read_csv(tmp_path / "heavy_contour.csv")
         contour = ContourSeq(np.array([int(r[1]) for r in cr]))
-        want = rescale(contour, n, calibrate_bn(make_stable_family(1.5), n), points)
+        _, want = rescale(contour, n, calibrate_bn(make_stable_family(1.5), n), points)
         _, rr = read_csv(tmp_path / "heavy_rescaled.csv")
         got = np.array([float(r[1]) for r in rr])
-        assert np.array_equal(got, want.values)
+        assert np.array_equal(got, want)
 
     def test_files_are_csv_module_bytes_of_library_arrays(self, tmp_path):
         from gwtrees import calibrate_bn, codings, make_geometric, sampler
@@ -341,9 +341,9 @@ class TestCodings:
         walk = codings.walk_from_tree(tree).values
         height = codings.height_from_tree(tree).values
         contour = codings.contour_from_tree(tree)
-        rp = codings.rescale(contour, n=n, b_n=calibrate_bn(law, n), grid_points=64)
+        t, scaled = codings.rescale(contour, n=n, b_n=calibrate_bn(law, n), grid_points=64)
         want = {
-            "rescaled": (["t", "value"], rp.times, rp.values),
+            "rescaled": (["t", "value"], t, scaled),
             "vertex": (["index", "W", "H"], range(n + 1), walk, np.append(height, -1)),
             "contour": (["time", "C"], range(contour.values.size), contour.values),
         }

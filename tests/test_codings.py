@@ -67,6 +67,26 @@ def stack_heights_from_counts(c):
     return h
 
 
+def euler_tour_contour(c):
+    """Depth after each edge traversal of a depth-first walk; the stack holds
+    each open vertex's unvisited children."""
+    depth, out, nxt = 0, [0], 1
+    pending = [int(c[0])]
+    while True:
+        if pending[-1]:
+            pending[-1] -= 1
+            pending.append(int(c[nxt]))
+            nxt += 1
+            depth += 1
+        elif len(pending) > 1:
+            pending.pop()
+            depth -= 1
+        else:
+            break
+        out.append(depth)
+    return np.array(out, dtype=np.int64)
+
+
 def assert_heights_match_oracle(tree):
     walk = cod.walk_from_tree(tree)
     by_tree = cod.height_from_tree(tree).values
@@ -147,6 +167,9 @@ class TestContour:
         assert cod.contour_from_tree(CHERRY).values.tolist() == [0, 1, 0, 1, 0]
         assert cod.contour_from_tree(CHAIN3).values.tolist() == [0, 1, 2, 1, 0]
         assert cod.contour_from_tree(SINGLE).values.tolist() == [0]
+        for t in (SINGLE, CHERRY, CHAIN3):
+            assert np.array_equal(cod.contour_from_tree(t).values,
+                                  euler_tour_contour(t.child_counts))
 
     def test_visit_times_examples(self):
         assert cod.visit_times(CHERRY).tolist() == [0, 1, 3, 4]
@@ -158,6 +181,7 @@ class TestContour:
         c = cod.contour_from_tree(t).values
         h = cod.height_from_tree(t).values
         b = cod.visit_times(t)
+        assert np.array_equal(c, euler_tour_contour(t.child_counts))
         assert b[-1] == 2 * (t.zeta - 1)
         if t.zeta > 1:
             assert np.array_equal(c[b[:-1]], h)
@@ -191,35 +215,42 @@ class TestContour:
 class TestRescale:
     def test_constant_zero(self):
         h = cod.HeightSeq(np.array([0]))
-        rp = cod.rescale(h, n=5, b_n=3.0, grid_points=7)
-        assert np.all(rp.values == 0.0)
+        _, values = cod.rescale(h, n=5, b_n=3.0, grid_points=7)
+        assert np.all(values == 0.0)
 
     def test_height_padding_convention(self):
         # time sampling at n*t with H_k = 0 for k >= zeta; values then carry
         # the B_n/n factor
         h = cod.HeightSeq(np.array([0, 1, 1]))
-        rp = cod.rescale(h, n=3, b_n=1.0, grid_points=4)
-        assert np.allclose(rp.values * (3 / 1.0), [0, 1, 1, 0])
-        assert rp.scale == pytest.approx(1 / 3)
+        _, values = cod.rescale(h, n=3, b_n=1.0, grid_points=4)
+        assert np.allclose(values * (3 / 1.0), [0, 1, 1, 0])
 
     def test_contour_interpolation(self):
         c = cod.contour_from_tree(CHERRY)
-        rp = cod.rescale(c, n=3, b_n=1.0, grid_points=9)
+        _, values = cod.rescale(c, n=3, b_n=1.0, grid_points=9)
         # t = 1/4 evaluates C at 2*3*(1/4) = 1.5, between C_1 = 1 and C_2 = 0
-        assert rp.values[2] * (3 / 1.0) == pytest.approx(0.5)
+        assert values[2] * (3 / 1.0) == pytest.approx(0.5)
 
     def test_walk_is_cadlag_step(self):
         w = cod.walk_from_tree(CHERRY)
-        rp = cod.rescale(w, n=3, b_n=2.0, grid_points=4)
-        assert np.allclose(rp.values, np.array([0, 1, 0, -1]) / 2.0)
+        _, values = cod.rescale(w, n=3, b_n=2.0, grid_points=4)
+        assert np.allclose(values, np.array([0, 1, 0, -1]) / 2.0)
 
     def test_grid_validation(self):
         with pytest.raises(cod.CodingError):
             cod.rescale(cod.HeightSeq(np.array([0])), n=1, b_n=1.0, grid_points=1)
 
-    def test_metadata(self):
-        rp = cod.rescale(cod.contour_from_tree(CHAIN3), n=3, b_n=1.5, grid_points=5)
-        assert (rp.n, rp.b_n, rp.coding) == (3, 1.5, "contour")
+    def test_uniform_grid_and_finite_values(self):
+        for path in (cod.walk_from_tree(CHAIN3), cod.height_from_tree(CHAIN3),
+                     cod.contour_from_tree(CHAIN3)):
+            t, values = cod.rescale(path, n=3, b_n=1.5, grid_points=5)
+            assert np.array_equal(t, np.linspace(0, 1, 5))
+            assert values.shape == t.shape and np.all(np.isfinite(values))
+
+    def test_non_coding_refused(self):
+        for bad in (CHAIN3, np.array([0, 1, 0])):
+            with pytest.raises(cod.CodingError):
+                cod.rescale(bad, n=3, b_n=1.5, grid_points=5)
 
 
 class TestImmutability:

@@ -184,8 +184,9 @@ class TestTilting:
         assert np.allclose(tilted.probs, [0.5, 0.0, 0.5], atol=1e-11)
         assert abs(tilted.mean - 1.0) < 1e-10
 
-    def test_identity_on_critical(self, geometric):
-        assert off.tilt_to_critical(geometric) is geometric
+    def test_identity_on_critical(self, geometric, stable15):
+        for law in (geometric, stable15):
+            assert off.tilt_to_critical(law) is law
 
     def test_supercritical_geometric(self):
         tilted = off.tilt_to_critical(off.make_geometric(0.7))
