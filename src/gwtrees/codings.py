@@ -223,29 +223,35 @@ def visit_times(tree: Tree) -> np.ndarray:
 # -- rescaling ---------------------------------------------------------------------
 
 
+def _interp(v: np.ndarray, knots: int, x: np.ndarray) -> np.ndarray:
+    """np.interp(x, arange(knots), v zero-padded to knots, right=0.0) for x >= 0, with
+    np.interp's arithmetic but reading only the two neighbours of each x."""
+    i = np.minimum(np.floor(x), knots - 1).astype(np.int64)
+    lo, hi = (np.where(k < v.size, v[np.minimum(k, v.size - 1)], 0).astype(np.float64)
+              for k in (i, i + 1))
+    return np.where(x <= knots - 1, (hi - lo) * (x - i) + lo, 0.0)
+
+
 def rescale(path, n: int, b_n: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """(t, values): the coding rescaled on the uniform grid t of [0,1]; path's type names it.
 
     walk:    t -> W_{floor(n t)} / B_n            (cadlag step evaluation)
     height:  t -> (B_n / n) * H_{n t}             (linear interpolation, 0-padded)
     contour: t -> (B_n / n) * C_{2 n t}           (linear interpolation, 0-padded)
+
+    Costs O(grid_points): only the path entries next to grid points are read.
     """
     if grid_points < 2:
         raise CodingError("grid_points must be >= 2")
     if not isinstance(path, (LukasiewiczPath, HeightSeq, ContourSeq)):
         raise CodingError(f"cannot infer coding for {type(path).__name__}")
     t = np.linspace(0.0, 1.0, grid_points)
-    v = path.values.astype(np.float64)
+    v = path.values
     if isinstance(path, LukasiewiczPath):
         idx = np.floor(n * t).astype(np.int64)
-        vals = np.zeros(t.size)
-        inside = idx < v.size  # W_k = 0 for k > zeta
-        vals[inside] = v[idx[inside]]
-        vals /= b_n
+        vals = np.where(idx < v.size, v[np.minimum(idx, v.size - 1)], 0) / b_n  # W_k = 0, k > zeta
     elif isinstance(path, HeightSeq):
-        grid = np.arange(v.size + 1, dtype=np.float64)  # sentinel H_zeta = 0
-        vals = np.interp(n * t, grid, np.append(v, 0.0), right=0.0) * (b_n / n)
+        vals = _interp(v, v.size + 1, n * t) * (b_n / n)  # sentinel H_zeta = 0
     else:
-        grid = np.arange(v.size, dtype=np.float64)
-        vals = np.interp(2.0 * n * t, grid, v, right=0.0) * (b_n / n)
+        vals = _interp(v, v.size, 2.0 * n * t) * (b_n / n)
     return t, vals

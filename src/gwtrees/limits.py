@@ -35,6 +35,7 @@ __all__ = [
     "contour_limit_experiment",
     "height_contour_gap_experiment",
     "lukasiewicz_marginal_experiment",
+    "ks_discrete",
     "run_suite",
     "SUITES",
 ]
@@ -70,6 +71,19 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
     fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
+
+
+def ks_discrete(sample, table: exactlaw.PmfTable) -> float:
+    """Tie-aware KS distance between integer draws (none below table.lo) and a table's law.
+
+    Both CDFs are constant on [k, k + 1), so the sup over the integers k counts ties
+    exactly; comparing F(x_i) with i/N inside a run of ties would not.
+    """
+    counts = np.bincount(np.asarray(sample) - table.offset, minlength=table.masses.size)
+    empirical = np.cumsum(counts) / counts.sum()
+    exact = np.cumsum(table.masses)
+    exact = np.pad(exact, (0, empirical.size - exact.size), mode="edge")
+    return float(np.max(np.abs(empirical - exact)))
 
 
 # -- local limit theorem --------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, integer_dtypes, unsigned_integer_dtypes
 
 from gwtrees.cli import CSV_BLOCK, CSV_SCHEMA, _write_csv, run
 
@@ -158,7 +161,8 @@ class TestWriteCsv:
                    np.array([-(2**63), 9, -10, 10, -99], np.int64))
 
     def test_uint64_above_int64(self, tmp_path):
-        self.check(tmp_path, ["u"], np.array([2**64 - 1, 2**63, 0, 10**19], np.uint64))
+        self.check(tmp_path, ["u"], np.array([2**64 - 1, 2**63, 0, 10**19 - 1, 10**19,
+                                              10**19 + 1], np.uint64))
 
     def test_narrow_and_bool_dtypes(self, tmp_path):
         self.check(tmp_path, ["i32", "u8", "b"], np.array([-(2**31), 2**31 - 1, 0], np.int32),
@@ -177,6 +181,43 @@ class TestWriteCsv:
         col = np.arange(CSV_BLOCK + 10) % 10
         col[CSV_BLOCK + 3], col[CSV_BLOCK + 7] = -(10**12), 10**15
         self.check(tmp_path, ["t", "x"], range(len(col)), col)
+
+    @pytest.mark.parametrize("edge", [10**4, 10**8, 10**12, 10**16])
+    def test_lane_edges(self, tmp_path, edge):
+        # 4 digits per group: edge - 1 fills its groups, edge opens one more
+        vals = [edge - 1, edge, edge + 1, 0, 1, 9999, 10**4]
+        self.check(tmp_path, ["i", "n", "u"], np.array(vals, np.int64),
+                   np.array([-v for v in vals], np.int64), np.array(vals, np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_every_integer_dtype(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        ints = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, 9, 10]
+        col = np.array(ints + [v for v in (-1, -9, -10) if v >= info.min], dtype)
+        self.check(tmp_path, ["x", "r"], col, col[::-1].copy())
+
+    def test_zero_only_column(self, tmp_path):
+        self.check(tmp_path, ["z", "y"], np.zeros(9, np.int64), np.zeros(9, np.uint8))
+
+    def test_range_crossing_zero_in_steps_of_3(self, tmp_path):
+        r = range(-(10**4) - 7, 10**4 + 8, 3)
+        self.check(tmp_path, ["r", "s"], r, r[::-1])
+
+    def test_widest_value_in_last_block(self, tmp_path):
+        col = np.arange(2 * CSV_BLOCK + 5) % 10
+        col[-1] = -(10**13)
+        self.check(tmp_path, ["t", "x"], range(len(col)), col)
+
+    @given(st.data())
+    def test_random_integer_columns(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(0, 40))
+        dtypes = data.draw(st.lists(integer_dtypes(endianness="=")
+                                    | unsigned_integer_dtypes(endianness="="),
+                                    min_size=1, max_size=3))
+        columns = [data.draw(arrays(dtype, rows)) for dtype in dtypes]
+        self.check(tmp_path_factory.mktemp("csv"), [f"c{i}" for i in range(len(columns))],
+                   *columns)
 
     def test_memory_is_o_csv_block(self, tmp_path):
         # an n-sized int64 temporary alone is 16 MB

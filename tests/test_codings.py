@@ -247,6 +247,31 @@ class TestRescale:
             assert np.array_equal(t, np.linspace(0, 1, 5))
             assert values.shape == t.shape and np.all(np.isfinite(values))
 
+    @given(st.integers(0, 2**48), st.sampled_from([2, 3, 64, 512, 1001]))
+    def test_equals_full_path_interpolation(self, seed, grid_points):
+        # the reference reads the whole path: np.interp over an n-sized grid
+        t = random_tree(seed, n=1 + seed % 1000 if seed % 3 else None)
+        n, b_n = max(1, t.zeta + seed % 5 - 2), 1.0 + seed % 7  # n off zeta reaches the padding
+        grid = np.linspace(0.0, 1.0, grid_points)
+        w = cod.walk_from_tree(t).values.astype(np.float64)
+        h = cod.height_from_tree(t).values.astype(np.float64)
+        c = cod.contour_from_tree(t).values.astype(np.float64)
+        idx = np.floor(n * grid).astype(np.int64)
+        want_w = np.zeros(grid_points)
+        want_w[idx < w.size] = w[idx[idx < w.size]]
+        want = {
+            "walk": want_w / b_n,
+            "height": np.interp(n * grid, np.arange(h.size + 1.0), np.append(h, 0.0),
+                                right=0.0) * (b_n / n),
+            "contour": np.interp(2.0 * n * grid, np.arange(c.size, dtype=np.float64), c,
+                                 right=0.0) * (b_n / n),
+        }
+        for name, path in (("walk", cod.walk_from_tree(t)), ("height", cod.height_from_tree(t)),
+                           ("contour", cod.contour_from_tree(t))):
+            got_t, got = cod.rescale(path, n=n, b_n=b_n, grid_points=grid_points)
+            assert np.array_equal(got_t, grid)
+            assert got.tobytes() == want[name].tobytes()  # bit for bit, signed zeros too
+
     def test_non_coding_refused(self):
         for bad in (CHAIN3, np.array([0, 1, 0])):
             with pytest.raises(cod.CodingError):

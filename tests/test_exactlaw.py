@@ -191,6 +191,19 @@ class TestWalkPmf:
         want = nbinom.pmf(np.arange(t.lo, t.hi + 1) + n, n, 0.5)  # W_n + n ~ NegBin(n, 1/2)
         assert np.max(np.abs(t.masses - want)) <= 1e-15
 
+    def test_rounding_is_not_truncation(self, geometric):
+        # on its full support nothing is clipped: the table lacks only the step law's
+        # tail above the step table, once per step; its total's FFT rounding (1 - sum
+        # reads 3.5e-13) is not truncation
+        n = 60000
+        t = ex.walk_pmf(geometric, n)
+        cap = geometric.support_cap(1e-18)  # the step table holds mu(0..cap)
+        assert t.exact_hi == (cap - 1) * n  # the full support
+        step_tail = geometric.tail_mass(cap)
+        assert t.truncated_mass == pytest.approx(n * step_tail, rel=1e-9, abs=0.0)
+        explicit = ex.walk_pmf(make_explicit([0.3, 0.4, 0.3]), 500)  # no tail at all
+        assert explicit.truncated_mass == 0.0 and explicit.exact_hi == 500
+
     def test_window_below_minimum_rejected(self, geometric):
         for exact_hi in (-5, -6):  # W_4 >= -4
             with pytest.raises(ex.ExactLawError, match="minimum"):

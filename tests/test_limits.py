@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from gwtrees import limits as lim
+from gwtrees.exactlaw import PmfTable
 from gwtrees.offspring import make_geometric
 
 
@@ -8,6 +10,13 @@ def strip_timing(report):
     d = report.to_dict()
     d.pop("timing")
     return d
+
+
+def test_ks_discrete_counts_ties_exactly():
+    table = PmfTable(-1, np.array([0.25, 0.5, 0.25]), 0.0, 1)
+    assert lim.ks_discrete([-1, 0, 0, 1], table) == 0.0  # the law itself, ties and all
+    assert lim.ks_discrete([0, 0, 0, 0], table) == 0.25
+    assert lim.ks_discrete(np.array([-1, 0, 2, 2]), table) == 0.5  # above the table: F = 1
 
 
 class TestLlt:

@@ -19,6 +19,7 @@ from gwtrees import (
     sample_gw,
 )
 from gwtrees.exactlaw import conditioned_walk_marginal, progeny_rho
+from gwtrees.limits import ks_discrete
 from gwtrees.sampler import (
     HEAD_TARGET,
     SamplerError,
@@ -382,17 +383,15 @@ class TestSampleConditioned:
 
     @pytest.mark.parametrize("law_name", ["geometric", "stable15"])
     def test_walk_marginal_ks_against_exact_law(self, law_name, request):
-        # W_{n/2} of 10^4 trees at n = 10^3 against P[W_{n/2} = k | zeta = n]; both
-        # CDFs are constant on [k, k + 1), so the sup over integers k is the KS
-        # distance with ties counted exactly
+        # W_{n/2} of 10^4 trees at n = 10^3 against P[W_{n/2} = k | zeta = n], by the
+        # tie-aware KS distance
         law = request.getfixturevalue(law_name)
         n, m, n_draws = 1000, 500, 10_000
         rng = derive_rng(1000)
         at = [int(sample_conditioned(law, n, rng=rng).child_counts[:m].sum()) - m
               for _ in range(n_draws)]
-        exact = np.cumsum(conditioned_walk_marginal(law, n, m).masses)
-        empirical = np.cumsum(np.bincount(at, minlength=exact.size)) / n_draws
-        assert math.sqrt(n_draws) * np.max(np.abs(empirical - exact)) <= 1.63
+        ks = ks_discrete(at, conditioned_walk_marginal(law, n, m))
+        assert math.sqrt(n_draws) * ks <= 1.63
 
 
 class TestAnalyticSamplerLaw:
