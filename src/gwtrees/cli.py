@@ -42,17 +42,17 @@ def _out_path(raw: str) -> Path:
     return p
 
 
+_NAMED_LAWS = {"geometric": 0.5, "stable": 1.5}  # --law name -> its default param
+
+
 def _load_law(spec: str) -> OffspringLaw:
-    """'geometric', 'geometric:p', 'stable:theta', or a JSON law file path."""
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
-        with open(spec) as fh:
-            return law_from_spec(json.load(fh))
+    """'geometric[:p]' or 'stable[:theta]', which win over a file of that name; any other
+    spec is the path of a JSON law file."""
     name, _, param = spec.partition(":")
-    if name == "geometric":
-        return make_geometric(float(param) if param else 0.5)
-    if name == "stable":
-        return make_stable_family(float(param) if param else 1.5)
-    raise ValueError(f"unknown law {spec!r} (use geometric[:p], stable[:theta], or a file)")
+    if name in _NAMED_LAWS:
+        return OffspringLaw(name, float(param) if param else _NAMED_LAWS[name])
+    with open(spec) as fh:
+        return law_from_spec(json.load(fh))
 
 
 def _int_slot(col) -> Optional[int]:

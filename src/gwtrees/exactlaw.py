@@ -484,13 +484,15 @@ def _killed_walk(law: OffspringLaw, m: int,
     then sits at -1, so
     v'(k) = sum_x v(x) P[W_r = k-x] - sum_{s<r} h_s P[W_{r-s} = k+1] for k >= 0,
     with h_s = sum_{x<s} v(x) (x+1)/s P[W_s = -(x+1)] the mass killed at step s.
+    Once no alive entry is left below the ceiling (the FFT trims what it leaves of
+    a walk that drifts up), later steps kill nothing and the table stays empty.
     """
     top = exact_hi + m  # ceiling at step 0
     J = min(MEANDER_BLOCK, m)
     walks, kem = _block_tables(law, top, J)
     v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
     killed = np.zeros(m)
-    while t < m:
+    while t < m and v.size:
         r = min(J, m - t)
         t += r
         free = _advance(0, v, -r, walks[r], top - t, memo if r == J else None)[1][r:]

@@ -7,7 +7,9 @@ the shift is applied where walk tables are built.  The scaling constant B_n is
 calibrated so that W_n / B_n converges to the spectrally positive stable
 variable X_1 with E[exp(-lam*X_1)] = exp(lam^theta).
 
-Two closed-form families are provided:
+A law is its family and either a parameter or a probability vector; the index
+theta, the mean, the variance and the tail constant follow from mu and are
+derived, never given.  Two closed-form families are provided:
 
 * ``make_geometric(p)``: mu(k) = (1-p) p^k, critical at p = 1/2 (theta = 2).
 * ``make_stable_family(theta)``: generating function f(s) = s + (1-s)^theta/theta,
@@ -20,8 +22,9 @@ heavy-tail laws for exact small-n work).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +44,7 @@ CRIT_TOL = 1e-10
 LAMBDA_TOL = 1e-12
 # Largest offspring value served: support_cap raises past it.
 VALUE_CEIL = 1 << 62
+_PARAM_RANGE = {"geometric": (0.0, 1.0), "stable": (1.0, 2.0)}  # open interval of each param
 
 
 class LawError(ValueError):
@@ -49,25 +53,45 @@ class LawError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OffspringLaw:
-    """Probability law on {0,1,2,...} with tail metadata.
+    """Probability law on {0,1,2,...}, built and validated by its one constructor.
 
-    ``family`` is one of "geometric", "stable", "explicit".  For the closed-form
-    families the probability vector is extended lazily and the mass beyond any
-    cached prefix is known analytically; explicit laws carry their full support.
+    ``family`` "geometric" takes ``param`` p in (0,1) and "stable" takes ``param``
+    theta in (1,2); their stored prefix of ``probs`` is computed here, extended
+    lazily, and the mass beyond any prefix is known analytically.  "explicit"
+    takes ``probs`` only: its full support, trailing zeros trimmed.  Any other
+    family, or a parameter the family does not take, is a LawError.
     """
 
     family: str
-    param: Optional[float]
-    theta: float
-    mean: float
-    variance: float  # math.inf marks infinite variance
-    tail_constant: Optional[float]  # c with mu(k) ~ c * k**(-1-theta)
-    probs: np.ndarray = field(repr=False)
+    param: Optional[float] = None
+    probs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        p = self.probs
-        if p.ndim != 1 or p.size < 1:
-            raise LawError("probability vector must be one-dimensional and nonempty")
+        family, param = self.family, self.param
+        if family == "explicit":
+            if param is not None:
+                raise LawError(f"an explicit law takes no param, got {param!r}")
+            if self.probs is None:
+                raise LawError("an explicit law needs its probabilities")
+            p = np.asarray(self.probs, dtype=float)
+            if p.ndim != 1:
+                raise LawError(f"explicit probabilities must be a flat list, got {p.ndim} dimensions")
+            p = np.trim_zeros(p, trim="b")
+            if p.size == 0:
+                raise LawError("empty probability vector")
+        elif family in _PARAM_RANGE:
+            if self.probs is not None:
+                raise LawError(f"a {family} law takes a param, not probabilities")
+            if isinstance(param, bool) or not isinstance(param, numbers.Real):
+                raise LawError(f"a {family} law needs a numeric param, got {param!r}")
+            lo, hi = _PARAM_RANGE[family]
+            if not lo < param < hi:
+                raise LawError(f"a {family} law needs param in ({lo:g},{hi:g}), got {param!r}")
+            cap = 256 if family == "stable" else max(8, math.ceil(math.log(1e-18) / math.log(param)))
+            p = _family_probs(family, param, cap)
+        else:
+            raise LawError(f"unknown law family {family!r}")
+        object.__setattr__(self, "probs", p)  # tail_mass below reads it
         if not np.all(np.isfinite(p)):
             raise LawError("probabilities must be finite")
         if np.any(p < 0):
@@ -80,6 +104,38 @@ class OffspringLaw:
         if abs(total - 1.0) > SUM_TOL:
             raise LawError(f"probabilities sum to {total!r}, not 1")
         p.flags.writeable = False
+
+    # -- derived quantities ---------------------------------------------------
+
+    @cached_property
+    def theta(self) -> float:
+        """Index of the stable limit: the stable family's param, 2 for finite variance."""
+        return self.param if self.family == "stable" else 2.0
+
+    @cached_property
+    def mean(self) -> float:
+        if self.family == "geometric":
+            return self.param / (1.0 - self.param)
+        if self.family == "stable":
+            return 1.0
+        return float(np.arange(self.probs.size, dtype=float) @ self.probs)
+
+    @cached_property
+    def variance(self) -> float:
+        """math.inf marks infinite variance (the stable family)."""
+        if self.family == "geometric":
+            return self.param / (1.0 - self.param) ** 2
+        if self.family == "stable":
+            return math.inf
+        k = np.arange(self.probs.size, dtype=float)
+        return float((k - self.mean) ** 2 @ self.probs)
+
+    @cached_property
+    def tail_constant(self) -> Optional[float]:
+        """c with mu(k) ~ c * k**(-1-theta): (theta-1)/Gamma(2-theta) for the stable family."""
+        if self.family == "stable":
+            return (self.param - 1.0) / math.gamma(2.0 - self.param)
+        return None
 
     # -- mass bookkeeping ---------------------------------------------------
 
@@ -109,7 +165,7 @@ class OffspringLaw:
             out = np.zeros(k_max + 1)
             out[: self.probs.size] = self.probs
             return out
-        return _family_probs(self.family, float(self.param), self.theta, k_max)
+        return _family_probs(self.family, float(self.param), k_max)
 
     def support_cap(self, eps: float) -> int:
         """Smallest K with tail_mass(K) <= eps: the package's one inverse of mu's tail.
@@ -177,13 +233,14 @@ class OffspringLaw:
 _PROBS_BLOCK = 1 << 16  # ratios per block when _family_probs fills a long table
 
 
-def _family_probs(family: str, param: float, theta: float, k_max: int) -> np.ndarray:
+def _family_probs(family: str, param: float, k_max: int) -> np.ndarray:
     out = np.zeros(k_max + 1)
     if family == "geometric":
         out[:] = (1.0 - param) * param ** np.arange(k_max + 1)
         return out
-    # stable: mu(0)=1/theta, mu(1)=0, mu(2)=(theta-1)/2, ratio (k-theta)/(k+1); the
-    # ratios are written in place blockwise, so no temporary is as long as the result
+    # stable, param = theta: mu(0)=1/theta, mu(1)=0, mu(2)=(theta-1)/2, ratio (k-theta)/(k+1);
+    # the ratios are written in place blockwise, so no temporary is as long as the result
+    theta = param
     out[0] = 1.0 / theta
     if k_max >= 2:
         out[2] = (theta - 1.0) / 2.0
@@ -233,20 +290,7 @@ def _stable_tail(theta: float, k: np.ndarray) -> np.ndarray:
 
 def make_geometric(p: float) -> OffspringLaw:
     """Geometric offspring law mu(k) = (1-p) p^k; critical iff p = 1/2."""
-    if not 0.0 < p < 1.0:
-        raise LawError(f"geometric parameter must lie in (0,1), got {p!r}")
-    mean = p / (1.0 - p)
-    variance = p / (1.0 - p) ** 2
-    cap = max(8, math.ceil(math.log(1e-18) / math.log(p)))
-    return OffspringLaw(
-        family="geometric",
-        param=p,
-        theta=2.0,
-        mean=mean,
-        variance=variance,
-        tail_constant=None,
-        probs=_family_probs("geometric", p, 2.0, cap),
-    )
+    return OffspringLaw("geometric", p)
 
 
 def make_stable_family(theta: float) -> OffspringLaw:
@@ -257,43 +301,12 @@ def make_stable_family(theta: float) -> OffspringLaw:
     theta strictly inside (1,2): the theta = 2 member has support {0,2} and is
     periodic (use make_geometric for the finite-variance case).
     """
-    if not 1.0 < theta < 2.0:
-        raise LawError(f"stable family needs theta in (1,2) exclusive, got {theta!r}")
-    c = (theta - 1.0) / math.gamma(2.0 - theta)
-    return OffspringLaw(
-        family="stable",
-        param=theta,
-        theta=theta,
-        mean=1.0,
-        variance=math.inf,
-        tail_constant=c,
-        probs=_family_probs("stable", theta, theta, 256),
-    )
+    return OffspringLaw("stable", theta)
 
 
 def make_explicit(probs: Sequence[float]) -> OffspringLaw:
     """Finite-support law from an explicit probability vector."""
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1:
-        raise LawError(f"explicit probabilities must be a flat list, got {arr.ndim} dimensions")
-    arr = np.trim_zeros(arr, trim="b")
-    if arr.size == 0:
-        raise LawError("empty probability vector")
-    total = arr.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise LawError(f"explicit probabilities sum to {total!r}")
-    k = np.arange(arr.size, dtype=float)
-    mean = float(k @ arr)
-    variance = float((k - mean) ** 2 @ arr)
-    return OffspringLaw(
-        family="explicit",
-        param=None,
-        theta=2.0,
-        mean=mean,
-        variance=variance,
-        tail_constant=None,
-        probs=arr,
-    )
+    return OffspringLaw("explicit", probs=probs)
 
 
 # -- operations ----------------------------------------------------------------
@@ -360,11 +373,9 @@ def calibrate_bn(law: OffspringLaw, n: int) -> float:
     law.require_critical("calibrate_bn")
     if math.isfinite(law.variance):
         return math.sqrt(law.variance * n / 2.0)
-    if law.tail_constant is not None:
-        th = law.theta
-        c = law.tail_constant
-        return (c * math.gamma(2.0 - th) * n / (th * (th - 1.0))) ** (1.0 / th)
-    raise LawError("law has neither finite variance nor a tail constant")
+    th = law.theta  # infinite variance: the stable family, which has a tail constant
+    c = law.tail_constant
+    return (c * math.gamma(2.0 - th) * n / (th * (th - 1.0))) ** (1.0 / th)
 
 
 # -- law file format ------------------------------------------------------------
@@ -377,20 +388,16 @@ def _number(value, what: str) -> float:
 
 
 def law_from_spec(spec: dict) -> OffspringLaw:
-    """Build a law from the JSON description {"family": ..., "param": ..., "probabilities": ...}."""
+    """Build a law from the JSON description {"family": ..., "param": ..., "probabilities": ...}.
+
+    A geometric spec without a "param" key is geometric(1/2); a key set to null gives no value.
+    """
     if not isinstance(spec, dict):
         raise LawError(f"a law spec is a JSON object, got {type(spec).__name__}")
     family = spec.get("family")
-    try:
-        if family == "geometric":
-            return make_geometric(_number(spec.get("param", 0.5), "param"))
-        if family == "stable":
-            return make_stable_family(_number(spec["param"], "param"))
-        if family == "explicit":
-            probs = spec["probabilities"]
-            if not isinstance(probs, list):
-                raise LawError(f"probabilities must be a list of numbers, got {probs!r}")
-            return make_explicit([_number(p, "each probability") for p in probs])
-    except KeyError as exc:
-        raise LawError(f"a {family} law needs the key {exc}") from None
-    raise LawError(f"unknown law family {family!r}")
+    probs = spec.get("probabilities")
+    if probs is not None:
+        if not isinstance(probs, list):
+            raise LawError(f"probabilities must be a list of numbers, got {probs!r}")
+        probs = [_number(p, "each probability") for p in probs]
+    return OffspringLaw(family, spec.get("param", 0.5 if family == "geometric" else None), probs)

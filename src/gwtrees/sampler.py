@@ -70,7 +70,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .codings import LukasiewiczPath, Tree
-from .offspring import OffspringLaw, tilt_to_critical
+from .offspring import CRIT_TOL, OffspringLaw, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -189,7 +189,7 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
     """
     if size_cap < 1:
         raise SamplerError("size_cap must be >= 1")
-    if law.mean > 1.0 + 1e-10:
+    if law.mean > 1.0 + CRIT_TOL:
         raise SamplerError("sample_gw needs a (sub)critical law; tilt first")
     steps = _step_sampler(law, size_cap)
     chunks: List[np.ndarray] = []

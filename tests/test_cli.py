@@ -424,6 +424,16 @@ class TestErrors:
     def test_usage_error_exit_2(self):
         assert run(["sample", "--law", "geometric"]) == 2  # missing required args
 
+    def test_named_law_wins_over_a_path(self, tmp_path, monkeypatch, capsys):
+        # a folder named geometric and a file named stable do not shadow the named laws
+        (tmp_path / "geometric").mkdir()
+        (tmp_path / "stable").write_text("not a law")
+        monkeypatch.chdir(tmp_path)
+        assert run(["exact", "--law", "geometric", "--what", "progeny", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["value_at_n"] == pytest.approx(0.0625, abs=1e-15)
+        assert run(["exact", "--law", "stable", "--what", "phi", "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["phi"] == pytest.approx(1 / 1.5, abs=1e-15)
+
     def test_unknown_law(self, tmp_path):
         assert run(["sample", "--law", "weird", "--n", "3", "--out",
                     str(tmp_path / "x.csv")]) == 2

@@ -518,6 +518,17 @@ class TestMeander:
         # the table the marginal reads at n = 4096: exact on [0, 50 B_n], no wider
         self.check_block(MEANDER_LAWS[law_name], 2048, hi_eval, 2048)
 
+    def test_walk_that_leaves_every_ceiling(self):
+        # a supercritical wide law drifts above the falling ceiling until the FFT trims
+        # the last alive entry (m = 2093 is the first such m); later steps kill nothing
+        law, m = make_explicit([0.5] + [0.5 / 200] * 200), 2093
+        self.check_block(law, m, 0, m)
+        mea = ex.meander_pmf(law, m, 0)
+        assert not mea.masses.any()
+        progeny = ex.progeny_pmf(law, m)  # its two routes agree at MASS_TOL
+        survival = 1.0 - float(progeny.masses.sum())
+        assert abs(mea.truncated_mass - survival) <= ex.MASS_TOL
+
     @staticmethod
     def check_block(law, m, hi_eval, protect):
         want, want_clipped = stepwise_meander(law, m, hi_eval, protect)

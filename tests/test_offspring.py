@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,76 @@ from scipy.special import gamma as gamma_fn
 
 from gwtrees import offspring as off
 from gwtrees.sampler import _child_count_sums
+
+
+class TestConstructor:
+    def test_fields_are_family_param_probs(self):
+        assert [f.name for f in dataclasses.fields(off.OffspringLaw)] == ["family", "param", "probs"]
+        with pytest.raises(TypeError):  # theta, mean, variance, tail_constant are derived
+            off.OffspringLaw("geometric", 0.5, theta=1.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            off.make_geometric(0.5).theta = 1.5
+
+    @pytest.mark.parametrize("family, param, probs", [
+        ("mixture", None, [0.4, 0.2, 0.4]),  # unknown family
+        (None, 0.5, None),
+        ("geometric", 0.5, [0.5, 0.5]),  # probabilities on a closed form
+        ("stable", 1.5, [0.5, 0.0, 0.5]),
+        ("explicit", 0.5, [0.5, 0.5]),  # a param on an explicit law
+        ("explicit", None, None),  # missing probabilities
+        ("geometric", None, None),  # missing param
+        ("stable", None, None),
+        ("stable", "1.5", None),  # non-numeric param
+        ("geometric", True, None),
+        ("geometric", [0.5], None),
+        ("geometric", 1.0, None),  # param out of range
+        ("geometric", math.nan, None),
+        ("stable", 2.0, None),
+        ("stable", 1.0, None),
+        ("stable", math.inf, None),
+    ])
+    def test_refusals(self, family, param, probs):
+        with pytest.raises(off.LawError):
+            off.OffspringLaw(family, param, probs)
+
+    @staticmethod
+    def explicit_moments(probs):
+        k = np.arange(probs.size, dtype=float)
+        mean = float(k @ probs)
+        return mean, float((k - mean) ** 2 @ probs)
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
+    def test_geometric_derived(self, p):
+        law = off.make_geometric(p)
+        cap = max(8, math.ceil(math.log(1e-18) / math.log(p)))
+        assert np.array_equal(law.probs, (1.0 - p) * p ** np.arange(cap + 1))
+        assert (law.theta, law.mean, law.variance, law.tail_constant) == (
+            2.0, p / (1.0 - p), p / (1.0 - p) ** 2, None)
+
+    @pytest.mark.parametrize("theta", [1.05, 1.5, 1.9])
+    def test_stable_derived(self, theta):
+        law = off.make_stable_family(theta)
+        ratios = np.r_[(theta - 1.0) / 2.0, (np.arange(2, 256) - theta) / (np.arange(2, 256) + 1.0)]
+        assert np.array_equal(law.probs, np.r_[1.0 / theta, 0.0, np.cumprod(ratios)])
+        assert (law.theta, law.mean, law.variance, law.tail_constant) == (
+            theta, 1.0, math.inf, (theta - 1.0) / math.gamma(2.0 - theta))
+
+    @pytest.mark.parametrize("make", [
+        lambda: off.make_explicit([0.3, 0.1, 0, 0.6, 0.0]),
+        lambda: off.make_stable_family(1.5).truncate(40),
+        lambda: off.tilt_to_critical(off.make_explicit([0.3, 0.1, 0, 0.6])),
+    ], ids=["explicit", "truncated", "tilted"])
+    def test_explicit_derived(self, make):
+        law = make()
+        assert law.family == "explicit" and law.param is None and law.probs[-1] > 0
+        assert (law.theta, law.mean, law.variance, law.tail_constant) == (
+            2.0, *self.explicit_moments(law.probs), None)
+
+    def test_explicit_moments_by_hand(self):
+        law = off.make_explicit([0.3, 0.1, 0, 0.6])
+        assert np.array_equal(law.probs, [0.3, 0.1, 0.0, 0.6])
+        assert law.mean == pytest.approx(1.9, abs=1e-15)  # 0.1 + 3 * 0.6
+        assert law.variance == pytest.approx(5.5 - 1.9**2, abs=1e-14)  # E k^2 = 0.1 + 9 * 0.6
 
 
 class TestGeometric:
@@ -282,6 +353,15 @@ class TestLawSpec:
     def test_unknown_family(self):
         with pytest.raises(off.LawError):
             off.law_from_spec({"family": "zeta"})
+
+    @pytest.mark.parametrize("spec, key", [({"family": "stable"}, "param"),
+                                           ({"family": "explicit"}, "probabilities")])
+    def test_missing_key_is_named(self, spec, key):
+        with pytest.raises(off.LawError, match=key):
+            off.law_from_spec(spec)
+
+    def test_geometric_param_defaults_to_critical(self):
+        assert off.law_from_spec({"family": "geometric"}).param == 0.5
 
 
 class TestExplicit:
