@@ -9,8 +9,11 @@ most 1 per step.  That skip-free structure gives two workhorses:
   the killed walk (meander) a block of steps per convolution: the mass that
   first leaves [0, inf) at each step of the block is read off W_s tables, and
   its free continuation from -1 is subtracted; the mass killed at step t is
-  P[zeta = t].  The same block, run backward on the probability of hitting -1
-  within t steps, is a correlation with no ceiling and gives phi*;
+  P[zeta = t].  The W_1..W_J tables of a block are the rows of one matrix, so
+  the continuations of all the block's steps are one matrix product.  The same
+  block, run backward on the probability of hitting -1 within t steps, is a
+  correlation with no ceiling and gives phi*, with its corrections again one
+  product;
 * ceiling protection: when building the law of W_n by convolution, any mass
   clipped above ``hi + (n - m)`` at an intermediate step m can never return
   below ``hi`` within the remaining n - m steps, so the final table is exact on
@@ -241,22 +244,29 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
     return _walk_table(law, n, exact_hi)
 
 
-def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[List[np.ndarray], np.ndarray]:
-    """W_0..W_J, each exact on [-s, top + 1], and the first-passage matrix of a block.
+def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
+    """W_1..W_J, each exact on [-s, top + 1], as one block matrix, with each
+    table's built length and the first-passage matrix of a block.
 
-    ``walks[s][k + s] = P[W_s = k]``; ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]``
-    is the probability that the walk from x first hits -1 at step s (Kemperman).
-    Steps beyond top + J and mass above the moving ceiling top + 1 + (J - s)
-    cannot reach [-s, top + 1].
+    Row J - s of ``rows`` holds P[W_s = k] at column k + J and is zero outside
+    W_s's table, which is ``lens[s]`` long (W_0, the point mass at 0, has no row).
+    So the tables of W_q, q = r - 1 .. 1, on k >= 1 are the contiguous rows
+    J - r + 1 .. J - 1 from column J + 1 on, and one matrix product applies a
+    block's every per-step correction.  W_s spans at most s (step width) + 1
+    values, so the matrix is as wide as W_J can be, not as ``top``.
+    ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]`` is the probability that the
+    walk from x first hits -1 at step s (Kemperman).  Steps beyond top + J and
+    mass above the moving ceiling top + 1 + (J - s) cannot reach [-s, top + 1].
     """
     off, step = _step_table(law, top + J)
-    walks, memo = [np.ones(1), step], {}
-    for s in range(2, J + 1):  # copies, not views that pin the wider conv outputs
-        walks.append(_advance(1 - s, walks[-1], off, step, top + 1 + J - s, memo)[1].copy())
-    kem = np.zeros((J, J))
+    rows = np.zeros((J, J + 1 + min(J * (step.size - 2), top + J)))
+    prev, lens, memo = np.ones(1), [1], {}
     for s in range(1, J + 1):
-        kem[s - 1, :s] = walks[s][s - 1 :: -1] * np.arange(1, s + 1) / s
-    return walks, kem
+        prev = _advance(1 - s, prev, off, step, top + 1 + J - s, memo)[1]
+        rows[J - s, J - s : J - s + prev.size] = prev
+        lens.append(prev.size)
+    ks = np.arange(1, J + 1)
+    return rows, lens, rows[::-1, J - 1 :: -1] * ks / ks[:, None]  # kem: W_s at k = -1, -2, ..
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -412,24 +422,26 @@ def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
     P_x[tau = s] = (x+1)/s P[W_s = -(x+1)], K_r(x) = sum_{s<=r} P_x[tau = s], and
     g_s = sum_{k>=1} P[W_{r-s} = k] d_t(k-1) the free continuation from -1 that
     the correlation wrongly credits to a path already absorbed at step s.
+    Every g_s of a block is one product of block-matrix rows with d_t (see
+    ``_block_tables``).
     """
     d = np.zeros(0)
     if p > 1:
         J = min(MEANDER_BLOCK, p - 1)
-        walks, kem = _block_tables(law, p - 2, J)  # W_s exact on [-s, p - 1]
+        rows, lens, kem = _block_tables(law, p - 2, J)  # W_s exact on [-s, p - 1]
         hit = np.cumsum(kem, axis=0)  # hit[r - 1, x] = K_r(x)
-        rev, memo = walks[J][::-1].copy(), {}  # fixed kernel: the memo stays valid
+        rev, memo = rows[0, lens[J] - 1 :: -1].copy(), {}  # fixed kernel: the memo stays valid
         d = hit[J - 1].copy()
         while d.size < p - 1:
             t = d.size
             r = min(J, p - 1 - t)
-            w = walks[r]
+            w = rows[J - r, J - r : J - r + lens[r]]
             full = _conv(d, rev, memo) if r == J else _conv(d, w[::-1])
             # sum_k P[W_r = k] d_t(x + k) sits at index x + w.size - 1 - r
             free = full[w.size - 1 - r : w.size - 1 + t]
             nxt = np.pad(free, (0, t + r - free.size))
-            g = np.array([walks[q][q + 1 : q + 1 + t] @ d[: walks[q].size - q - 1]
-                          for q in range(r - 1, 0, -1)])  # g_s with q = r - s
+            cont = rows[J - r + 1 : J, J + 1 : J + 1 + t]  # P[W_q = k], k >= 1, q = r - 1 .. 1
+            g = cont @ d[: cont.shape[1]]  # g_s with q = r - s
             nxt[:r] += hit[r - 1, :r] - g @ kem[: r - 1, :r]
             d = np.clip(nxt, 0.0, 1.0)
     out = 1.0 - np.append(d, 0.0)
@@ -484,23 +496,25 @@ def _killed_walk(law: OffspringLaw, m: int,
     then sits at -1, so
     v'(k) = sum_x v(x) P[W_r = k-x] - sum_{s<r} h_s P[W_{r-s} = k+1] for k >= 0,
     with h_s = sum_{x<s} v(x) (x+1)/s P[W_s = -(x+1)] the mass killed at step s.
-    Once no alive entry is left below the ceiling (the FFT trims what it leaves of
-    a walk that drifts up), later steps kill nothing and the table stays empty.
+    The subtracted sum is the vector h times rows of the block matrix (see
+    ``_block_tables``), one matrix-vector product per block.  Once no alive
+    entry is left below the ceiling (the FFT trims what it leaves of a walk that
+    drifts up), later steps kill nothing and the table stays empty.
     """
     top = exact_hi + m  # ceiling at step 0
     J = min(MEANDER_BLOCK, m)
-    walks, kem = _block_tables(law, top, J)
+    rows, lens, kem = _block_tables(law, top, J)
     v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
     killed = np.zeros(m)
     while t < m and v.size:
         r = min(J, m - t)
         t += r
-        free = _advance(0, v, -r, walks[r], top - t, memo if r == J else None)[1][r:]
+        kernel = rows[J - r, J - r : J - r + lens[r]]
+        free = _advance(0, v, -r, kernel, top - t, memo if r == J else None)[1][r:]
         h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
         killed[t - r : t] = h
-        for s in range(1, r):  # killed at step s, then r - s free steps from -1
-            seg = walks[r - s][r - s + 1 : r - s + 1 + free.size]  # P[W_{r-s} = k + 1]
-            free[: seg.size] -= h[s - 1] * seg
+        cont = h[: r - 1] @ rows[J - r + 1 : J, J + 1 : J + 1 + free.size]  # P[W_{r-s} = k + 1]
+        free[: cont.size] -= cont
         np.maximum(free, 0.0, out=free)
         # alive mass not kept: above the ceiling, or jumps beyond the step table
         clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
@@ -516,8 +530,8 @@ def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
     ``truncated_mass``; the table's total plus truncated_mass equals
     P[zeta_1 > m].  See ``_killed_walk``.
     """
-    if m < 1:
-        raise ExactLawError("m must be >= 1")
+    if m < 1 or exact_hi < 0:  # the meander lives on [0, inf)
+        raise ExactLawError(f"the meander needs m >= 1 and exact_hi >= 0, got {m}, {exact_hi}")
     v, clipped, _ = _killed_walk(law, m, exact_hi)
     return PmfTable(
         offset=0,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,28 @@ class TestPhi:
             assert np.array_equal(got, [[f(stable15, 9, int(j)) for j in row] for row in js])
 
 
+class TestBlockTables:
+    @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
+    @pytest.mark.parametrize("top", [J - 1, J, 4 * J])
+    def test_matrix_layout(self, law_name, top):
+        # row J - s holds P[W_s = k] at column k + J, zero outside its built length;
+        # kem reads the first passages off the same rows
+        rows, lens, kem = ex._block_tables(MEANDER_LAWS[law_name], top, J)
+        assert rows.shape[0] == J and kem.shape == (J, J)
+        for s, off, want in stepwise_walk_tables(MEANDER_LAWS[law_name], J, top + 1):
+            row = rows[J - s]
+            got = row[J - s : J - s + lens[s]]
+            assert not row[: J - s].any() and not row[J - s + lens[s] :].any()
+            n = top + 2 + s  # [-s, top + 1]
+            got, want = got[:n], want[:n]
+            size = max(got.size, want.size)
+            diff = np.pad(got, (0, size - got.size)) - np.pad(want, (0, size - want.size))
+            assert np.max(np.abs(diff)) <= 1e-15
+            xs = np.arange(J)
+            first = np.where(xs < s, (xs + 1) / s * want[np.maximum(s - 1 - xs, 0)], 0.0)
+            assert np.max(np.abs(kem[s - 1] - first)) <= 1e-15
+
+
 PHI_STAR_P = [1, 2, J - 1, J, J + 1, 2 * J + 1, 128, 2048]
 
 
@@ -500,6 +523,32 @@ class TestMeander:
                 oracle = brute_meander_pmf(nu, m)
                 want = np.array([oracle.get(k, 0.0) for k in range(mea.lo, mea.hi + 1)])
                 assert np.max(np.abs(mea.masses - want)) < 1e-15
+
+    @pytest.mark.parametrize("law_name,m,exact_hi", [("geometric", 5, -5), ("theta1.5", 3, -2),
+                                                     ("geometric", 5, -1)])
+    def test_window_below_zero_refused(self, law_name, m, exact_hi):
+        with pytest.raises(ex.ExactLawError, match="exact_hi >= 0"):
+            ex.meander_pmf(MEANDER_LAWS[law_name], m, exact_hi)
+
+    @pytest.mark.parametrize("make,m,exact_hi,bound_mib", [
+        (lambda: make_stable_family(1.5), 2048, 9768, 4.2),
+        (lambda: make_geometric(0.5), 2048, 3200, 0.7),
+    ], ids=["theta1.5", "geometric"])
+    def test_block_matrix_memory(self, make, m, exact_hi, bound_mib):
+        # the block matrix replaces the per-step tables and is as wide as W_J can
+        # be, not as the ceiling: a matrix top + 2J wide peaks at about 1.5 MiB on
+        # the geometric law.  A first build on another fresh law runs the lazy
+        # imports and fills the module caches, so the traced peak counts only this
+        # build's own arrays.
+        ex.meander_pmf(make(), m, exact_hi)
+        law = make()
+        tracemalloc.start()
+        try:
+            ex.meander_pmf(law, m, exact_hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     @pytest.mark.parametrize("law_name", sorted(MEANDER_LAWS))
     @pytest.mark.parametrize("m", sorted({1, 15, 16, 17, J - 1, J, J + 1, 2 * J + 1, 2048}))
