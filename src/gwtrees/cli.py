@@ -19,6 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import codings, exactlaw, limits, sampler, stable
+from .limits import ExperimentReport, jsonify
 from .offspring import (
     OffspringLaw,
     calibrate_bn,
@@ -26,7 +27,6 @@ from .offspring import (
     make_geometric,
     make_stable_family,
 )
-from .report import ExperimentReport, jsonify
 
 CSV_SCHEMA = "gwtrees.csv/1"
 CSV_BLOCK = 1 << 16  # rows per block: _write_csv's temporaries are O(CSV_BLOCK), not O(rows)
@@ -203,9 +203,9 @@ def _cmd_exact(args) -> int:
         window = exactlaw.discrete_ratio_window(law, args.n, args.a, args.k, args.k)
         out["ratio"] = float(window[0])
     elif args.what == "ac-check":
-        rep = exactlaw.check_absolute_continuity(law, args.n, args.a)
+        rep = limits.check_absolute_continuity(law, args.n, args.a)
         out.update(rep.to_dict())
-    text = json.dumps(out, indent=2)
+    text = json.dumps(out, indent=2, default=jsonify)
     if args.out:
         _out_path(args.out).write_text(text + "\n")
     else:
@@ -261,9 +261,9 @@ def _cmd_verify(args) -> int:
         else:
             heavy = picked
     out = _out_path(args.out) if args.out else None  # both made before the suites run
-    plots_dir = Path(args.plots_dir) if args.plots_dir else None
+    plots_dir = _out_path(args.plots_dir) if args.plots_dir else None
     if plots_dir:
-        plots_dir.mkdir(parents=True, exist_ok=True)
+        plots_dir.mkdir(exist_ok=True)
     seed = _resolve_seed(args)
     reports = limits.run_suite(args.suite, geometric, heavy, seed=seed, fast=args.fast)
     payload = {
@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
         "reports": [r.to_dict() for r in reports],
     }
     for r in reports:
-        line = r.summary_line()
+        line = f"[{'PASS' if r.passed else 'FAIL'}] {r.name}"
         if r.notes:
             line += f"  ({r.notes})"
         print(line)
@@ -286,17 +286,16 @@ def _cmd_verify(args) -> int:
 
 
 def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
+    # per report: n_list (header "n") or t_list ("t"), then its other lists of that length
     for i, r in enumerate(reports):
         st = r.statistics
-        name = f"{i:02d}_{r.name}_{r.parameters.get('family', '')}"
-        if "n_list" in st:
-            cols = [k for k, v in st.items()
-                    if isinstance(v, list) and len(v) == len(st["n_list"])]
-            _write_csv(plots_dir / f"{name}.csv", ["n"] + cols,
-                       st["n_list"], *[st[c] for c in cols])
-        elif r.name == "contour_limit":
-            _write_csv(plots_dir / f"{name}.csv", ["t", "ks_marginal", "ks_reversal"],
-                       st["t_list"], st["ks_marginal"], st["ks_reversal"])
+        index = next((k for k in ("n_list", "t_list") if k in st), None)
+        if index is None:
+            continue
+        cols = [k for k, v in st.items()
+                if k != index and isinstance(v, list) and len(v) == len(st[index])]
+        _write_csv(plots_dir / f"{i:02d}_{r.name}_{r.parameters.get('family', '')}.csv",
+                   [index[0]] + cols, st[index], *[st[c] for c in cols])
 
 
 # -- codings ----------------------------------------------------------------------

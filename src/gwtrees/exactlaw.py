@@ -49,7 +49,6 @@ import numpy as np
 
 from .codings import Tree
 from .offspring import OffspringLaw
-from .report import ExperimentReport
 
 __all__ = [
     "PmfTable",
@@ -60,7 +59,6 @@ __all__ = [
     "phi_star",
     "discrete_ratio_window",
     "enumerate_conditioned",
-    "check_absolute_continuity",
     "progeny_rho",
     "meander_pmf",
     "conditioned_walk_marginal",
@@ -277,9 +275,10 @@ class _ProgenyRecursion:
     resumable: ``extend(n)`` carries the recursion on from where it stopped.
 
     Uses the coefficient recursion of R(z) = z f(R(z)) specialized per family:
-    geometric laws close through F = (1-p) + p F R, the stable family through
-    the series A = (1-R)^theta, and explicit laws through incremental powers
-    of R.  No walk table is consulted, so this is independent of Kemperman.
+    rho(1) = mu(0); geometric laws close through R = (1-p) z + p R^2, the stable
+    family through the series A = (1-R)^theta, and explicit laws through
+    incremental powers of R.  No walk table is consulted, so this is independent
+    of Kemperman.
     Each coefficient reads only earlier ones, so a resumed table is bit-identical
     to a fresh run; ``rho`` is read-only and each extension replaces it by a
     longer copy, so prefixes already handed out never change.
@@ -289,16 +288,12 @@ class _ProgenyRecursion:
         self.law = law
         self.steps = 0  # coefficients rho(2), rho(3), ... computed, over all extensions
         rho = np.zeros(2)
-        if law.family == "geometric":
-            rho[1] = 1.0 - float(law.param)
-            self.aux = [rho[1:].copy()]  # F
-        elif law.family == "stable":
-            rho[1] = 1.0 / law.theta
+        rho[1] = law.probs[0]
+        self.aux = []  # geometric: rho alone carries the recursion
+        if law.family == "stable":
             self.aux = [np.ones(1), rho.copy()]  # A, j * rho(j)
-        else:
-            mu = law.probs
-            rho[1] = mu[0]
-            P = np.zeros((mu.size, 2))  # P[k, m] = [z^m] R^k
+        elif law.family == "explicit":
+            P = np.zeros((law.probs.size, 2))  # P[k, m] = [z^m] R^k
             P[0, 0] = 1.0
             self.aux = [P]
         rho.flags.writeable = False
@@ -314,10 +309,8 @@ class _ProgenyRecursion:
         rho = _grown(self.rho, n_max + 1)
         if law.family == "geometric":
             p = float(law.param)
-            F = self.aux[0] = _grown(self.aux[0], n_max)
             for m in range(start, n_max):
-                F[m] = p * float(np.dot(F[:m], rho[m:0:-1]))
-                rho[m + 1] = F[m]
+                rho[m + 1] = p * float(np.dot(rho[1 : m + 1], rho[m:0:-1]))
         elif law.family == "stable":
             th = law.theta
             A = self.aux[0] = _grown(self.aux[0], n_max)
@@ -599,88 +592,6 @@ def enumerate_conditioned(law: OffspringLaw, n: int) -> List[Tuple[Tree, float]]
     if total <= 0.0:
         raise ExactLawError(f"law puts zero mass on zeta = {n}")
     return [(t, p / total) for t, p in out]
-
-
-def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> ExperimentReport:
-    """Exhaustive verification of the prefix absolute-continuity identity.
-
-    For every walk prefix (W_0..W_m), m = floor(a n), realized while the walk is
-    still alive, the conditional mass under {zeta = n} (computed by exhaustive
-    tree enumeration) must equal the D-weighted conditional mass under
-    {zeta >= n} (computed from hitting-probability tables).  Reports the
-    maximum absolute discrepancy over prefixes; passes at 1e-10.
-    """
-    import time as _time
-
-    t0 = _time.time()
-    if not 0.0 < a < 1.0:
-        raise ExactLawError("a must lie in (0,1)")
-    m = int(math.floor(a * n))
-    if m < 1:
-        raise ExactLawError("floor(a*n) must be >= 1")
-    # Prefixes containing a child count >= n contribute 0 to both sides
-    # (the tree can't close at n vertices and phi_rest vanishes), so the
-    # enumeration over counts <= n - 1 is complete for the discrepancy.
-    mu = law.probabilities(n - 1)
-    support = [int(c) for c in np.flatnonzero(mu > 0)]
-    nu = {c - 1: mu[c] for c in support}
-
-    # LHS: conditional prefix masses under {zeta = n} from tree enumeration
-    lhs: dict = {}
-    for tree, p in enumerate_conditioned(law, n):
-        w = np.concatenate([[0], np.cumsum(tree.child_counts[:m] - 1)])
-        key = tuple(int(x) for x in w)
-        lhs[key] = lhs.get(key, 0.0) + p
-
-    # RHS: D-weighted masses under {zeta >= n} over all alive prefixes
-    rest = n - m
-    j_hi_needed = max(m * (max(support) - 1) + 2, 2)
-    phistar_r = phi_star(law, rest, np.arange(1, j_hi_needed + 1))
-    d_vals = discrete_ratio_window(law, n, a, 0, j_hi_needed - 1)  # D(j - 1) at index j - 1
-    phistar_n1 = max(0.0, 1.0 - float(progeny_rho(law, n)[:n].sum()))
-
-    n_prefixes = (len(nu)) ** m
-    if n_prefixes > 2_000_000:
-        raise ExactLawError("prefix enumeration too large; reduce support or a")
-
-    rhs: dict = {}
-    prefix = [0] * (m + 1)
-
-    def rec(i: int, w: int, prob: float) -> None:
-        if i == m:
-            key = tuple(prefix)
-            j = w + 1
-            weight = prob * phistar_r[j - 1] / phistar_n1
-            rhs[key] = rhs.get(key, 0.0) + weight * d_vals[j - 1]
-            return
-        for s, ps in nu.items():
-            w2 = w + s
-            if w2 < 0:
-                continue
-            prefix[i + 1] = w2
-            rec(i + 1, w2, prob * ps)
-
-    rec(0, 0, 1.0)
-
-    keys = set(lhs) | set(rhs)
-    max_disc = max(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in keys)
-    lhs_total = sum(lhs.values())
-    rhs_total = sum(rhs.values())
-    tol = 1e-10
-    stats = {
-        "max_discrepancy": max_disc,
-        "prefixes": len(keys),
-        "lhs_total": lhs_total,
-        "rhs_total": rhs_total,
-    }
-    return ExperimentReport(
-        name="absolute_continuity_check",
-        parameters={"family": law.family, "n": n, "a": a},
-        statistics=stats,
-        tolerances={"max_discrepancy": tol},
-        passed=bool(max_disc <= tol and abs(rhs_total - 1.0) <= tol),
-        wall_time_s=_time.time() - t0,
-    )
 
 
 def _catalan(k: int) -> int:

@@ -5,8 +5,10 @@ trees to the stable excursion: the local limit theorem for the walk marginals,
 the progeny asymptotics, the convergence of the discrete absolute-continuity
 weight D_n to Gamma_a, the theta = 2 functional limit of the rescaled contour,
 the height/contour gap, and the Gamma_a-weight consistency of the Lukasiewicz
-marginal.  Exact-table experiments consume no randomness; Monte Carlo ones are
-reproducible from (parameters, seed) with per-replicate derived streams.
+marginal; an exhaustive small-n check tests the absolute-continuity identity on
+walk prefixes.  Each returns an ``ExperimentReport``.  Exact-table experiments
+consume no randomness; Monte Carlo ones are reproducible from (parameters, seed)
+with per-replicate derived streams.
 
 For theta < 2 no density-level reference for the height marginal exists (the
 continuous height process has no tractable marginals), so those runs are
@@ -17,28 +19,78 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, List, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import exactlaw, stable
 from .codings import contour_from_tree, height_from_tree, visit_times
 from .offspring import OffspringLaw, calibrate_bn
-from .report import ExperimentReport
 from .sampler import derive_rng, sample_conditioned
 from .stable import StableLaw
 
 __all__ = [
+    "ExperimentReport",
+    "jsonify",
     "llt_experiment",
     "progeny_asymptotics_experiment",
     "ratio_vs_gamma_experiment",
     "contour_limit_experiment",
     "height_contour_gap_experiment",
     "lukasiewicz_marginal_experiment",
+    "check_absolute_continuity",
     "ks_discrete",
     "run_suite",
     "SUITES",
 ]
+
+REPORT_SCHEMA = "gwtrees.report/2"
+
+
+@dataclass
+class ExperimentReport:
+    """Statistics, gates and provenance of one experiment run.
+
+    ``passed`` is a pure function of ``statistics`` versus ``tolerances``; all
+    randomized entries are reproducible from (parameters, seed).  ``wall_time_s``
+    and ``created_utc`` are the only non-reproducible fields.
+    """
+
+    name: str
+    parameters: Dict[str, Any]
+    statistics: Dict[str, Any]
+    tolerances: Dict[str, Any]
+    passed: bool
+    seed: Optional[int] = None
+    notes: str = ""
+    wall_time_s: float = 0.0
+    created_utc: float = field(default_factory=time.time)
+
+    def to_dict(self) -> Dict[str, Any]:
+        # timing is the only non-reproducible content; keep it under one key so
+        # reports from identical (config, seed) runs differ in that key alone
+        return {
+            "schema": REPORT_SCHEMA,
+            "name": self.name,
+            "parameters": self.parameters,
+            "statistics": self.statistics,
+            "tolerances": self.tolerances,
+            "passed": self.passed,
+            "seed": self.seed,
+            "notes": self.notes,
+            "timing": {"wall_time_s": self.wall_time_s, "created_utc": self.created_utc},
+        }
+
+
+def jsonify(obj):
+    """``json.dumps`` default: numpy arrays and scalars as plain Python values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
 
 THETA_LT2_NOTE = (
     "theta < 2: no density-level excursion reference exists; this run checks "
@@ -432,6 +484,87 @@ def lukasiewicz_marginal_experiment(
         tolerances={"tol": MARGINAL_TOL, "exact_identity": 1e-9},
         passed=bool(passed),
         notes=note,
+        wall_time_s=time.time() - t0,
+    )
+
+
+# -- exhaustive absolute-continuity check ---------------------------------------------------
+
+
+def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> ExperimentReport:
+    """Exhaustive verification of the prefix absolute-continuity identity.
+
+    For every walk prefix (W_0..W_m), m = floor(a n), realized while the walk is
+    still alive, the conditional mass under {zeta = n} (computed by exhaustive
+    tree enumeration) must equal the D-weighted conditional mass under
+    {zeta >= n} (computed from hitting-probability tables).  Reports the
+    maximum absolute discrepancy over prefixes; passes at 1e-10.  More than 2e6
+    step sequences are refused before any tree or table is built.
+    """
+    t0 = time.time()
+    if not 0.0 < a < 1.0:
+        raise exactlaw.ExactLawError("a must lie in (0,1)")
+    m = int(math.floor(a * n))
+    if m < 1:
+        raise exactlaw.ExactLawError("floor(a*n) must be >= 1")
+    # Prefixes containing a child count >= n contribute 0 to both sides
+    # (the tree can't close at n vertices and phi_rest vanishes), so the
+    # enumeration over counts <= n - 1 is complete for the discrepancy.
+    mu = law.probabilities(n - 1)
+    support = [int(c) for c in np.flatnonzero(mu > 0)]
+    nu = {c - 1: mu[c] for c in support}
+    if len(nu) ** m > 2_000_000:
+        raise exactlaw.ExactLawError("prefix enumeration too large; reduce support or a")
+
+    # LHS: conditional prefix masses under {zeta = n} from tree enumeration
+    lhs: dict = {}
+    for tree, p in exactlaw.enumerate_conditioned(law, n):
+        w = np.concatenate([[0], np.cumsum(tree.child_counts[:m] - 1)])
+        key = tuple(int(x) for x in w)
+        lhs[key] = lhs.get(key, 0.0) + p
+
+    # RHS: D-weighted masses under {zeta >= n} over all alive prefixes
+    rest = n - m
+    j_hi_needed = max(m * (max(support) - 1) + 2, 2)
+    phistar_r = exactlaw.phi_star(law, rest, np.arange(1, j_hi_needed + 1))
+    d_vals = exactlaw.discrete_ratio_window(law, n, a, 0, j_hi_needed - 1)  # D(j - 1) at j - 1
+    phistar_n1 = max(0.0, 1.0 - float(exactlaw.progeny_rho(law, n)[:n].sum()))
+
+    rhs: dict = {}
+    prefix = [0] * (m + 1)
+
+    def rec(i: int, w: int, prob: float) -> None:
+        if i == m:
+            key = tuple(prefix)
+            j = w + 1
+            weight = prob * phistar_r[j - 1] / phistar_n1
+            rhs[key] = rhs.get(key, 0.0) + weight * d_vals[j - 1]
+            return
+        for s, ps in nu.items():
+            w2 = w + s
+            if w2 < 0:
+                continue
+            prefix[i + 1] = w2
+            rec(i + 1, w2, prob * ps)
+
+    rec(0, 0, 1.0)
+
+    keys = set(lhs) | set(rhs)
+    max_disc = max(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in keys)
+    rhs_total = sum(rhs.values())
+    tol = 1e-10
+    stats = {
+        "max_discrepancy": max_disc,
+        "prefixes": len(keys),
+        "lhs_total": sum(lhs.values()),
+        "rhs_total": rhs_total,
+    }
+    return ExperimentReport(
+        name="absolute_continuity_check",
+        parameters={"family": law.family, "n": n, "a": a},
+        statistics=stats,
+        tolerances={"max_discrepancy": tol},
+        passed=bool(max_disc <= tol and abs(rhs_total - 1.0) <= tol),
         wall_time_s=time.time() - t0,
     )
 

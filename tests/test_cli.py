@@ -300,7 +300,16 @@ class TestVerify:
         files = sorted((tmp_path / "plots").glob("*.csv"))
         assert len(files) == 2
         header, rows = read_csv(files[0])
-        assert header[0] == "n" and len(rows) == 2
+        assert header == ["n", "B_n", "e1", "e2"] and len(rows) == 2
+
+    def test_plots_dir_follows_out_dir_env(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GWTREES_OUT_DIR", str(tmp_path / "envdir"))
+        assert run(["verify", "--suite", "progeny", "--seed", "1", "--fast",
+                    "--out", "r.json", "--plots-dir", "rel"]) == 0
+        assert (tmp_path / "envdir" / "r.json").exists()
+        assert len(list((tmp_path / "envdir" / "rel").glob("*.csv"))) == 2
+        assert not (tmp_path / "rel").exists()
 
     def test_plot_csv_of_contour_report(self, tmp_path, monkeypatch, geometric):
         from gwtrees import limits

@@ -8,6 +8,7 @@ from scipy import fft as sp_fft
 from scipy.stats import nbinom
 
 from gwtrees import exactlaw as ex
+from gwtrees import limits as lim
 from gwtrees.offspring import make_explicit, make_geometric, make_stable_family
 
 
@@ -473,16 +474,25 @@ class TestEnumerate:
 class TestAbsoluteContinuity:
     @pytest.mark.parametrize("n,a", [(4, 0.5), (6, 0.5), (6, 0.25)])
     def test_geometric(self, geometric, n, a):
-        rep = ex.check_absolute_continuity(geometric, n, a)
+        rep = lim.check_absolute_continuity(geometric, n, a)
         assert rep.passed
         assert rep.statistics["max_discrepancy"] <= 1e-10
         assert abs(rep.statistics["rhs_total"] - 1.0) <= 1e-10  # f = 1 case
 
     @pytest.mark.parametrize("n,a", [(4, 0.5), (6, 0.5), (6, 0.25)])
     def test_truncated_stable(self, stable15, n, a):
-        rep = ex.check_absolute_continuity(stable15.truncate(40), n, a)
+        rep = lim.check_absolute_continuity(stable15.truncate(40), n, a)
         assert rep.passed
         assert rep.statistics["max_discrepancy"] <= 1e-10
+
+    def test_oversized_prefix_enumeration_refused_first(self, geometric, monkeypatch):
+        # 13 step values over m = 11 steps: refused before any tree is listed
+        def no_enumeration(*args):
+            raise AssertionError("trees were enumerated before the size guard")
+
+        monkeypatch.setattr(ex, "enumerate_conditioned", no_enumeration)
+        with pytest.raises(ex.ExactLawError, match="prefix enumeration too large"):
+            lim.check_absolute_continuity(geometric, 13, 0.9)
 
 
 class TestMeander:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,6 +18,24 @@ def test_every_export_resolves(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
+
+
+TABLE_LAYER = {"offspring", "codings", "sampler", "exactlaw", "stable"}
+
+
+@pytest.mark.parametrize("module", sorted(TABLE_LAYER))
+def test_table_layer_imports_stay_inside_it(module):
+    # laws, codings, samplers and exact/stable tables know nothing of experiments,
+    # reports or the CLI: their package-relative imports stay in this set
+    tree = ast.parse((Path(gwtrees.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                imported.update(alias.name for alias in node.names)
+    assert imported <= TABLE_LAYER, f"{module} imports {sorted(imported - TABLE_LAYER)}"
 
 
 def test_import_skips_scipy_signal():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ class TestSuite:
         }
         for r in reports:
             assert isinstance(r.passed, bool)
-            assert r.to_json()  # serializable
+            assert json.dumps(r.to_dict(), default=lim.jsonify)  # serializable
 
     def test_unknown_suite(self, geometric, stable15):
         with pytest.raises(ValueError):
