@@ -204,15 +204,13 @@ def _cmd_exact(args) -> int:
         out["ratio"] = float(window[0])
     elif args.what == "ac-check":
         rep = limits.check_absolute_continuity(law, args.n, args.a)
-        out.update(rep.to_dict())
+        out["report"] = rep.to_dict()  # nested, as verify nests its reports
     text = json.dumps(out, indent=2, default=jsonify)
     if args.out:
         _out_path(args.out).write_text(text + "\n")
     else:
         print(text)
-    if args.what == "ac-check" and not out.get("passed", True):
-        return 1
-    return 0
+    return 0 if out.get("report", {}).get("passed", True) else 1
 
 
 # -- stable -----------------------------------------------------------------------
@@ -286,16 +284,20 @@ def _cmd_verify(args) -> int:
 
 
 def _emit_plot_csvs(reports: List[ExperimentReport], plots_dir: Path) -> None:
-    # per report: n_list (header "n") or t_list ("t"), then its other lists of that length
+    # per report: n_list (header "n") or t_list ("t"), then its other lists of that length;
+    # a report with neither gets one row of its scalar statistics, headed by their names
     for i, r in enumerate(reports):
         st = r.statistics
         index = next((k for k in ("n_list", "t_list") if k in st), None)
         if index is None:
-            continue
-        cols = [k for k, v in st.items()
-                if k != index and isinstance(v, list) and len(v) == len(st[index])]
+            header = [k for k, v in st.items() if isinstance(v, (int, float))]
+            columns = [[st[k]] for k in header]
+        else:
+            cols = [k for k, v in st.items()
+                    if k != index and isinstance(v, list) and len(v) == len(st[index])]
+            header, columns = [index[0]] + cols, [st[index]] + [st[c] for c in cols]
         _write_csv(plots_dir / f"{i:02d}_{r.name}_{r.parameters.get('family', '')}.csv",
-                   [index[0]] + cols, st[index], *[st[c] for c in cols])
+                   header, *columns)
 
 
 # -- codings ----------------------------------------------------------------------

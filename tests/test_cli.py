@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -50,6 +51,26 @@ class TestExact:
     def test_ac_check_exit_codes(self, capsys):
         assert run(["exact", "--law", "geometric", "--what", "ac-check", "--n", "4",
                     "--a", "0.5"]) == 0
+
+    def test_ac_check_nests_its_report(self, capsys):
+        assert run(["exact", "--law", "geometric", "--what", "ac-check", "--n", "4",
+                    "--a", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "gwtrees.exact/1"
+        assert set(payload) == {"schema", "law", "what", "n", "report"}
+        report = payload["report"]
+        assert report["name"] == "absolute_continuity_check" and report["passed"] is True
+        assert not set(payload) & (set(report) - {"schema"})  # no report field at the top
+
+    def test_ac_check_exit_code_follows_the_report(self, capsys, monkeypatch):
+        from gwtrees import limits
+
+        check = limits.check_absolute_continuity
+        monkeypatch.setattr(limits, "check_absolute_continuity",
+                            lambda *args: dataclasses.replace(check(*args), passed=False))
+        assert run(["exact", "--law", "geometric", "--what", "ac-check", "--n", "4",
+                    "--a", "0.5"]) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is False
 
     def test_walk_table_metadata(self, tmp_path):
         out = tmp_path / "walk.json"
@@ -301,6 +322,17 @@ class TestVerify:
         assert len(files) == 2
         header, rows = read_csv(files[0])
         assert header == ["n", "B_n", "e1", "e2"] and len(rows) == 2
+
+    def test_plot_csv_of_scalar_report(self, tmp_path):
+        # the marginal reports have no n_list or t_list: one row of their scalars
+        assert run(["verify", "--suite", "marginal", "--seed", "1", "--fast",
+                    "--plots-dir", str(tmp_path / "plots")]) == 0
+        files = sorted((tmp_path / "plots").glob("*.csv"))
+        assert [f.name for f in files] == ["00_lukasiewicz_marginal_geometric.csv",
+                                           "01_lukasiewicz_marginal_stable.csv"]
+        header, rows = read_csv(files[0])
+        assert header[:3] == ["n", "E_gamma", "abs_error"] and len(rows) == 1
+        assert len(rows[0]) == len(header) and rows[0][0] == "512"
 
     def test_plots_dir_follows_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

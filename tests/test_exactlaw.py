@@ -40,13 +40,28 @@ def brute_meander_pmf(nu, m):
     return cur
 
 
-def untrimmed_conv(a, b):
-    """Full convolution; the FFT branch clips negative noise at 0 and trims nothing."""
-    if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
-        return np.convolve(a, b)
+def untrimmed_fft(a, b):
+    """Full convolution on scipy's real FFT, negative noise clipped at 0, nothing trimmed."""
     size = a.size + b.size - 1
     L = sp_fft.next_fast_len(size, real=True)
     return np.maximum(sp_fft.irfft(sp_fft.rfft(a, L) * sp_fft.rfft(b, L), L)[:size], 0.0)
+
+
+def untrimmed_conv(a, b):
+    """Full convolution, direct below a fixed size (the oracles' own crossover)."""
+    if a.size * b.size <= 1 << 20 or min(a.size, b.size) <= 96:
+        return np.convolve(a, b)
+    return untrimmed_fft(a, b)
+
+
+def geometric_progeny_loop(p, n):
+    """Oracle: rho(0..n) by rho(m+1) = p sum_{i=1..m} rho(i) rho(m+1-i) from
+    rho(1) = 1 - p, the coefficient recursion of R = (1-p) z + p R^2."""
+    rho = np.zeros(n + 1)
+    rho[1] = 1.0 - p
+    for m in range(1, n):
+        rho[m + 1] = p * float(np.dot(rho[1 : m + 1], rho[m:0:-1]))
+    return rho
 
 
 def stepwise_meander(law, m, hi_eval, protect):
@@ -120,18 +135,39 @@ MEANDER_LAWS = {
 J = ex.MEANDER_BLOCK
 
 
+def direct_by_rule(na, nb):
+    """Whether _conv's cost rule sums tables of these sizes directly."""
+    return na * nb <= ex.DIRECT_COST * (na + nb)
+
+
+def normalized_tables(rng, *sizes):
+    return [x / x.sum() for x in (rng.random(size) for size in sizes)]
+
+
 class TestConv:
     def test_fft_branch_matches_direct(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.random(3000), rng.random(1200)
-        a, b = a / a.sum(), b / b.sum()
-        assert a.size * b.size > 1 << 20  # above the np.convolve threshold
+        a, b = normalized_tables(np.random.default_rng(0), 3000, 1200)
+        assert not direct_by_rule(a.size, b.size)  # the FFT branch
         got = ex._conv(a, b)
         want = np.convolve(a, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
         # numpy's FFT at the scipy length reproduces the scipy route bit for bit
-        assert np.array_equal(got, untrimmed_conv(a, b)[: got.size])
+        assert np.array_equal(got, untrimmed_fft(a, b)[: got.size])
+
+    @pytest.mark.parametrize("nb", [ex.DIRECT_COST + 1, 300, 1024, 1889, 5000])
+    def test_branches_agree_at_the_rule(self, nb):
+        # the largest table summed directly against nb entries, and one entry more
+        na = ex.DIRECT_COST * nb // (nb - ex.DIRECT_COST)
+        assert direct_by_rule(na, nb) and not direct_by_rule(na + 1, nb)
+        rng = np.random.default_rng(nb)
+        for size, route in ((na, np.convolve), (na + 1, untrimmed_fft)):
+            a, b = normalized_tables(rng, size, nb)
+            want = np.convolve(a, b)
+            for x, y in ((a, b), (b, a)):
+                got = ex._conv(x, y)
+                assert np.array_equal(got, route(x, y))  # the branch the rule picks
+                assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_fast_len_matches_scipy(self):
         fast_len = ex._fast_len.__wrapped__  # uncached, so the check fills no cache
@@ -238,6 +274,12 @@ class TestProgeny:
             assert np.max(np.abs(block[1:] - one_step)) < 1e-13
             by_table = [ex.walk_pmf(law, m, 0).prob(-1) / m for m in range(1, n_max + 1)]
             assert np.max(np.abs(block[1:] - by_table)) < 1e-13
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.45])
+    def test_geometric_closed_form_matches_the_recursion(self, p):
+        n = 5000
+        got = ex.progeny_rho(make_geometric(p), n)
+        assert np.max(np.abs(got - geometric_progeny_loop(p, n))) <= 1e-15
 
     def test_stable_size_two_exactly_impossible(self):
         # mu(1) = 0, so P[zeta = 2] = mu(0) mu(1) is 0, never rounding noise of either sign
