@@ -36,17 +36,30 @@ probabilities phi_n(j) = P[zeta_j = n] for all j are read off one
 phi*_n(j) = P[zeta_j >= n] for all j come from n/32 block convolutions
 (``MEANDER_BLOCK`` steps each, as in the killed walk).  Walk, progeny and meander
 tables share one type, ``PmfTable``.  Every function takes the ``OffspringLaw``
-(``_step_table`` applies the shift), and the W_n tables, the phi* profile and
-the meander are each cached per law, built once per process; the progeny
-recursion keeps one table per law and resumes it for a larger n.
+(``_step_table`` applies the shift), and each table is built once per law:
+
+* resumed: the progeny recursion keeps one table per law and carries it on for
+  a larger n; the killed walk keeps one state per law, the last step at which
+  every ceiling cut nothing above ``_conv``'s noise trim, and a request with m
+  at or past that step goes on from it.  A walk cannot resume when its block
+  tables were cut (a heavy step law, whose step table ends at the ceiling, or
+  a ceiling that cut real mass from W_s) or when a ceiling of its own cut mass
+  above noise: it then restarts from step 0, and keeps its state from the
+  last clean step;
+* sliced: a W_n request below the widest W_n table already built is that
+  table's prefix, and a smaller progeny request reads a prefix;
+* shared: one W_1..W_32 block set is kept, of the last law and the widest top
+  so far, and narrower tops (phi* after the meander of the same ratio step)
+  read a view of it.  The phi* profiles and meanders are cached per (law, p)
+  and (law, m, exact_hi).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +84,7 @@ MASS_TOL = 1e-12
 MEANDER_BLOCK = 32  # walk steps per block of meander_pmf and of the phi* recursion
 MAX_ENUMERATED = 250_000  # trees enumerate_conditioned may list
 DIRECT_COST = 256  # _conv sums directly iff a.size * b.size <= DIRECT_COST * (a.size + b.size)
+NOISE = 8.0 * np.finfo(float).eps  # _conv trims trailing entries under NOISE |a|_2 |b|_2
 
 
 class ExactLawError(RuntimeError):
@@ -144,7 +158,8 @@ def _fast_len(n: int) -> int:
 
 def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarray:
     """Full convolution of a and b.  ``memo`` holds b's real FFT for the last
-    transform length, for loops whose kernel b is fixed.
+    transform length and b's norm, for loops whose kernel b is fixed; a table
+    convolved with itself (``a is b``) is transformed once.
 
     One cost rule picks the branch: direct summation costs a.size * b.size
     multiply-adds, the FFT a multiple of a.size + b.size, so the sum is direct
@@ -152,8 +167,9 @@ def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarr
     table has at most DIRECT_COST entries).
 
     The FFT branch's rounding is absolute, about EPS * |a|_2 * |b|_2 per entry:
-    negative noise is clipped at 0 and trailing entries under 8x that scale are
-    trimmed, so noise neither counts as mass nor widens later convolutions.
+    negative noise is clipped at 0 and trailing entries under NOISE times that
+    scale are trimmed, so noise neither counts as mass nor widens later
+    convolutions.
     """
     if a.size * b.size <= DIRECT_COST * (a.size + b.size):
         return np.convolve(a, b)
@@ -161,14 +177,20 @@ def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarr
     L = _fast_len(size)
     if memo is None:
         memo = {}
-    if L not in memo:
-        memo.clear()
-        memo[L] = np.fft.rfft(b, L)
-    out = np.fft.irfft(np.fft.rfft(a, L) * memo[L], L)[:size]
+    if memo.get("L") != L:
+        memo.update(L=L, spectrum=np.fft.rfft(b, L), norm=math.sqrt(float(b @ b)))
+    fb = memo["spectrum"]
+    fa = fb if a is b else np.fft.rfft(a, L)
+    out = np.fft.irfft(fa * fb, L)[:size]
     np.maximum(out, 0.0, out=out)
-    noise = 8.0 * np.finfo(float).eps * math.sqrt(float(a @ a) * float(b @ b))
-    above = out[::-1] > noise
+    a_norm = memo["norm"] if a is b else math.sqrt(float(a @ a))
+    above = out[::-1] > NOISE * a_norm * memo["norm"]
     return out[: out.size - int(np.argmax(above))] if above.any() else out[:0]
+
+
+def _is_noise(cut: float, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether mass ``cut`` clipped from a * b lies under ``_conv``'s per-entry noise trim."""
+    return cut <= NOISE * math.sqrt(float(a @ a) * float(b @ b))
 
 
 def _advance(
@@ -195,7 +217,6 @@ def _step_table(law: OffspringLaw, hi: int) -> Tuple[int, np.ndarray]:
     return -1, law.probabilities(min(hi, max(cap, 1)) + 1)
 
 
-@lru_cache(maxsize=256)
 def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     """Law of W_n, exact on [-n, hi_eval], by binary-decomposition convolution.
 
@@ -207,7 +228,7 @@ def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     rounding of a table's total, which every squaring doubles, is not booked as
     truncation.  Nor are the entries ``_conv`` trims as noise: on light tails
     their sum is clipped-at-0 noise, on heavy ones it also holds real mass (2e-9
-    beside 3.7e-4 clipped at theta = 1.5, n = 16384).  Cached per (law, n, hi_eval).
+    beside 3.7e-4 clipped at theta = 1.5, n = 16384).  ``walk_pmf`` caches it.
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
@@ -233,12 +254,20 @@ def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     return PmfTable(acc_off, acc, acc_lost, hi_eval)
 
 
+@lru_cache(maxsize=256)
+def _walk_tables(law: OffspringLaw, n: int) -> Dict[int, PmfTable]:
+    """The W_n tables of a law served so far, by exact_hi (keyed on the law object)."""
+    return {}
+
+
 def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
     """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi].
 
     With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
     has a usable support cap K, otherwise exact_hi defaults to a bulk window of
-    ~64 * n^(1/theta).  Tables are cached per law, n and resolved exact_hi.
+    ~64 * n^(1/theta).  Tables are cached per law, n and resolved exact_hi, and
+    an exact_hi below a W_n table already built is served as its prefix, the
+    cut entries booked in ``truncated_mass``.
     """
     if exact_hi is None:
         cap = law.support_cap(1e-18) - 1  # of nu
@@ -248,32 +277,104 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
             exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
     if exact_hi < -n:
         raise ExactLawError("exact_hi below the walk's minimum")
-    return _walk_table(law, n, exact_hi)
+    tables = _walk_tables(law, n)
+    if exact_hi not in tables:
+        wide = max(tables.values(), key=lambda tab: tab.exact_hi, default=None)
+        if wide is None or wide.exact_hi < exact_hi:
+            tables[exact_hi] = _walk_table(law, n, exact_hi)
+        else:
+            keep = exact_hi - wide.offset + 1
+            tables[exact_hi] = PmfTable(
+                wide.offset, wide.masses[:keep],
+                wide.truncated_mass + float(wide.masses[keep:].sum()), exact_hi)
+    return tables[exact_hi]
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockSet:
+    """W_1..W_J, J = MEANDER_BLOCK, each exact on [-s, top + 1], as one block matrix.
+
+    ``whole`` holds when the step table is the law's whole (capped) step law and
+    no ceiling cut more than ``_conv``'s noise trim from any table, so that the
+    tables lost nothing a wider top would keep.
+    """
+
+    top: int
+    rows: np.ndarray
+    lens: List[int]
+    kem: np.ndarray
+    whole: bool
+
+
+_BLOCKS: Dict[OffspringLaw, _BlockSet] = {}  # at most one entry: see _block_tables
+
+
+def _build_blocks(law: OffspringLaw, top: int) -> _BlockSet:
+    J = MEANDER_BLOCK
+    off, step = _step_table(law, top + J)
+    whole = step.size - 2 < top + J  # the table stopped at the law's cap, not at top + J
+    rows = np.zeros((J, J + 1 + min(J * (step.size - 2), top + J)))
+    prev, lens, memo = np.ones(1), [1], {}
+    for s in range(1, J + 1):
+        _, nxt, cut = _advance(1 - s, prev, off, step, top + 1 + J - s, memo)
+        whole = whole and (not cut or _is_noise(cut, prev, step))
+        prev = nxt
+        rows[J - s, J - s : J - s + prev.size] = prev
+        lens.append(prev.size)
+    ks = np.arange(1, J + 1)
+    kem = rows[::-1, J - 1 :: -1] * ks / ks[:, None]  # W_s at k = -1, -2, ..
+    return _BlockSet(top, rows, lens, kem, whole)
 
 
 def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """W_1..W_J, each exact on [-s, top + 1], as one block matrix, with each
-    table's built length and the first-passage matrix of a block.
+    table's length and the first-passage matrix of a block.
 
-    Row J - s of ``rows`` holds P[W_s = k] at column k + J and is zero outside
-    W_s's table, which is ``lens[s]`` long (W_0, the point mass at 0, has no row).
-    So the tables of W_q, q = r - 1 .. 1, on k >= 1 are the contiguous rows
-    J - r + 1 .. J - 1 from column J + 1 on, and one matrix product applies a
-    block's every per-step correction.  W_s spans at most s (step width) + 1
-    values, so the matrix is as wide as W_J can be, not as ``top``.
-    ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]`` is the probability that the
-    walk from x first hits -1 at step s (Kemperman).  Steps beyond top + J and
-    mass above the moving ceiling top + 1 + (J - s) cannot reach [-s, top + 1].
+    Row J - s of ``rows`` holds P[W_s = k] at column k + J, and W_s's table is
+    its first ``lens[s]`` entries from column J - s on (W_0, the point mass at
+    0, has no row).  So the tables of W_q, q = r - 1 .. 1, on k >= 1 are the
+    contiguous rows J - r + 1 .. J - 1 from column J + 1 on, and one matrix
+    product applies a block's every per-step correction.  W_s spans at most s
+    (step width) + 1 values, so the matrix is as wide as W_J can be, not as
+    ``top``.  ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]`` is the probability
+    that the walk from x first hits -1 at step s (Kemperman).  Steps beyond
+    top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach
+    [-s, top + 1].
+
+    One set, J = MEANDER_BLOCK, is kept, of the last law asked for and the
+    widest top so far: a narrower top or a smaller J reads a view of it
+    (``lens`` then cut at the top's own table length top + J + 2, beyond which
+    a row is not read), and a wider top or another law drops it before
+    building its own, so no two sets are held at once.
     """
-    off, step = _step_table(law, top + J)
-    rows = np.zeros((J, J + 1 + min(J * (step.size - 2), top + J)))
-    prev, lens, memo = np.ones(1), [1], {}
-    for s in range(1, J + 1):
-        prev = _advance(1 - s, prev, off, step, top + 1 + J - s, memo)[1]
-        rows[J - s, J - s : J - s + prev.size] = prev
-        lens.append(prev.size)
-    ks = np.arange(1, J + 1)
-    return rows, lens, rows[::-1, J - 1 :: -1] * ks / ks[:, None]  # kem: W_s at k = -1, -2, ..
+    if law not in _BLOCKS or _BLOCKS[law].top < top:
+        _BLOCKS.clear()  # the narrower set, or another law's, goes before a new one is built
+        _BLOCKS[law] = _build_blocks(law, top)
+    blocks, d = _BLOCKS[law], MEANDER_BLOCK - J
+    lens = [min(size, top + J + 2) for size in blocks.lens[: J + 1]]
+    return blocks.rows[d:, d:], lens, blocks.kem[:J, :J]
+
+
+_POINT_MASS = np.ones(1)  # W_0, read-only
+_POINT_MASS.flags.writeable = False
+
+
+@dataclass(eq=False)
+class _WalkState:
+    """The killed walk after ``t`` steps: its table on [0, ...] (read-only), the
+    alive mass clipped so far and the mass killed at each step 1..t."""
+
+    t: int = 0
+    v: np.ndarray = field(default_factory=lambda: _POINT_MASS)
+    clipped: float = 0.0
+    killed: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+
+@lru_cache(maxsize=64)
+def _walk_state(law: OffspringLaw) -> _WalkState:
+    """The law's killed walk at the last step whose ceilings cut nothing above
+    noise (keyed on the law object); see ``_killed_walk``."""
+    return _WalkState()
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -451,11 +552,12 @@ def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
             full = _conv(d, rev, memo) if r == J else _conv(d, w[::-1])
             # sum_k P[W_r = k] d_t(x + k) sits at index x + w.size - 1 - r
             free = full[w.size - 1 - r : w.size - 1 + t]
-            nxt = np.pad(free, (0, t + r - free.size))
+            nxt = np.zeros(t + r)
+            nxt[: free.size] = free
             cont = rows[J - r + 1 : J, J + 1 : J + 1 + t]  # P[W_q = k], k >= 1, q = r - 1 .. 1
             g = cont @ d[: cont.shape[1]]  # g_s with q = r - s
             nxt[:r] += hit[r - 1, :r] - g @ kem[: r - 1, :r]
-            d = np.clip(nxt, 0.0, 1.0)
+            d = np.clip(nxt, 0.0, 1.0, out=nxt)
     out = 1.0 - np.append(d, 0.0)
     out.flags.writeable = False
     return out
@@ -498,8 +600,8 @@ def discrete_ratio_window(
 def _killed_walk(law: OffspringLaw, m: int,
                  exact_hi: int) -> Tuple[np.ndarray, float, np.ndarray]:
     """The walk from 0 killed on leaving [0, inf), after m steps: its table on
-    [0, ...] (exact up to exact_hi), the alive mass clipped at the moving
-    ceiling, and the mass killed at each step t = 1..m, which is P[zeta = t].
+    [0, ...] (exact up to exact_hi), the alive mass clipped at the ceiling, and
+    the mass killed at each step t = 1..m, which is P[zeta = t].
 
     The ceiling starts at exact_hi + m and falls by one per step, so the clipped
     mass lives strictly above the exact range.  Blocks of r <= MEANDER_BLOCK
@@ -512,25 +614,56 @@ def _killed_walk(law: OffspringLaw, m: int,
     ``_block_tables``), one matrix-vector product per block.  Once no alive
     entry is left below the ceiling (the FFT trims what it leaves of a walk that
     drifts up), later steps kill nothing and the table stays empty.
+
+    Each law keeps one walk state: the last step at which every ceiling so far
+    cut nothing above ``_conv``'s noise trim, from a whole block set.  Such a
+    table is the killed walk itself, so a request with m at or past that step
+    resumes from it (clipping it at its own ceiling first).  For a whole block
+    set the ceiling never falls below the top of the block kernel W_J, so the
+    kernel's own span is never cut; the table may then reach above exact_hi.
+    A heavy step law is cut by its step table and its ceilings, so its walk
+    always starts from step 0.
     """
     top = exact_hi + m  # ceiling at step 0
-    J = min(MEANDER_BLOCK, m)
-    rows, lens, kem = _block_tables(law, top, J)
-    v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
+    saved = _walk_state(law)
+    state = saved if saved.t <= m else _WalkState()
+    t, v, clipped = state.t, state.v, state.clipped
     killed = np.zeros(m)
-    while t < m and v.size:
-        r = min(J, m - t)
-        t += r
-        kernel = rows[J - r, J - r : J - r + lens[r]]
-        free = _advance(0, v, -r, kernel, top - t, memo if r == J else None)[1][r:]
-        h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
-        killed[t - r : t] = h
-        cont = h[: r - 1] @ rows[J - r + 1 : J, J + 1 : J + 1 + free.size]  # P[W_{r-s} = k + 1]
-        free[: cont.size] -= cont
-        np.maximum(free, 0.0, out=free)
-        # alive mass not kept: above the ceiling, or jumps beyond the step table
-        clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
-        v = free
+    killed[:t] = state.killed
+    if t < m:
+        J = min(MEANDER_BLOCK, m)
+        rows, lens, kem = _block_tables(law, top, J)
+        clean = _BLOCKS[law].whole
+        if clean:  # read whole, its tables lost nothing: W_J's top is the ceiling's floor
+            lens = _BLOCKS[law].lens[: J + 1]
+        floor = lens[J] - 1 - J if clean else 0
+        ceiling = max(top - t, floor)
+        if v.size > ceiling + 1:  # a resumed table above this request's ceiling
+            cut = float(v[ceiling + 1 :].sum())
+            clean = clean and _is_noise(cut, v, _POINT_MASS)
+            v, clipped = v[: ceiling + 1], clipped + cut
+        memo, last = {}, state
+        while t < m and v.size:
+            r = min(J, m - t)
+            t += r
+            kernel = rows[J - r, J - r : J - r + lens[r]]
+            _, out, cut = _advance(0, v, -r, kernel, max(top - t, floor), memo if r == J else None)
+            clean = clean and (not cut or _is_noise(cut, v, kernel))
+            free = out[r:]
+            h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
+            killed[t - r : t] = h
+            cont = h[: r - 1] @ rows[J - r + 1 : J, J + 1 : J + 1 + free.size]  # P[W_{r-s} = k + 1]
+            free[: cont.size] -= cont
+            np.maximum(free, 0.0, out=free)
+            # alive mass not kept: above the ceiling, or jumps beyond the step table
+            clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
+            v = free
+            if clean:
+                last = _WalkState(t, v, clipped)
+        if last.t > saved.t:
+            last.v.flags.writeable = False
+            saved.t, saved.v, saved.clipped = last.t, last.v, last.clipped
+            saved.killed = killed[: last.t].copy()
     return v, clipped, killed
 
 
@@ -538,19 +671,16 @@ def _killed_walk(law: OffspringLaw, m: int,
 def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
     """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
 
-    Mass clipped at the moving ceiling exact_hi + m - t is returned in
-    ``truncated_mass``; the table's total plus truncated_mass equals
-    P[zeta_1 > m].  See ``_killed_walk``.
+    Mass clipped at the ceiling, and what the killed walk's table holds above
+    exact_hi, is returned in ``truncated_mass``; the table's total plus
+    truncated_mass equals P[zeta_1 > m].  See ``_killed_walk``.
     """
     if m < 1 or exact_hi < 0:  # the meander lives on [0, inf)
         raise ExactLawError(f"the meander needs m >= 1 and exact_hi >= 0, got {m}, {exact_hi}")
     v, clipped, _ = _killed_walk(law, m, exact_hi)
-    return PmfTable(
-        offset=0,
-        masses=np.pad(v, (0, exact_hi + 1 - v.size)),  # spans [0, exact_hi]
-        truncated_mass=max(0.0, clipped),
-        exact_hi=exact_hi,
-    )
+    masses = np.zeros(exact_hi + 1)  # spans [0, exact_hi]
+    masses[: v.size] = v[: exact_hi + 1]
+    return PmfTable(0, masses, max(0.0, clipped + float(v[exact_hi + 1 :].sum())), exact_hi)
 
 
 def conditioned_walk_marginal(law: OffspringLaw, n: int, m: int) -> PmfTable:

@@ -152,6 +152,7 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
     """
     t0 = time.time()
     law.require_critical("llt_experiment")
+    law.require_sizes("llt_experiment", n_list)
     slaw = StableLaw(theta=law.theta)
     final_bound = 0.02 if law.theta == 2.0 else 0.05
     e1, e2, bns = [], [], []
@@ -206,6 +207,7 @@ def progeny_asymptotics_experiment(law: OffspringLaw, n_list: Sequence[int]) -> 
     """
     t0 = time.time()
     law.require_critical("progeny_asymptotics_experiment")
+    law.require_sizes("progeny_asymptotics_experiment", n_list)
     n_max = max(n_list)
     rho = exactlaw.progeny_rho(law, n_max)
     tail = 1.0 - np.cumsum(rho)  # tail[p] = P[zeta > p] = P[zeta >= p+1]
@@ -253,18 +255,20 @@ def ratio_vs_gamma_experiment(
     """
     t0 = time.time()
     law.require_critical("ratio_vs_gamma_experiment")
+    law.require_sizes("ratio_vs_gamma_experiment", n_list)
     slaw = StableLaw(theta=law.theta)
     gaps, means = [], []
     for n in n_list:
         b_n = calibrate_bn(law, n)
         k_lo = max(1, int(math.ceil(b_n / ALPHA)))
         k_hi = int(ALPHA * b_n)
+        # the marginal's meander first: phi* then reads a prefix of its block tables
+        m = int(math.floor(a * n))
+        means.append(float(exactlaw.conditioned_walk_marginal(law, n, m).masses.sum()))
         d_vals = exactlaw.discrete_ratio_window(law, n, a, k_lo, k_hi)
         ks = np.arange(k_lo, k_hi + 1)
         g_vals = np.asarray(stable.gamma_a(slaw, a, ks / b_n))
         gaps.append(float(np.max(np.abs(d_vals - g_vals))))
-        m = int(math.floor(a * n))
-        means.append(float(exactlaw.conditioned_walk_marginal(law, n, m).masses.sum()))
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
@@ -443,6 +447,7 @@ def lukasiewicz_marginal_experiment(
     """
     t0 = time.time()
     law.require_critical("lukasiewicz_marginal_experiment")
+    law.require_sizes("lukasiewicz_marginal_experiment", [n])
     slaw = StableLaw(theta=law.theta)
     b_n = calibrate_bn(law, n)
     m = int(math.floor(a * n))

@@ -8,8 +8,9 @@ calibrated so that W_n / B_n converges to the spectrally positive stable
 variable X_1 with E[exp(-lam*X_1)] = exp(lam^theta).
 
 A law is its family and either a parameter or a probability vector; the index
-theta, the mean, the variance and the tail constant follow from mu and are
-derived, never given.  Two closed-form families are provided:
+theta, the mean, the variance, the tail constant and the sizes n with
+P[zeta = n] > 0 (``child_count_sums``) follow from mu and are derived, never
+given.  Two closed-form families are provided:
 
 * ``make_geometric(p)``: mu(k) = (1-p) p^k, critical at p = 1/2 (theta = 2).
 * ``make_stable_family(theta)``: generating function f(s) = s + (1-s)^theta/theta,
@@ -208,6 +209,29 @@ class OffspringLaw:
 
     # -- structural properties ----------------------------------------------
 
+    @cached_property
+    def child_count_sums(self) -> Tuple[int, Tuple[bool, ...]]:
+        """(span, sums): as mu(0) > 0, a tree with n vertices exists iff n - 1 is a sum of
+        positive support points, i.e. n - 1 = span * m (span: their gcd) with sums[m], whose
+        last entry stands for every larger m.  With s the least point over span, the table ends
+        at its first run of s true entries, past which adding s reaches every m.  For the closed
+        forms the stored prefix of probs, which holds 1, or 2 and 3, decides the table."""
+        points = np.flatnonzero(self.probs[1:]) + 1
+        if not points.size:  # support {0}: the single vertex is the only tree
+            return 1, (True, False)
+        span = int(np.gcd.reduce(points))
+        points, s = points // span, int(points[0]) // span
+        sums = np.arange(s) == 0  # the empty sum
+        while not sums[-s:].all():  # a block of s entries reads only earlier ones
+            prev = sums.size + np.arange(s) - points[points < sums.size + s, None]
+            sums = np.append(sums, (sums[prev.clip(0)] & (prev >= 0)).any(axis=0))
+        return span, tuple(sums.tolist())
+
+    def size_possible(self, n: int) -> bool:
+        """Whether P[zeta = n] > 0, for n >= 1 (see ``child_count_sums``)."""
+        span, sums = self.child_count_sums
+        return (n - 1) % span == 0 and sums[min((n - 1) // span, len(sums) - 1)]
+
     @property
     def is_critical(self) -> bool:
         return abs(self.mean - 1.0) <= CRIT_TOL
@@ -215,6 +239,16 @@ class OffspringLaw:
     def require_critical(self, what: str = "operation") -> None:
         if not self.is_critical:
             raise LawError(f"{what} requires a critical law (mean = {self.mean!r})")
+
+    def require_sizes(self, what: str, sizes: Sequence[int]) -> None:
+        """Refuse a periodic law (span > 1: the paper's laws are aperiodic) and any
+        size n with P[zeta = n] = 0, naming the span or the size."""
+        span = self.child_count_sums[0]
+        if span > 1:
+            raise LawError(f"{what} requires an aperiodic law; the child counts have span {span}")
+        for n in sizes:
+            if not self.size_possible(n):
+                raise LawError(f"{what}: P[zeta = {n}] = 0 for this law")
 
     def truncate(self, cap: int) -> "OffspringLaw":
         """Explicit law supported on {0..cap}.

@@ -14,7 +14,7 @@ any other.  A critical law is its own tilt.  A law supported in {0,1} has no
 tilt and needs none: each block of n - 1 zeros and one -1 has probability
 mu(0) mu(1)^(n-1), so one draw places the -1.  ``conditioned_increments``
 decides all this, and refuses a size with P[zeta = n] = 0 before any draw (see
-``_child_count_sums``); ``sample_conditioned`` only rotates its block.
+``OffspringLaw.child_count_sums``); ``sample_conditioned`` only rotates its block.
 
 A block of n i.i.d. mu-draws is drawn as a head and a rest.  The head is
 {0..K}, with K the smallest value such that n P[mu > K] <= HEAD_TARGET, and
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -156,25 +156,6 @@ def _step_sampler(law: OffspringLaw, n: int) -> _StepSampler:
     return _StepSampler(law, n)
 
 
-@lru_cache(maxsize=32)  # the law hashes by identity
-def _child_count_sums(law: OffspringLaw) -> Tuple[int, Tuple[bool, ...]]:
-    """(span, sums): as mu(0) > 0, a tree with n vertices exists iff n - 1 is a sum of
-    positive support points, i.e. n - 1 = span * m (span: their gcd) with sums[m], whose
-    last entry stands for every larger m.  With s the least point over span, the table ends
-    at its first run of s true entries, past which adding s reaches every m.  For the closed
-    forms the stored prefix of probs, which holds 1, or 2 and 3, decides the table."""
-    points = np.flatnonzero(law.probs[1:]) + 1
-    if not points.size:  # support {0}: the single vertex is the only tree
-        return 1, (True, False)
-    span = int(np.gcd.reduce(points))
-    points, s = points // span, int(points[0]) // span
-    sums = np.arange(s) == 0  # the empty sum
-    while not sums[-s:].all():  # a block of s entries reads only earlier ones
-        prev = sums.size + np.arange(s) - points[points < sums.size + s, None]
-        sums = np.append(sums, (sums[prev.clip(0)] & (prev >= 0)).any(axis=0))
-    return span, tuple(sums.tolist())
-
-
 # -- unconditioned sampling ------------------------------------------------------
 
 
@@ -225,9 +206,9 @@ def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) 
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
-    span, sums = _child_count_sums(law)
-    if (n - 1) % span or not sums[min((n - 1) // span, len(sums) - 1)]:
-        raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is no sum of child counts (span {span})")
+    if not law.size_possible(n):
+        raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is no sum of child counts "
+                           f"(span {law.child_count_sums[0]})")
     if n == 1:
         return np.array([-1], dtype=np.int64)
     if law.probs.size == 2:  # support {0,1}; the closed forms always store more

@@ -378,6 +378,25 @@ class TestVerify:
         assert (geometric.family, geometric.param) == geometric_slot
         assert (heavy.family, heavy.param) == heavy_slot
 
+    @pytest.mark.parametrize("suite, fast, probs, cause", [
+        ("progeny", False, [0.5, 0.0, 0.5], "span 2"),
+        ("progeny", True, [0.5, 0.0, 0.5], "span 2"),
+        ("llt", False, [0.5, 0.0, 0.5], "span 2"),
+        ("llt", True, [0.5, 0.0, 0.5], "span 2"),
+        ("progeny", True, [0.99005] + [0.0] * 99 + [0.00495, 0.005], "P[zeta = 64] = 0"),
+    ], ids=["binary-progeny", "binary-progeny-fast", "binary-llt", "binary-llt-fast",
+            "gap-progeny-fast"])
+    def test_law_outside_the_suites_refused(self, tmp_path, capsys, suite, fast, probs, cause):
+        # a periodic law (binary trees) and a law with no tree of the suite's size:
+        # usage errors, exit 2 with the cause named, not a crash or a failed gate
+        law_file = tmp_path / "law.json"
+        law_file.write_text(json.dumps({"family": "explicit", "probabilities": probs}))
+        argv = ["verify", "--suite", suite, "--law", str(law_file)] + (["--fast"] if fast else [])
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert cause in captured.err and "Traceback" not in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+
     def test_theta_is_not_an_option(self):
         assert run(["verify", "--suite", "progeny", "--fast", "--theta", "1.3"]) == 2
 

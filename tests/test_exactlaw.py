@@ -9,7 +9,7 @@ from scipy.stats import nbinom
 
 from gwtrees import exactlaw as ex
 from gwtrees import limits as lim
-from gwtrees.offspring import make_explicit, make_geometric, make_stable_family
+from gwtrees.offspring import OffspringLaw, make_explicit, make_geometric, make_stable_family
 
 
 def catalan(k):
@@ -406,8 +406,12 @@ class TestBlockTables:
     @pytest.mark.parametrize("top", [J - 1, J, 4 * J])
     def test_matrix_layout(self, law_name, top):
         # row J - s holds P[W_s = k] at column k + J, zero outside its built length;
-        # kem reads the first passages off the same rows
-        rows, lens, kem = ex._block_tables(MEANDER_LAWS[law_name], top, J)
+        # kem reads the first passages off the same rows.  A fresh law: a wider set
+        # of a law already used would be read as a view, nonzero beyond lens
+        law = MEANDER_LAWS[law_name]
+        rows, lens, kem = ex._block_tables(OffspringLaw(law.family, law.param, law.probs
+                                                        if law.family == "explicit" else None),
+                                           top, J)
         assert rows.shape[0] == J and kem.shape == (J, J)
         for s, off, want in stepwise_walk_tables(MEANDER_LAWS[law_name], J, top + 1):
             row = rows[J - s]
@@ -675,23 +679,44 @@ class TestConditionedWalkMarginal:
             ex.conditioned_walk_marginal(stable15, 2, 1)
 
 
+def count_builds(monkeypatch, *names):
+    """Wrap each named exactlaw builder so that its calls are counted."""
+    builds = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+    return builds
+
+
 class TestTableCache:
-    def test_each_table_built_once(self, geometric):
+    def test_each_table_built_once(self, geometric, monkeypatch):
         from gwtrees import limits as lim
         from gwtrees.offspring import make_geometric
 
         law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
-        caches = (ex.meander_pmf, ex._walk_table, ex._phi_star_profile)
+        builds = count_builds(monkeypatch, "_walk_table", "_build_blocks")
+        caches = (ex.meander_pmf, ex._phi_star_profile)
         before = [c.cache_info() for c in caches]
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
-        (mea0, walk0, star0), (mea1, walk1, star1) = before, [c.cache_info() for c in caches]
+        (mea0, star0), (mea1, star1) = before, [c.cache_info() for c in caches]
         # meanders: the ratio's conditioned marginal (m = 512, exact on [0, 512]) and
         # the marginal's wider one, which also serves the marginal's D-weighted mean
         assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 0)
-        # phi at p = 512 reads one W_512 table: the ratio window builds it, the
-        # ratio's conditioned marginal and the marginal's D window read it
-        assert (walk1.misses - walk0.misses, walk1.hits - walk0.hits) == (1, 2)
+        # phi at p = 512 reads one W_512 table, built once: the ratio's conditioned
+        # marginal builds it, the ratio's and the marginal's D windows read it
+        assert builds["_walk_table"] == 1
+        # one block set: the ratio's meander builds it at top 1024, phi*_512 reads a
+        # prefix, and the marginal's meander resumes the killed walk at step 512,
+        # where the ratio's left it, so it builds no blocks and takes no step
+        assert builds["_build_blocks"] == 1
+        assert ex._walk_state(law).t == 512
         # one phi* profile at p = 512: the ratio window builds it, the marginal's
         # weights and its D window read it
         assert (star1.misses - star0.misses, star1.hits - star0.hits) == (1, 2)
@@ -709,19 +734,19 @@ class TestTableCache:
         full = ex.walk_pmf(geometric, 64)
         assert full is ex.walk_pmf(geometric, 64, exact_hi=full.exact_hi)
         cached = (mea.masses, ex.progeny_rho(geometric, 64),
-                  ex.walk_pmf(geometric, 64, 0).masses, ex._phi_star_profile(geometric, 64))
+                  ex.walk_pmf(geometric, 64, 0).masses, ex._phi_star_profile(geometric, 64),
+                  ex._walk_state(geometric).v)
         assert not any(arr.flags.writeable for arr in cached)
 
-    def test_sampler_law_reads_phi_table(self):
+    def test_sampler_law_reads_phi_table(self, monkeypatch):
         from gwtrees.offspring import make_geometric
         from oracles import analytic_sampler_law
 
         law = make_geometric(0.5)  # fresh: nothing cached
         ex.phi(law, 5, 1)
-        before = ex._walk_table.cache_info()
+        builds = count_builds(monkeypatch, "_walk_table")
         analytic_sampler_law(law, 5)
-        after = ex._walk_table.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+        assert builds["_walk_table"] == 0
 
     def test_standalone_marginal_builds_one_meander(self):
         from gwtrees import limits as lim
@@ -733,3 +758,94 @@ class TestTableCache:
         after = ex.meander_pmf.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
         assert abs(rep.statistics["exact_identity_mean"] - 1.0) <= 1e-9
+
+
+REUSE_LAWS = {  # each a fresh object per call, so that no table of it is cached yet
+    "geometric": lambda: make_geometric(0.5),
+    "theta1.5": lambda: make_stable_family(1.5),
+    "capped": lambda: make_explicit([0.6, 0.25, 0.0, 0.0, 0.0, 0.15]),  # sigma^2 = 3
+}
+REUSE_TOL = 1e-14
+
+
+def assert_same_table(got, want, unbooked=0.0):
+    assert (got.offset, got.exact_hi) == (want.offset, want.exact_hi)
+    size = max(got.masses.size, want.masses.size)
+    diff = np.pad(got.masses, (0, size - got.masses.size)) - np.pad(
+        want.masses, (0, size - want.masses.size))
+    assert np.max(np.abs(diff)) <= REUSE_TOL
+    assert abs(got.truncated_mass - want.truncated_mass) <= REUSE_TOL + unbooked
+
+
+class TestTableReuse:
+    """Tables resumed, sliced or read from a shared block set against fresh builds."""
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    def test_meander_grows_in_m_then_in_exact_hi(self, law_name, monkeypatch):
+        # the exact suite's order: the killed walk grows in m, then in exact_hi at the
+        # last m, then a smaller m; each table against a build on a law with nothing
+        # cached (built after the reused ones: the one block set held would go first)
+        make = REUSE_LAWS[law_name]
+        law = make()
+        builds = count_builds(monkeypatch, "_build_blocks")
+        requests = ((64, 64), (65, 64), (256, 256), (256, 600), (100, 300))
+        tables = [ex.meander_pmf(law, m, exact_hi) for m, exact_hi in requests]
+        # a capped law resumes at every larger m: geometric's walk ends (256, 256)
+        # clean and needs no block at (256, 600), while the sigma^2 = 3 law's last
+        # block at (256, 256) cuts above noise, so (256, 600) takes that block again
+        # on a wider set.  The heavy law always cuts: its walk restarts from step 0
+        want_state, want_builds = {"geometric": (256, 3), "capped": (256, 4),
+                                   "theta1.5": (0, 4)}[law_name]
+        assert ex._walk_state(law).t == want_state
+        assert builds["_build_blocks"] == want_builds
+        for (m, exact_hi), table in zip(requests, tables):
+            assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    def test_progeny_from_a_resumed_walk(self, law_name):
+        law = REUSE_LAWS[law_name]()
+        ex.meander_pmf(law, 96, 96)
+        resumed = ex._killed_walk(law, 200, 0)[2]
+        fresh = ex._killed_walk(REUSE_LAWS[law_name](), 200, 0)[2]
+        assert np.max(np.abs(resumed - fresh)) <= REUSE_TOL
+        ex.progeny_pmf(law, 200)  # the two routes still agree at MASS_TOL
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    def test_walk_window_sliced_from_the_widest(self, law_name, monkeypatch):
+        make = REUSE_LAWS[law_name]
+        law = make()
+        ex.walk_pmf(law, 256, 600)
+        builds = count_builds(monkeypatch, "_walk_table")
+        for hi in (0, -5, 200, 600):
+            got, want = ex.walk_pmf(law, 256, hi), ex.walk_pmf(make(), 256, hi)
+            # on a heavy tail a build also loses the real mass its noise trims drop
+            # (up to ~1e-9, see ``_walk_table``), which neither table books
+            lost = sum(abs(1.0 - float(tab.masses.sum()) - tab.truncated_mass) for tab in (got, want))
+            assert_same_table(got, want, lost)
+        assert builds["_walk_table"] == 4  # the fresh laws' builds only
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    def test_phi_star_reads_the_meanders_blocks(self, law_name, monkeypatch):
+        make = REUSE_LAWS[law_name]
+        law = make()
+        ex.meander_pmf(law, 512, 512)  # block set at top 1024
+        builds = count_builds(monkeypatch, "_build_blocks")
+        ps = (20, 512)  # J = 19 < MEANDER_BLOCK, then a narrower top
+        got = [ex.phi_star(law, p, np.arange(1, p + 1)) for p in ps]
+        assert builds["_build_blocks"] == 0
+        for p, profile in zip(ps, got):
+            assert np.max(np.abs(profile - ex.phi_star(make(), p, np.arange(1, p + 1)))) <= REUSE_TOL
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    @pytest.mark.parametrize("top,J", [(100, J), (100, 5), (700, J)])
+    def test_block_view_matches_a_fresh_set(self, law_name, top, J):
+        make = REUSE_LAWS[law_name]
+        law = make()
+        ex._block_tables(law, 700, J)  # the widest set first
+        rows, lens, kem = ex._block_tables(law, top, J)
+        rows0, lens0, kem0 = ex._block_tables(make(), top, J)
+        assert lens == lens0 and np.max(np.abs(kem - kem0)) <= REUSE_TOL
+        for s in range(1, J + 1):
+            n = min(lens[s], top + 2 + s)  # W_s on [-s, top + 1]
+            got, want = rows[J - s, J - s : J - s + n], rows0[J - s, J - s : J - s + n]
+            assert np.max(np.abs(got - want)) <= REUSE_TOL

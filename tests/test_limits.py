@@ -1,11 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gwtrees import limits as lim
 from gwtrees.exactlaw import PmfTable
-from gwtrees.offspring import make_geometric
+from gwtrees import exactlaw
+from gwtrees.offspring import LawError, make_explicit, make_geometric
 
 
 def strip_timing(report):
@@ -102,6 +104,30 @@ class TestMarginal:
     def test_boundary_weight_is_tiny(self, geometric):
         rep = lim.lukasiewicz_marginal_experiment(geometric, 1024)
         assert rep.statistics["boundary_weight"] < 1e-4
+
+
+BINARY = [0.5, 0.0, 0.5]  # span 2: every tree has an odd size
+GAP = [0.99005] + [0.0] * 99 + [0.00495, 0.005]  # critical on {0, 100, 101}: no size 2..100
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("experiment, sizes", [
+        (lim.llt_experiment, (64, 256)),
+        (lim.progeny_asymptotics_experiment, (64, 256)),
+        (lim.ratio_vs_gamma_experiment, (64, 256)),
+        (lambda law, sizes: lim.lukasiewicz_marginal_experiment(law, sizes[0]), (64,)),
+    ], ids=["llt", "progeny", "ratio", "marginal"])
+    @pytest.mark.parametrize("probs, cause", [(BINARY, "span 2"), (GAP, "P[zeta = 64] = 0")],
+                             ids=["binary", "gap"])
+    def test_refused_before_any_table(self, monkeypatch, experiment, sizes, probs, cause):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("walk_pmf", "progeny_rho", "meander_pmf", "phi", "phi_star",
+                     "discrete_ratio_window", "conditioned_walk_marginal"):
+            monkeypatch.setattr(exactlaw, name, no_table)
+        with pytest.raises(LawError, match=re.escape(cause)):
+            experiment(make_explicit(probs), sizes)
 
 
 class TestSuite:

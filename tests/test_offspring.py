@@ -10,7 +10,6 @@ from scipy.special import binom as binom_real
 from scipy.special import gamma as gamma_fn
 
 from gwtrees import offspring as off
-from gwtrees.sampler import _child_count_sums
 
 
 class TestConstructor:
@@ -97,7 +96,7 @@ class TestGeometric:
 
     def test_aperiodic_full_support(self, geometric):
         # 1 is a support point: a tree of every size
-        assert _child_count_sums(geometric) == (1, (True,))
+        assert geometric.child_count_sums == (1, (True,))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
     def test_parameter_out_of_range(self, p):
@@ -244,7 +243,7 @@ class TestStableFamily:
 
     def test_aperiodic(self, stable15):
         # support {0, 2, 3, ...}: a tree of every size but 2
-        assert _child_count_sums(stable15) == (1, (True, False, True, True))
+        assert stable15.child_count_sums == (1, (True, False, True, True))
 
 
 class TestTilting:
