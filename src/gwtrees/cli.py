@@ -217,10 +217,14 @@ def _cmd_exact(args) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, count = spec.split(":")
-    if int(count) < 1:
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(f"--grid takes lo:hi:count, got {spec!r}") from None
+    if count < 1:
         raise ValueError(f"--grid needs a point count >= 1, got {count}")
-    return np.linspace(float(lo), float(hi), int(count))
+    return np.linspace(lo, hi, count)
 
 
 def _cmd_stable(args) -> int:

@@ -36,30 +36,27 @@ probabilities phi_n(j) = P[zeta_j = n] for all j are read off one
 phi*_n(j) = P[zeta_j >= n] for all j come from n/32 block convolutions
 (``MEANDER_BLOCK`` steps each, as in the killed walk).  Walk, progeny and meander
 tables share one type, ``PmfTable``.  Every function takes the ``OffspringLaw``
-(``_step_table`` applies the shift), and each table is built once per law:
+(``_step_table`` applies the shift).
 
-* resumed: the progeny recursion keeps one table per law and carries it on for
-  a larger n; the killed walk keeps one state per law, the last step at which
-  every ceiling cut nothing above ``_conv``'s noise trim, and a request with m
-  at or past that step goes on from it.  A walk cannot resume when its block
-  tables were cut (a heavy step law, whose step table ends at the ceiling, or
-  a ceiling that cut real mass from W_s) or when a ceiling of its own cut mass
-  above noise: it then restarts from step 0, and keeps its state from the
-  last clean step;
-* sliced: a W_n request below the widest W_n table already built is that
-  table's prefix, and a smaller progeny request reads a prefix;
-* shared: one W_1..W_32 block set is kept, of the last law and the widest top
-  so far, and narrower tops (phi* after the meander of the same ratio step)
-  read a view of it.  The phi* profiles and meanders are cached per (law, p)
-  and (law, m, exact_hi).
+One retention rule holds for every table: each law keeps its latest table of
+each kind, in one record (``_LawTables``) of a weak store freed with the law.
+The kinds are the widest W_n of its last n (a narrower exact_hi reads its
+prefix), the phi* profile of its last p, the progeny recursion (carried on for
+a larger n, read as a prefix for a smaller one), the killed walk at its last
+step clean of ceiling cuts (resumed by any m at or past it; see
+``_killed_walk``) and the W_1..W_32 block set of the widest top so far (read as
+a view by a narrower top, such as phi* after the meander of the same ratio
+step).  One block set is held across all laws: building one drops every other
+law's.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -228,7 +225,7 @@ def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     rounding of a table's total, which every squaring doubles, is not booked as
     truncation.  Nor are the entries ``_conv`` trims as noise: on light tails
     their sum is clipped-at-0 noise, on heavy ones it also holds real mass (2e-9
-    beside 3.7e-4 clipped at theta = 1.5, n = 16384).  ``walk_pmf`` caches it.
+    beside 3.7e-4 clipped at theta = 1.5, n = 16384).  ``walk_pmf`` keeps it.
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
@@ -254,20 +251,14 @@ def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
     return PmfTable(acc_off, acc, acc_lost, hi_eval)
 
 
-@lru_cache(maxsize=256)
-def _walk_tables(law: OffspringLaw, n: int) -> Dict[int, PmfTable]:
-    """The W_n tables of a law served so far, by exact_hi (keyed on the law object)."""
-    return {}
-
-
 def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
     """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi].
 
     With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
     has a usable support cap K, otherwise exact_hi defaults to a bulk window of
-    ~64 * n^(1/theta).  Tables are cached per law, n and resolved exact_hi, and
-    an exact_hi below a W_n table already built is served as its prefix, the
-    cut entries booked in ``truncated_mass``.
+    ~64 * n^(1/theta).  The law keeps the widest W_n of its last n, and an
+    exact_hi below it is served as its prefix, the cut entries booked in
+    ``truncated_mass``.
     """
     if exact_hi is None:
         cap = law.support_cap(1e-18) - 1  # of nu
@@ -277,17 +268,15 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
             exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
     if exact_hi < -n:
         raise ExactLawError("exact_hi below the walk's minimum")
-    tables = _walk_tables(law, n)
-    if exact_hi not in tables:
-        wide = max(tables.values(), key=lambda tab: tab.exact_hi, default=None)
-        if wide is None or wide.exact_hi < exact_hi:
-            tables[exact_hi] = _walk_table(law, n, exact_hi)
-        else:
-            keep = exact_hi - wide.offset + 1
-            tables[exact_hi] = PmfTable(
-                wide.offset, wide.masses[:keep],
-                wide.truncated_mass + float(wide.masses[keep:].sum()), exact_hi)
-    return tables[exact_hi]
+    tables = _tables(law)
+    wide = tables.walk
+    if wide is None or wide.lo != -n or wide.exact_hi < exact_hi:  # W_n's table starts at -n
+        wide = tables.walk = _walk_table(law, n, exact_hi)
+    if wide.exact_hi == exact_hi:
+        return wide
+    keep = exact_hi - wide.offset + 1
+    return PmfTable(wide.offset, wide.masses[:keep],
+                    wide.truncated_mass + float(wide.masses[keep:].sum()), exact_hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +293,6 @@ class _BlockSet:
     lens: List[int]
     kem: np.ndarray
     whole: bool
-
-
-_BLOCKS: Dict[OffspringLaw, _BlockSet] = {}  # at most one entry: see _block_tables
 
 
 def _build_blocks(law: OffspringLaw, top: int) -> _BlockSet:
@@ -341,16 +327,18 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List
     top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach
     [-s, top + 1].
 
-    One set, J = MEANDER_BLOCK, is kept, of the last law asked for and the
-    widest top so far: a narrower top or a smaller J reads a view of it
-    (``lens`` then cut at the top's own table length top + J + 2, beyond which
-    a row is not read), and a wider top or another law drops it before
-    building its own, so no two sets are held at once.
+    The law keeps one set, J = MEANDER_BLOCK, of the widest top so far: a
+    narrower top or a smaller J reads a view of it (``lens`` then cut at the
+    top's own table length top + J + 2, beyond which a row is not read), and a
+    wider top drops it before building its own.  Building a set drops every
+    other law's too, so no two sets are held at once.
     """
-    if law not in _BLOCKS or _BLOCKS[law].top < top:
-        _BLOCKS.clear()  # the narrower set, or another law's, goes before a new one is built
-        _BLOCKS[law] = _build_blocks(law, top)
-    blocks, d = _BLOCKS[law], MEANDER_BLOCK - J
+    tables = _tables(law)
+    if tables.blocks is None or tables.blocks.top < top:
+        for other in _TABLES.values():  # the narrower set, and another law's, go first
+            other.blocks = None
+        tables.blocks = _build_blocks(law, top)
+    blocks, d = tables.blocks, MEANDER_BLOCK - J
     lens = [min(size, top + J + 2) for size in blocks.lens[: J + 1]]
     return blocks.rows[d:, d:], lens, blocks.kem[:J, :J]
 
@@ -360,21 +348,31 @@ _POINT_MASS.flags.writeable = False
 
 
 @dataclass(eq=False)
-class _WalkState:
-    """The killed walk after ``t`` steps: its table on [0, ...] (read-only), the
-    alive mass clipped so far and the mass killed at each step 1..t."""
+class _LawTables:
+    """A law's latest exact table of each kind (see the module docstring).
 
+    ``t``, ``v``, ``clipped`` and ``killed`` are the killed walk after t steps:
+    its table on [0, ...] (read-only), the alive mass clipped so far and the
+    mass killed at each step 1..t.  No field refers to the law, so the record
+    dies with it.
+    """
+
+    walk: Optional[PmfTable] = None
+    phi_star: Optional[np.ndarray] = None
     t: int = 0
     v: np.ndarray = field(default_factory=lambda: _POINT_MASS)
     clipped: float = 0.0
     killed: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    progeny: Optional[_ProgenyRecursion] = None
+    blocks: Optional[_BlockSet] = None
 
 
-@lru_cache(maxsize=64)
-def _walk_state(law: OffspringLaw) -> _WalkState:
-    """The law's killed walk at the last step whose ceilings cut nothing above
-    noise (keyed on the law object); see ``_killed_walk``."""
-    return _WalkState()
+_TABLES: "weakref.WeakKeyDictionary[OffspringLaw, _LawTables]" = weakref.WeakKeyDictionary()
+
+
+def _tables(law: OffspringLaw) -> _LawTables:
+    """The law's record in the store (weakly keyed on the law object)."""
+    return _TABLES.setdefault(law, _LawTables())
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -382,7 +380,7 @@ def _walk_state(law: OffspringLaw) -> _WalkState:
 
 class _ProgenyRecursion:
     """P[zeta = p] for p = 0..n by the branching (generating-function) route,
-    resumable: ``extend(n)`` carries the recursion on from where it stopped.
+    resumable: ``extend(law, n)`` carries the recursion on from where it stopped.
 
     Solves R(z) = z f(R(z)) coefficient by coefficient, per family, from
     rho(1) = mu(0).  Geometric laws have the closed form of
@@ -400,7 +398,6 @@ class _ProgenyRecursion:
     """
 
     def __init__(self, law: OffspringLaw):
-        self.law = law
         self.steps = 0
         rows = np.zeros((2 if law.family == "stable" else 1, 2))
         rows[:, 1] = law.probs[0]  # rho(1), and 1 * rho(1)
@@ -417,11 +414,11 @@ class _ProgenyRecursion:
     def rho(self) -> np.ndarray:
         return self.rows[0]
 
-    def extend(self, n_max: int) -> None:
+    def extend(self, law: OffspringLaw, n_max: int) -> None:
         start = self.rho.size - 1
         if n_max <= start:
             return
-        law, K = self.law, self.law.probs.size - 1
+        K = law.probs.size - 1
         if law.family == "explicit" and n_max * n_max * max(K, 1) > 1 << 31:
             raise ExactLawError("explicit-law progeny recursion too large; use Kemperman")
         rows = _grown(self.rows, n_max + 1)
@@ -463,12 +460,6 @@ def _grown(arr: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _progeny_recursion(law: OffspringLaw) -> _ProgenyRecursion:
-    """The one resumable progeny recursion of a law (keyed on the law object)."""
-    return _ProgenyRecursion(law)
-
-
 def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
     """P[zeta = p], p = 0..n_max, by the branching recursion (read-only array).
 
@@ -478,9 +469,11 @@ def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ExactLawError("n_max must be >= 0")
-    table = _progeny_recursion(law)
-    table.extend(n_max)
-    return table.rho[: n_max + 1]
+    tables = _tables(law)
+    if tables.progeny is None:
+        tables.progeny = _ProgenyRecursion(law)
+    tables.progeny.extend(law, n_max)
+    return tables.progeny.rho[: n_max + 1]
 
 
 def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
@@ -507,7 +500,7 @@ def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
 
 def phi(law: OffspringLaw, n: int, j):
     """phi_n(j) = P[zeta_j = n] = (j/n) P[W_n = -j] (Kemperman), for an int j or an
-    integer array of j; one cached W_n table serves every j."""
+    integer array of j; one kept W_n table serves every j."""
     js = np.asarray(j)
     if n < 1 or np.any(js < 1):
         raise ExactLawError("phi needs j >= 1 and n >= 1")
@@ -516,15 +509,18 @@ def phi(law: OffspringLaw, n: int, j):
 
 
 def phi_star(law: OffspringLaw, n: int, j):
-    """phi*_n(j) = P[zeta_j >= n] for an int j or an integer array of j; 1 for j >= n."""
+    """phi*_n(j) = P[zeta_j >= n] for an int j or an integer array of j; 1 for j >= n.
+    The law keeps the profile of its last n."""
     js = np.asarray(j)
     if n < 1 or np.any(js < 1):
         raise ExactLawError("phi_star needs j >= 1 and n >= 1")
-    out = _phi_star_profile(law, n)[np.minimum(js, n) - 1]
+    tables = _tables(law)
+    if tables.phi_star is None or tables.phi_star.size != n:  # the profile of p has p entries
+        tables.phi_star = _phi_star_profile(law, n)
+    out = tables.phi_star[np.minimum(js, n) - 1]
     return float(out) if js.ndim == 0 else out
 
 
-@lru_cache(maxsize=128)
 def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
     """phi*_p(j) = 1 - d_{p-1}(j-1) for j = 1..p (read-only), where
     d_t(x) = P[the walk from x hits -1 within t steps] lives on [0, t), d_0 = 0.
@@ -615,34 +611,33 @@ def _killed_walk(law: OffspringLaw, m: int,
     entry is left below the ceiling (the FFT trims what it leaves of a walk that
     drifts up), later steps kill nothing and the table stays empty.
 
-    Each law keeps one walk state: the last step at which every ceiling so far
-    cut nothing above ``_conv``'s noise trim, from a whole block set.  Such a
+    Each law keeps its walk at the last step at which every ceiling so far cut
+    nothing above ``_conv``'s noise trim, from a whole block set.  Such a
     table is the killed walk itself, so a request with m at or past that step
     resumes from it (clipping it at its own ceiling first).  For a whole block
     set the ceiling never falls below the top of the block kernel W_J, so the
     kernel's own span is never cut; the table may then reach above exact_hi.
     A heavy step law is cut by its step table and its ceilings, so its walk
-    always starts from step 0.
+    always starts from step 0, as does a request with m below the kept step.
     """
     top = exact_hi + m  # ceiling at step 0
-    saved = _walk_state(law)
-    state = saved if saved.t <= m else _WalkState()
-    t, v, clipped = state.t, state.v, state.clipped
+    tables = _tables(law)
+    t, v, clipped = (tables.t, tables.v, tables.clipped) if tables.t <= m else (0, _POINT_MASS, 0.0)
     killed = np.zeros(m)
-    killed[:t] = state.killed
+    killed[:t] = tables.killed[:t]
     if t < m:
         J = min(MEANDER_BLOCK, m)
         rows, lens, kem = _block_tables(law, top, J)
-        clean = _BLOCKS[law].whole
+        clean = tables.blocks.whole
         if clean:  # read whole, its tables lost nothing: W_J's top is the ceiling's floor
-            lens = _BLOCKS[law].lens[: J + 1]
+            lens = tables.blocks.lens[: J + 1]
         floor = lens[J] - 1 - J if clean else 0
         ceiling = max(top - t, floor)
         if v.size > ceiling + 1:  # a resumed table above this request's ceiling
             cut = float(v[ceiling + 1 :].sum())
             clean = clean and _is_noise(cut, v, _POINT_MASS)
             v, clipped = v[: ceiling + 1], clipped + cut
-        memo, last = {}, state
+        memo, last = {}, (t, v, clipped)
         while t < m and v.size:
             r = min(J, m - t)
             t += r
@@ -659,15 +654,14 @@ def _killed_walk(law: OffspringLaw, m: int,
             clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
             v = free
             if clean:
-                last = _WalkState(t, v, clipped)
-        if last.t > saved.t:
-            last.v.flags.writeable = False
-            saved.t, saved.v, saved.clipped = last.t, last.v, last.clipped
-            saved.killed = killed[: last.t].copy()
+                last = (t, v, clipped)
+        if last[0] > tables.t:
+            tables.t, tables.v, tables.clipped = last
+            tables.v.flags.writeable = False
+            tables.killed = killed[: tables.t].copy()
     return v, clipped, killed
 
 
-@lru_cache(maxsize=32)
 def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
     """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
 

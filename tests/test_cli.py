@@ -534,6 +534,15 @@ class TestErrors:
                     "--out", str(out)]) == 2
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:3:4", "a:2:3", "1:2:x"])
+    def test_malformed_grid_names_the_form(self, tmp_path, capsys, grid):
+        out = tmp_path / "sub" / "p1.csv"
+        assert run(["stable", "--theta", "2", "--what", "p1", "--grid", grid,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --grid takes lo:hi:count, got {grid!r}\n"
+        assert not out.parent.exists()
+
     def test_exc_marginal_only_at_theta2(self, tmp_path):
         out = tmp_path / "sub" / "m.csv"
         assert run(["stable", "--theta", "1.5", "--what", "exc-marginal",

@@ -333,16 +333,16 @@ class TestProgenyTable:
                 arr.flags.writeable = True
         assert np.array_equal(short, long[: J + 1])
 
-    def test_suites_run_the_recursion_once_per_law(self):
+    def test_suites_run_the_recursion_once_per_law(self, monkeypatch):
         from gwtrees import limits as lim
 
         geo, heavy = PROGENY_LAWS["geometric"](), PROGENY_LAWS["theta1.5"]()
-        before = ex._progeny_recursion.cache_info().misses
+        builds = count_builds(monkeypatch, "_ProgenyRecursion")
         for suite in ("progeny", "ratio", "marginal"):
             lim.run_suite(suite, geo, heavy)
-        assert ex._progeny_recursion.cache_info().misses - before == 2
+        assert builds["_ProgenyRecursion"] == 2
         for law in (geo, heavy):
-            table = ex._progeny_recursion(law)
+            table = ex._TABLES[law].progeny
             # rho(2)..rho(4096), each computed once although 2048 came before 4096
             assert (table.rho.size - 1, table.steps) == (4096, 4095)
 
@@ -695,20 +695,18 @@ def count_builds(monkeypatch, *names):
 
 
 class TestTableCache:
-    def test_each_table_built_once(self, geometric, monkeypatch):
+    def test_each_table_built_once(self, monkeypatch):
         from gwtrees import limits as lim
         from gwtrees.offspring import make_geometric
 
-        law = make_geometric(0.5)  # a fresh object: none of its tables is cached yet
-        builds = count_builds(monkeypatch, "_walk_table", "_build_blocks")
-        caches = (ex.meander_pmf, ex._phi_star_profile)
-        before = [c.cache_info() for c in caches]
+        law = make_geometric(0.5)  # a fresh object: none of its tables is kept yet
+        builds = count_builds(monkeypatch, "_walk_table", "_build_blocks", "_killed_walk",
+                              "phi_star", "_phi_star_profile")
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
-        (mea0, star0), (mea1, star1) = before, [c.cache_info() for c in caches]
         # meanders: the ratio's conditioned marginal (m = 512, exact on [0, 512]) and
         # the marginal's wider one, which also serves the marginal's D-weighted mean
-        assert (mea1.misses - mea0.misses, mea1.hits - mea0.hits) == (2, 0)
+        assert builds["_killed_walk"] == 2
         # phi at p = 512 reads one W_512 table, built once: the ratio's conditioned
         # marginal builds it, the ratio's and the marginal's D windows read it
         assert builds["_walk_table"] == 1
@@ -716,27 +714,29 @@ class TestTableCache:
         # prefix, and the marginal's meander resumes the killed walk at step 512,
         # where the ratio's left it, so it builds no blocks and takes no step
         assert builds["_build_blocks"] == 1
-        assert ex._walk_state(law).t == 512
+        assert ex._TABLES[law].t == 512
         # one phi* profile at p = 512: the ratio window builds it, the marginal's
         # weights and its D window read it
-        assert (star1.misses - star0.misses, star1.hits - star0.hits) == (1, 2)
+        star_builds = builds["_phi_star_profile"]
+        assert (star_builds, builds["phi_star"] - star_builds) == (1, 2)
 
         js = np.arange(1, 201)  # beyond j = p, phi = 0 and phi* = 1 (zeta_j >= j)
-        phi_wide, phistar_wide = ex.phi(geometric, 64, js), ex.phi_star(geometric, 64, js)
-        phi_p, phistar_p = ex.phi(geometric, 64, js[:64]), ex.phi_star(geometric, 64, js[:64])
+        phi_wide, phistar_wide = ex.phi(law, 64, js), ex.phi_star(law, 64, js)
+        phi_p, phistar_p = ex.phi(law, 64, js[:64]), ex.phi_star(law, 64, js[:64])
         assert np.array_equal(phi_wide, np.concatenate([phi_p, np.zeros(136)]))
         assert np.array_equal(phistar_wide, np.concatenate([phistar_p, np.ones(136)]))
 
-        mea = ex.meander_pmf(geometric, 8, 16)
-        assert mea is ex.meander_pmf(geometric, 8, 16)
-        # positional, keyword and resolved-default calls share one cache entry
-        assert ex.walk_pmf(geometric, 64, exact_hi=0) is ex.walk_pmf(geometric, 64, 0)
-        full = ex.walk_pmf(geometric, 64)
-        assert full is ex.walk_pmf(geometric, 64, exact_hi=full.exact_hi)
-        cached = (mea.masses, ex.progeny_rho(geometric, 64),
-                  ex.walk_pmf(geometric, 64, 0).masses, ex._phi_star_profile(geometric, 64),
-                  ex._walk_state(geometric).v)
-        assert not any(arr.flags.writeable for arr in cached)
+        mea = ex.meander_pmf(law, 8, 16)
+        # the resolved default is the kept widest table; positional and keyword
+        # calls for a narrower window read its prefix and build nothing
+        full = ex.walk_pmf(law, 64)
+        assert full is ex.walk_pmf(law, 64, exact_hi=full.exact_hi)
+        before = builds["_walk_table"]
+        assert np.array_equal(ex.walk_pmf(law, 64, exact_hi=0).masses, ex.walk_pmf(law, 64, 0).masses)
+        assert builds["_walk_table"] == before
+        kept = (mea.masses, ex.progeny_rho(law, 64), ex.walk_pmf(law, 64, 0).masses,
+                ex._TABLES[law].walk.masses, ex._TABLES[law].phi_star, ex._TABLES[law].v)
+        assert not any(arr.flags.writeable for arr in kept)
 
     def test_sampler_law_reads_phi_table(self, monkeypatch):
         from gwtrees.offspring import make_geometric
@@ -748,16 +748,41 @@ class TestTableCache:
         analytic_sampler_law(law, 5)
         assert builds["_walk_table"] == 0
 
-    def test_standalone_marginal_builds_one_meander(self):
+    def test_standalone_marginal_builds_one_meander(self, monkeypatch):
         from gwtrees import limits as lim
         from gwtrees.offspring import make_stable_family
 
-        law = make_stable_family(1.5)  # fresh: nothing cached
-        before = ex.meander_pmf.cache_info()
+        law = make_stable_family(1.5)  # fresh: nothing kept
+        builds = count_builds(monkeypatch, "_killed_walk")
         rep = lim.lukasiewicz_marginal_experiment(law, 512)
-        after = ex.meander_pmf.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+        assert builds["_killed_walk"] == 1
         assert abs(rep.statistics["exact_identity_mean"] - 1.0) <= 1e-9
+
+    def test_tables_die_with_the_law(self):
+        # a fresh interpreter, so that the store holds this law alone: once the law
+        # goes, its record and every table in it go too
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("import gc, weakref\n"
+                "from gwtrees import exactlaw as ex\n"
+                "from gwtrees.offspring import make_geometric\n"
+                "law = make_geometric(0.5)\n"
+                "ex.walk_pmf(law, 64, 0); ex.phi_star(law, 48, 1)\n"
+                "ex.meander_pmf(law, 64, 64); ex.progeny_rho(law, 64)\n"
+                "rec = ex._TABLES[law]\n"
+                "print(all(x is not None for x in (rec.walk, rec.phi_star, rec.progeny, rec.blocks))"
+                " and rec.t > 0)\n"
+                "refs = weakref.ref(law), weakref.ref(rec), weakref.ref(rec.blocks.rows)\n"
+                "del law, rec\n"
+                "gc.collect()\n"
+                "print([ref() is None for ref in refs], len(ex._TABLES))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split("\n")[:2] == ["True", "[True, True, True] 0"]
 
 
 REUSE_LAWS = {  # each a fresh object per call, so that no table of it is cached yet
@@ -796,7 +821,7 @@ class TestTableReuse:
         # on a wider set.  The heavy law always cuts: its walk restarts from step 0
         want_state, want_builds = {"geometric": (256, 3), "capped": (256, 4),
                                    "theta1.5": (0, 4)}[law_name]
-        assert ex._walk_state(law).t == want_state
+        assert ex._TABLES[law].t == want_state
         assert builds["_build_blocks"] == want_builds
         for (m, exact_hi), table in zip(requests, tables):
             assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))

@@ -108,6 +108,8 @@ class TestMarginal:
 
 BINARY = [0.5, 0.0, 0.5]  # span 2: every tree has an odd size
 GAP = [0.99005] + [0.0] * 99 + [0.00495, 0.005]  # critical on {0, 100, 101}: no size 2..100
+SIGMA2_3 = [0.6, 0.25, 0.0, 0.0, 0.0, 0.15]  # critical, sigma^2 = 3
+SIGMA2_HALF = [0.25, 0.5, 0.25]  # critical, sigma^2 = 1/2
 
 
 class TestRefusals:
@@ -145,6 +147,15 @@ class TestSuite:
         for r in reports:
             assert isinstance(r.passed, bool)
             assert json.dumps(r.to_dict(), default=lim.jsonify)  # serializable
+
+    @pytest.mark.parametrize("suite", ["llt", "progeny", "ratio", "marginal"])
+    def test_exact_suites_pass_at_other_variances(self, suite):
+        # two aperiodic theta = 2 laws with sigma^2 != 2, so that a gate reads
+        # calibrate_bn's sigma: sigma^2 = 3 on {0, 1, 5} and sigma^2 = 1/2 on {0, 1, 2}
+        wide, narrow = make_explicit(SIGMA2_3), make_explicit(SIGMA2_HALF)
+        assert [law.variance for law in (wide, narrow)] == pytest.approx([3.0, 0.5])
+        reports = lim.run_suite(suite, wide, narrow)  # default sizes
+        assert len(reports) == 2 and all(r.passed for r in reports)
 
     def test_unknown_suite(self, geometric, stable15):
         with pytest.raises(ValueError):
