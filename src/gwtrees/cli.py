@@ -402,7 +402,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except (exactlaw.ExactLawError, sampler.SamplerError, stable.StableNumericsError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,22 +39,23 @@ tables share one type, ``PmfTable``.  Every function takes the ``OffspringLaw``
 (``_step_table`` applies the shift).
 
 One retention rule holds for every table: each law keeps its latest table of
-each kind, in one record (``_LawTables``) of a weak store freed with the law.
-The kinds are the widest W_n of its last n (a narrower exact_hi reads its
-prefix), the phi* profile of its last p, the progeny recursion (carried on for
-a larger n, read as a prefix for a smaller one), the killed walk at its last
-step clean of ceiling cuts (resumed by any m at or past it; see
-``_killed_walk``) and the W_1..W_32 block set of the widest top so far (read as
-a view by a narrower top, such as phi* after the meander of the same ratio
-step).  One block set is held across all laws: building one drops every other
-law's.
+each kind in its own ``OffspringLaw.tables``, one key per kind, so the tables
+go with the law.  The kinds kept here are ``"walk"``, the widest W_n of its
+last n (a narrower exact_hi reads its prefix); ``"phi_star"``, the profile of
+its last p; ``"progeny"``, the recursion (carried on for a larger n, read as a
+prefix for a smaller one); ``"killed_walk"``, the walk (t, v, clipped, killed)
+at its last step clean of ceiling cuts (resumed by any m at or past it; see
+``_killed_walk``); and ``"blocks"``, the W_1..W_32 block set of the widest top
+so far (read as a view by a narrower top, such as phi* after the meander of the
+same ratio step).  One block set is held across all laws: building one drops
+every other law's.  No kept value refers to its law.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -268,10 +269,9 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
             exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
     if exact_hi < -n:
         raise ExactLawError("exact_hi below the walk's minimum")
-    tables = _tables(law)
-    wide = tables.walk
+    wide = law.tables.get("walk")
     if wide is None or wide.lo != -n or wide.exact_hi < exact_hi:  # W_n's table starts at -n
-        wide = tables.walk = _walk_table(law, n, exact_hi)
+        wide = law.tables["walk"] = _walk_table(law, n, exact_hi)
     if wide.exact_hi == exact_hi:
         return wide
     keep = exact_hi - wide.offset + 1
@@ -333,46 +333,23 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List
     wider top drops it before building its own.  Building a set drops every
     other law's too, so no two sets are held at once.
     """
-    tables = _tables(law)
-    if tables.blocks is None or tables.blocks.top < top:
-        for other in _TABLES.values():  # the narrower set, and another law's, go first
-            other.blocks = None
-        tables.blocks = _build_blocks(law, top)
-    blocks, d = tables.blocks, MEANDER_BLOCK - J
+    global _blocks_law
+    tables = law.tables
+    if "blocks" not in tables or tables["blocks"].top < top:
+        held = _blocks_law and _blocks_law()
+        if held is not None:  # the narrower set, or another law's, goes first
+            held.tables.pop("blocks", None)
+        tables["blocks"] = _build_blocks(law, top)
+        _blocks_law = weakref.ref(law)
+    blocks, d = tables["blocks"], MEANDER_BLOCK - J
     lens = [min(size, top + J + 2) for size in blocks.lens[: J + 1]]
     return blocks.rows[d:, d:], lens, blocks.kem[:J, :J]
 
 
+_blocks_law: Optional[weakref.ref] = None  # the law whose tables hold the one block set
 _POINT_MASS = np.ones(1)  # W_0, read-only
 _POINT_MASS.flags.writeable = False
-
-
-@dataclass(eq=False)
-class _LawTables:
-    """A law's latest exact table of each kind (see the module docstring).
-
-    ``t``, ``v``, ``clipped`` and ``killed`` are the killed walk after t steps:
-    its table on [0, ...] (read-only), the alive mass clipped so far and the
-    mass killed at each step 1..t.  No field refers to the law, so the record
-    dies with it.
-    """
-
-    walk: Optional[PmfTable] = None
-    phi_star: Optional[np.ndarray] = None
-    t: int = 0
-    v: np.ndarray = field(default_factory=lambda: _POINT_MASS)
-    clipped: float = 0.0
-    killed: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    progeny: Optional[_ProgenyRecursion] = None
-    blocks: Optional[_BlockSet] = None
-
-
-_TABLES: "weakref.WeakKeyDictionary[OffspringLaw, _LawTables]" = weakref.WeakKeyDictionary()
-
-
-def _tables(law: OffspringLaw) -> _LawTables:
-    """The law's record in the store (weakly keyed on the law object)."""
-    return _TABLES.setdefault(law, _LawTables())
+_UNWALKED = (0, _POINT_MASS, 0.0, np.zeros(0))  # the killed walk at step 0
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -469,11 +446,11 @@ def progeny_rho(law: OffspringLaw, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ExactLawError("n_max must be >= 0")
-    tables = _tables(law)
-    if tables.progeny is None:
-        tables.progeny = _ProgenyRecursion(law)
-    tables.progeny.extend(law, n_max)
-    return tables.progeny.rho[: n_max + 1]
+    progeny = law.tables.get("progeny")
+    if progeny is None:
+        progeny = law.tables["progeny"] = _ProgenyRecursion(law)
+    progeny.extend(law, n_max)
+    return progeny.rho[: n_max + 1]
 
 
 def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
@@ -514,10 +491,10 @@ def phi_star(law: OffspringLaw, n: int, j):
     js = np.asarray(j)
     if n < 1 or np.any(js < 1):
         raise ExactLawError("phi_star needs j >= 1 and n >= 1")
-    tables = _tables(law)
-    if tables.phi_star is None or tables.phi_star.size != n:  # the profile of p has p entries
-        tables.phi_star = _phi_star_profile(law, n)
-    out = tables.phi_star[np.minimum(js, n) - 1]
+    profile = law.tables.get("phi_star")
+    if profile is None or profile.size != n:  # the profile of p has p entries
+        profile = law.tables["phi_star"] = _phi_star_profile(law, n)
+    out = profile[np.minimum(js, n) - 1]
     return float(out) if js.ndim == 0 else out
 
 
@@ -621,16 +598,17 @@ def _killed_walk(law: OffspringLaw, m: int,
     always starts from step 0, as does a request with m below the kept step.
     """
     top = exact_hi + m  # ceiling at step 0
-    tables = _tables(law)
-    t, v, clipped = (tables.t, tables.v, tables.clipped) if tables.t <= m else (0, _POINT_MASS, 0.0)
+    kept = law.tables.get("killed_walk", _UNWALKED)  # (t, v, clipped, killed)
+    t, v, clipped, _ = kept if kept[0] <= m else _UNWALKED
     killed = np.zeros(m)
-    killed[:t] = tables.killed[:t]
+    killed[:t] = kept[3][:t]
     if t < m:
         J = min(MEANDER_BLOCK, m)
         rows, lens, kem = _block_tables(law, top, J)
-        clean = tables.blocks.whole
+        blocks = law.tables["blocks"]
+        clean = blocks.whole
         if clean:  # read whole, its tables lost nothing: W_J's top is the ceiling's floor
-            lens = tables.blocks.lens[: J + 1]
+            lens = blocks.lens[: J + 1]
         floor = lens[J] - 1 - J if clean else 0
         ceiling = max(top - t, floor)
         if v.size > ceiling + 1:  # a resumed table above this request's ceiling
@@ -655,10 +633,9 @@ def _killed_walk(law: OffspringLaw, m: int,
             v = free
             if clean:
                 last = (t, v, clipped)
-        if last[0] > tables.t:
-            tables.t, tables.v, tables.clipped = last
-            tables.v.flags.writeable = False
-            tables.killed = killed[: tables.t].copy()
+        if last[0] > kept[0]:
+            last[1].flags.writeable = False
+            law.tables["killed_walk"] = (*last, killed[: last[0]].copy())
     return v, clipped, killed
 
 

@@ -69,6 +69,8 @@ class OffspringLaw:
 
     def __post_init__(self):
         family, param = self.family, self.param
+        if not isinstance(family, str):
+            raise LawError(f"a law family is a name such as 'geometric', got {family!r}")
         if family == "explicit":
             if param is not None:
                 raise LawError(f"an explicit law takes no param, got {param!r}")
@@ -137,6 +139,12 @@ class OffspringLaw:
         if self.family == "stable":
             return (self.param - 1.0) / math.gamma(2.0 - self.param)
         return None
+
+    @cached_property
+    def tables(self) -> dict:
+        """The latest table of each kind derived from this law (exact tables, the
+        sampler's step table and tilt), one key per kind: they go with the law."""
+        return {}
 
     # -- mass bookkeeping ---------------------------------------------------
 

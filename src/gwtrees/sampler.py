@@ -53,24 +53,25 @@ the kept one are discarded unread.  M is of order 1/K on a stable law, and
 the block's sum spreads on the same scale B_n, so a tree costs O(1) rows as
 n grows: 1.4 batches of 64 on average at theta = 1.5, n = 1e4, and 2 at 1e6.
 
-Both samplers read mu from one step sampler per (law, n): a survival table of
+Both samplers read mu from a step sampler for blocks of n: a survival table of
 mu on 0..top + 1, with top = n - 1 or the law's last value of positive tail if
 smaller, inverted for all quantiles at once.  It costs 8 bytes per value, and
 it is exact: no tree of n vertices has a vertex of n or more children, so each
 draw past top, read as top + 1 >= n, rejects its block or ends ``sample_gw``.
+A law keeps the step sampler of its last n, and its critical tilt unless it is
+its own, in ``OffspringLaw.tables``.  Sizes with n - 1 > ``VALUE_CEIL`` are refused.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
 from .codings import LukasiewiczPath, Tree
-from .offspring import CRIT_TOL, OffspringLaw, tilt_to_critical
+from .offspring import CRIT_TOL, VALUE_CEIL, OffspringLaw, tilt_to_critical
 
 __all__ = [
     "derive_rng",
@@ -109,6 +110,7 @@ class _StepSampler:
     """
 
     def __init__(self, law: OffspringLaw, n: int):
+        self.n = n
         self.top = n - 1 if law.tail_mass(n - 1) > 0 else law.support_cap(0.0)
         neg_above = law.probabilities(self.top + 1)
         neg_above[-1] = law.tail_mass(self.top)  # mu(0..top), then P[mu > top]
@@ -151,9 +153,12 @@ class _StepSampler:
         return kmin + self._neg_above[kmin + 1 :].searchsorted(neg_target, side="right")
 
 
-@lru_cache(maxsize=32)  # the law hashes by identity
 def _step_sampler(law: OffspringLaw, n: int) -> _StepSampler:
-    return _StepSampler(law, n)
+    """The law's step sampler for blocks of n, kept for its last n."""
+    steps = law.tables.get("steps")
+    if steps is None or steps.n != n:
+        steps = law.tables["steps"] = _StepSampler(law, n)
+    return steps
 
 
 # -- unconditioned sampling ------------------------------------------------------
@@ -170,6 +175,8 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
     """
     if size_cap < 1:
         raise SamplerError("size_cap must be >= 1")
+    if size_cap - 1 > VALUE_CEIL:  # the largest offspring value served
+        raise SamplerError(f"size_cap - 1 = {size_cap - 1} exceeds VALUE_CEIL = {VALUE_CEIL}")
     if law.mean > 1.0 + CRIT_TOL:
         raise SamplerError("sample_gw needs a (sub)critical law; tilt first")
     steps = _step_sampler(law, size_cap)
@@ -194,8 +201,11 @@ def sample_gw(law: OffspringLaw, size_cap: int, rng: np.random.Generator) -> Opt
 # -- conditioned increments ---------------------------------------------------------
 
 
-# one tilted object per law (the law hashes by identity), so the caches keyed on it hit
-_critical_tilt = lru_cache(maxsize=64)(tilt_to_critical)
+def _critical_tilt(law: OffspringLaw) -> OffspringLaw:
+    """``tilt_to_critical``, kept on the law unless the law is critical and its own tilt."""
+    if not law.is_critical and "tilt" not in law.tables:
+        law.tables["tilt"] = tilt_to_critical(law)
+    return law.tables.get("tilt", law)
 
 
 def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,6 +216,8 @@ def conditioned_increments(law: OffspringLaw, n: int, rng: np.random.Generator) 
     """
     if n < 1:
         raise SamplerError("n must be >= 1")
+    if n - 1 > VALUE_CEIL:  # the largest offspring value served
+        raise SamplerError(f"n - 1 = {n - 1} exceeds VALUE_CEIL = {VALUE_CEIL}")
     if not law.size_possible(n):
         raise SamplerError(f"P[zeta = {n}] = 0: n - 1 is no sum of child counts "
                            f"(span {law.child_count_sums[0]})")

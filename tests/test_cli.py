@@ -577,6 +577,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_non_string_family_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"family": ["geometric"]}))
+        assert run(["exact", "--law", str(path), "--what", "walk", "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "['geometric']" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--law", "geometric", "--out", "x.csv"],
+        ["codings", "--law", "geometric", "--out-prefix", "x"],
+    ])
+    def test_size_above_value_ceil_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # n - 1 beyond offspring.VALUE_CEIL is refused before any table is built
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--n", str(10**20), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"VALUE_CEIL = {1 << 62}" in err
+        assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+    def test_unallocatable_request_exit_2(self, tmp_path, capsys):
+        # 1e14 grid points (728 TiB) lie beyond the address space: the allocation
+        # fails at once; exit 1 is kept for a failed verification gate
+        out = tmp_path / "p1.csv"
+        assert run(["stable", "--theta", "1.5", "--what", "p1",
+                    "--grid", "0:1:100000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["exact", "--law", "geometric", "--what", "progeny", "--n", "3", "--out"],
         ["stable", "--theta", "2", "--what", "p1", "--grid=0:1:3", "--out"],

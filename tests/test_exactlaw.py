@@ -342,7 +342,7 @@ class TestProgenyTable:
             lim.run_suite(suite, geo, heavy)
         assert builds["_ProgenyRecursion"] == 2
         for law in (geo, heavy):
-            table = ex._TABLES[law].progeny
+            table = law.tables["progeny"]
             # rho(2)..rho(4096), each computed once although 2048 came before 4096
             assert (table.rho.size - 1, table.steps) == (4096, 4095)
 
@@ -714,7 +714,7 @@ class TestTableCache:
         # prefix, and the marginal's meander resumes the killed walk at step 512,
         # where the ratio's left it, so it builds no blocks and takes no step
         assert builds["_build_blocks"] == 1
-        assert ex._TABLES[law].t == 512
+        assert law.tables["killed_walk"][0] == 512
         # one phi* profile at p = 512: the ratio window builds it, the marginal's
         # weights and its D window read it
         star_builds = builds["_phi_star_profile"]
@@ -735,7 +735,7 @@ class TestTableCache:
         assert np.array_equal(ex.walk_pmf(law, 64, exact_hi=0).masses, ex.walk_pmf(law, 64, 0).masses)
         assert builds["_walk_table"] == before
         kept = (mea.masses, ex.progeny_rho(law, 64), ex.walk_pmf(law, 64, 0).masses,
-                ex._TABLES[law].walk.masses, ex._TABLES[law].phi_star, ex._TABLES[law].v)
+                law.tables["walk"].masses, law.tables["phi_star"], law.tables["killed_walk"][1])
         assert not any(arr.flags.writeable for arr in kept)
 
     def test_sampler_law_reads_phi_table(self, monkeypatch):
@@ -759,30 +759,37 @@ class TestTableCache:
         assert abs(rep.statistics["exact_identity_mean"] - 1.0) <= 1e-9
 
     def test_tables_die_with_the_law(self):
-        # a fresh interpreter, so that the store holds this law alone: once the law
-        # goes, its record and every table in it go too
+        # a fresh interpreter, so that nothing else holds these laws: once a law goes,
+        # by reference counting alone, every table kept on it goes too, exact tables,
+        # block matrix, step sampler and a subcritical law's tilt alike
         import os
         import subprocess
         import sys
         from pathlib import Path
 
-        code = ("import gc, weakref\n"
-                "from gwtrees import exactlaw as ex\n"
-                "from gwtrees.offspring import make_geometric\n"
+        code = ("import weakref\n"
+                "from gwtrees import exactlaw as ex, sampler as sa\n"
+                "from gwtrees.offspring import make_explicit, make_geometric\n"
                 "law = make_geometric(0.5)\n"
                 "ex.walk_pmf(law, 64, 0); ex.phi_star(law, 48, 1)\n"
                 "ex.meander_pmf(law, 64, 64); ex.progeny_rho(law, 64)\n"
-                "rec = ex._TABLES[law]\n"
-                "print(all(x is not None for x in (rec.walk, rec.phi_star, rec.progeny, rec.blocks))"
-                " and rec.t > 0)\n"
-                "refs = weakref.ref(law), weakref.ref(rec), weakref.ref(rec.blocks.rows)\n"
-                "del law, rec\n"
-                "gc.collect()\n"
-                "print([ref() is None for ref in refs], len(ex._TABLES))\n")
+                "sa.sample_conditioned(law, 64, sa.derive_rng(0))\n"
+                "sa.sample_gw(law, 100, sa.derive_rng(1))\n"
+                "sub = make_explicit([0.5, 0.2, 0.3])  # mean 0.8: sampled through its tilt\n"
+                "sa.sample_conditioned(sub, 50, sa.derive_rng(2))\n"
+                "tab, tilt = law.tables, sub.tables['tilt']\n"
+                "print(sorted(tab), sorted(sub.tables), sorted(tilt.tables), tab['steps'].n)\n"
+                "refs = [weakref.ref(x) for x in (law, tab['walk'], tab['phi_star'], tab['progeny'],\n"
+                "        tab['killed_walk'][1], tab['blocks'], tab['blocks'].rows, tab['steps'],\n"
+                "        sub, tilt, tilt.tables['steps'])]\n"
+                "del law, tab, sub, tilt\n"
+                "print(sum(ref() is not None for ref in refs), ex._blocks_law())\n")
         env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.split("\n")[:2] == ["True", "[True, True, True] 0"]
+        assert out.stdout.split("\n")[:2] == [
+            "['blocks', 'killed_walk', 'phi_star', 'progeny', 'steps', 'walk'] ['tilt'] "
+            "['steps'] 100", "0 None"]
 
 
 REUSE_LAWS = {  # each a fresh object per call, so that no table of it is cached yet
@@ -821,7 +828,7 @@ class TestTableReuse:
         # on a wider set.  The heavy law always cuts: its walk restarts from step 0
         want_state, want_builds = {"geometric": (256, 3), "capped": (256, 4),
                                    "theta1.5": (0, 4)}[law_name]
-        assert ex._TABLES[law].t == want_state
+        assert law.tables.get("killed_walk", (0,))[0] == want_state
         assert builds["_build_blocks"] == want_builds
         for (m, exact_hi), table in zip(requests, tables):
             assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))

@@ -38,17 +38,21 @@ def test_table_layer_imports_stay_inside_it(module):
     assert imported <= TABLE_LAYER, f"{module} imports {sorted(imported - TABLE_LAYER)}"
 
 
-def test_exactlaw_caches_only_fft_lengths():
-    # exact tables live in exactlaw's weak per-law store, freed with the law; an
-    # lru_cache keyed on a law would keep it and its tables alive
-    tree = ast.parse((Path(gwtrees.__file__).parent / "exactlaw.py").read_text())
-    uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "lru_cache"
-            or isinstance(node, ast.Attribute) and node.attr == "lru_cache"]
-    decorated = [node.name for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and any("lru_cache" in ast.unparse(dec) for dec in node.decorator_list)]
-    assert decorated == ["_fast_len"] and len(uses) == 1
+def test_table_layer_caches_hold_no_law():
+    # every table derived from a law lives in ``law.tables`` and goes with the law; an
+    # lru_cache keyed on a law would keep it and its tables alive.  The only ones are
+    # keyed on an FFT length, a float theta and a StableLaw value
+    want = {"exactlaw": ["_fast_len"], "offspring": ["_stable_tail_terms"], "stable": ["_grid"]}
+    for module in sorted(TABLE_LAYER):
+        tree = ast.parse((Path(gwtrees.__file__).parent / f"{module}.py").read_text())
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "lru_cache"]
+        decorated = [node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and any("lru_cache" in ast.unparse(dec) for dec in node.decorator_list)]
+        names = want.get(module, [])
+        assert decorated == names and len(uses) == len(names), module
 
 
 def test_import_skips_scipy_signal():
