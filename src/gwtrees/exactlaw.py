@@ -46,9 +46,9 @@ its last p; ``"progeny"``, the recursion (carried on for a larger n, read as a
 prefix for a smaller one); ``"killed_walk"``, the walk (t, v, clipped, killed)
 at its last step clean of ceiling cuts (resumed by any m at or past it; see
 ``_killed_walk``); and ``"blocks"``, the W_1..W_32 block set of the widest top
-so far (read as a view by a narrower top, such as phi* after the meander of the
-same ratio step).  One block set is held across all laws: building one drops
-every other law's.  No kept value refers to its law.
+so far (read by a narrower top too, such as phi* after the meander of the same
+ratio step).  One block set is held across all laws: building one drops every
+other law's.  No kept value refers to its law.
 """
 
 from __future__ import annotations
@@ -281,7 +281,19 @@ def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTa
 
 @dataclass(frozen=True, eq=False)
 class _BlockSet:
-    """W_1..W_J, J = MEANDER_BLOCK, each exact on [-s, top + 1], as one block matrix.
+    """W_1..W_J, J = MEANDER_BLOCK, each exact on [-s, top + 1], as one block
+    matrix, with each table's length and the first-passage matrix of a block.
+
+    Row J - s of ``rows`` holds P[W_s = k] at column k + J, and W_s's table is
+    its first ``lens[s]`` entries from column J - s on (W_0, the point mass at
+    0, has no row).  So the tables of W_q, q = r - 1 .. 1, on k >= 1 are the
+    contiguous rows J - r + 1 .. J - 1 from column J + 1 on, and one matrix
+    product applies a block's every per-step correction.  W_s spans at most s
+    (step width) + 1 values, so the matrix is as wide as W_J can be, not as
+    ``top``.  ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]`` is the probability
+    that the walk from x first hits -1 at step s (Kemperman).  Steps beyond
+    top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach
+    [-s, top + 1].
 
     ``whole`` holds when the step table is the law's whole (capped) step law and
     no ceiling cut more than ``_conv``'s noise trim from any table, so that the
@@ -312,25 +324,12 @@ def _build_blocks(law: OffspringLaw, top: int) -> _BlockSet:
     return _BlockSet(top, rows, lens, kem, whole)
 
 
-def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
-    """W_1..W_J, each exact on [-s, top + 1], as one block matrix, with each
-    table's length and the first-passage matrix of a block.
-
-    Row J - s of ``rows`` holds P[W_s = k] at column k + J, and W_s's table is
-    its first ``lens[s]`` entries from column J - s on (W_0, the point mass at
-    0, has no row).  So the tables of W_q, q = r - 1 .. 1, on k >= 1 are the
-    contiguous rows J - r + 1 .. J - 1 from column J + 1 on, and one matrix
-    product applies a block's every per-step correction.  W_s spans at most s
-    (step width) + 1 values, so the matrix is as wide as W_J can be, not as
-    ``top``.  ``kem[s - 1, x] = (x+1)/s P[W_s = -(x+1)]`` is the probability
-    that the walk from x first hits -1 at step s (Kemperman).  Steps beyond
-    top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach
-    [-s, top + 1].
-
-    The law keeps one set, J = MEANDER_BLOCK, of the widest top so far: a
-    narrower top or a smaller J reads a view of it (``lens`` then cut at the
-    top's own table length top + J + 2, beyond which a row is not read), and a
-    wider top drops it before building its own.  Building a set drops every
+def _block_tables(law: OffspringLaw, top: int) -> _BlockSet:
+    """The law's block set, each W_s exact at least on [-s, top + 1]; the one
+    reader of its ``"blocks"`` table.  The law keeps the set of the widest top
+    so far: a narrower top reads it (cutting rows at its own table length
+    top + J + 2, as phi* and a killed walk on a set that is not whole do), and
+    a wider top drops it before building its own.  Building a set drops every
     other law's too, so no two sets are held at once.
     """
     global _blocks_law
@@ -341,15 +340,11 @@ def _block_tables(law: OffspringLaw, top: int, J: int) -> Tuple[np.ndarray, List
             held.tables.pop("blocks", None)
         tables["blocks"] = _build_blocks(law, top)
         _blocks_law = weakref.ref(law)
-    blocks, d = tables["blocks"], MEANDER_BLOCK - J
-    lens = [min(size, top + J + 2) for size in blocks.lens[: J + 1]]
-    return blocks.rows[d:, d:], lens, blocks.kem[:J, :J]
+    return tables["blocks"]
 
 
 _blocks_law: Optional[weakref.ref] = None  # the law whose tables hold the one block set
-_POINT_MASS = np.ones(1)  # W_0, read-only
-_POINT_MASS.flags.writeable = False
-_UNWALKED = (0, _POINT_MASS, 0.0, np.zeros(0))  # the killed walk at step 0
+_UNWALKED = (0, np.ones(1), 0.0, np.zeros(0))  # the killed walk at step 0: W_0 = 0
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -368,28 +363,21 @@ class _ProgenyRecursion:
     independent of Kemperman.
     Each coefficient reads only earlier ones (the geometric product is redone
     from rho(1) on every extension), so a resumed table is bit-identical to a
-    fresh run; ``rows`` (rho, and j rho(j) for the stable family) is read-only
-    and each extension replaces it by a longer copy, so prefixes already handed
-    out never change.  ``steps`` counts the coefficients rho(2), rho(3), ...
-    added over all extensions.
+    fresh run; ``rho`` is read-only and each extension replaces it by a longer
+    copy, so prefixes already handed out never change.  ``steps`` counts the
+    coefficients rho(2), rho(3), ... added over all extensions.
     """
 
     def __init__(self, law: OffspringLaw):
         self.steps = 0
-        rows = np.zeros((2 if law.family == "stable" else 1, 2))
-        rows[:, 1] = law.probs[0]  # rho(1), and 1 * rho(1)
+        self.rho = np.array([0.0, law.probs[0]])  # rho(1) = mu(0)
+        self.rho.flags.writeable = False
         self.aux = None  # geometric: the closed form needs nothing more
         if law.family == "stable":
-            self.aux = np.ones(1)  # A
+            self.aux = np.array([[1.0, 0.0], self.rho])  # A, and j rho(j)
         elif law.family == "explicit":
             self.aux = np.zeros((law.probs.size, 2))  # aux[k, m] = [z^m] R^k
             self.aux[0, 0] = 1.0
-        rows.flags.writeable = False
-        self.rows = rows
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.rows[0]
 
     def extend(self, law: OffspringLaw, n_max: int) -> None:
         start = self.rho.size - 1
@@ -398,24 +386,23 @@ class _ProgenyRecursion:
         K = law.probs.size - 1
         if law.family == "explicit" and n_max * n_max * max(K, 1) > 1 << 31:
             raise ExactLawError("explicit-law progeny recursion too large; use Kemperman")
-        rows = _grown(self.rows, n_max + 1)
-        rho = rows[0]
+        rho = _grown(self.rho, n_max + 1)
         if law.family == "geometric":
             p = float(law.param)
             m = np.arange(1, n_max)
             rho[1:] = np.cumprod(np.append(rho[1], 2.0 * p * (1.0 - p) * (2 * m - 1) / (m + 1)))
         elif law.family == "stable":
             th = law.theta
-            A = self.aux = _grown(self.aux, n_max)
-            # np.dot per row: one matrix product of both rows drifted to 1.1e-13 relative
+            A, jrho = self.aux = _grown(self.aux, n_max + 1)
+            # np.dot per sum: a matrix product of rho and j rho drifted to 1.1e-13 relative
             # error at rho(4096), theta = 1.5, against 6e-15 for np.dot (long-double sums)
             for m in range(start, n_max):
                 rev = A[m - 1 :: -1]
-                s0 = float(np.dot(rows[0, 1 : m + 1], rev))
-                s1 = float(np.dot(rows[1, 1 : m + 1], rev))
+                s0 = float(np.dot(rho[1 : m + 1], rev))
+                s1 = float(np.dot(jrho[1 : m + 1], rev))
                 A[m] = (m * s0 - (1.0 + th) * s1) / m
                 rho[m + 1] = rho[m] + A[m] / th if m > 1 else 0.0  # rho(2) = mu(0) mu(1) = 0
-                rows[1, m + 1] = (m + 1) * rho[m + 1]
+                jrho[m + 1] = (m + 1) * rho[m + 1]
         else:  # rho(m+1) = sum_k mu(k) P_k[m], with P_k = R^k built incrementally
             mu = law.probs
             P = self.aux = _grown(self.aux, n_max + 1)
@@ -426,8 +413,8 @@ class _ProgenyRecursion:
                     P[k, m] = float(np.dot(rho[1 : m + 1], P[k - 1, m - 1 :: -1]))
                 rho[m + 1] = float(mu[1 : kq + 1] @ P[1 : kq + 1, m])
         self.steps += n_max - start
-        rows.flags.writeable = False
-        self.rows = rows
+        rho.flags.writeable = False
+        self.rho = rho
 
 
 def _grown(arr: np.ndarray, size: int) -> np.ndarray:
@@ -509,15 +496,18 @@ def _phi_star_profile(law: OffspringLaw, p: int) -> np.ndarray:
     g_s = sum_{k>=1} P[W_{r-s} = k] d_t(k-1) the free continuation from -1 that
     the correlation wrongly credits to a path already absorbed at step s.
     Every g_s of a block is one product of block-matrix rows with d_t (see
-    ``_block_tables``).
+    ``_BlockSet``).
     """
     d = np.zeros(0)
     if p > 1:
-        J = min(MEANDER_BLOCK, p - 1)
-        rows, lens, kem = _block_tables(law, p - 2, J)  # W_s exact on [-s, p - 1]
+        J = MEANDER_BLOCK
+        blocks = _block_tables(law, p - 2)  # W_s exact on [-s, p - 1]
+        rows, kem = blocks.rows, blocks.kem
+        lens = [min(size, p + J) for size in blocks.lens]  # this top's lengths top + J + 2
         hit = np.cumsum(kem, axis=0)  # hit[r - 1, x] = K_r(x)
         rev, memo = rows[0, lens[J] - 1 :: -1].copy(), {}  # fixed kernel: the memo stays valid
-        d = hit[J - 1].copy()
+        r = min(J, p - 1)
+        d = hit[r - 1, :r].copy()
         while d.size < p - 1:
             t = d.size
             r = min(J, p - 1 - t)
@@ -584,18 +574,19 @@ def _killed_walk(law: OffspringLaw, m: int,
     v'(k) = sum_x v(x) P[W_r = k-x] - sum_{s<r} h_s P[W_{r-s} = k+1] for k >= 0,
     with h_s = sum_{x<s} v(x) (x+1)/s P[W_s = -(x+1)] the mass killed at step s.
     The subtracted sum is the vector h times rows of the block matrix (see
-    ``_block_tables``), one matrix-vector product per block.  Once no alive
+    ``_BlockSet``), one matrix-vector product per block.  Once no alive
     entry is left below the ceiling (the FFT trims what it leaves of a walk that
     drifts up), later steps kill nothing and the table stays empty.
 
     Each law keeps its walk at the last step at which every ceiling so far cut
-    nothing above ``_conv``'s noise trim, from a whole block set.  Such a
-    table is the killed walk itself, so a request with m at or past that step
-    resumes from it (clipping it at its own ceiling first).  For a whole block
-    set the ceiling never falls below the top of the block kernel W_J, so the
-    kernel's own span is never cut; the table may then reach above exact_hi.
-    A heavy step law is cut by its step table and its ceilings, so its walk
-    always starts from step 0, as does a request with m below the kept step.
+    nothing above ``_conv``'s noise trim, from a whole block set.  Such a table
+    is the killed walk itself, so a request with m at or past that step resumes
+    from it, and its next block clips what lies above this request's ceiling:
+    mass that can neither be killed in that block nor return to [0, exact_hi].
+    For a whole block set the ceiling never falls below the top of the block
+    kernel W_J, so the kernel's own span is never cut; the table may then reach
+    above exact_hi.  A heavy step law is cut by its step table and its ceilings,
+    so its walk always starts from step 0, as does a smaller m than the kept step.
     """
     top = exact_hi + m  # ceiling at step 0
     kept = law.tables.get("killed_walk", _UNWALKED)  # (t, v, clipped, killed)
@@ -603,18 +594,12 @@ def _killed_walk(law: OffspringLaw, m: int,
     killed = np.zeros(m)
     killed[:t] = kept[3][:t]
     if t < m:
-        J = min(MEANDER_BLOCK, m)
-        rows, lens, kem = _block_tables(law, top, J)
-        blocks = law.tables["blocks"]
-        clean = blocks.whole
-        if clean:  # read whole, its tables lost nothing: W_J's top is the ceiling's floor
-            lens = blocks.lens[: J + 1]
+        J = MEANDER_BLOCK
+        blocks = _block_tables(law, top)
+        rows, kem, clean = blocks.rows, blocks.kem, blocks.whole
+        # a whole set lost nothing and is read whole: W_J's top is the ceiling's floor
+        lens = blocks.lens if clean else [min(size, top + J + 2) for size in blocks.lens]
         floor = lens[J] - 1 - J if clean else 0
-        ceiling = max(top - t, floor)
-        if v.size > ceiling + 1:  # a resumed table above this request's ceiling
-            cut = float(v[ceiling + 1 :].sum())
-            clean = clean and _is_noise(cut, v, _POINT_MASS)
-            v, clipped = v[: ceiling + 1], clipped + cut
         memo, last = {}, (t, v, clipped)
         while t < m and v.size:
             r = min(J, m - t)

@@ -92,6 +92,7 @@ def jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+DECAY_NOTE = "needs >= 2 sizes for the decay gate"
 THETA_LT2_NOTE = (
     "theta < 2: no density-level excursion reference exists; this run checks "
     "structural gates only (decay/consistency), not marginal densities."
@@ -190,7 +191,7 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
         statistics=stats,
         tolerances=gates,
         passed=bool(passed),
-        notes="" if len(n_list) >= 2 else "needs >= 2 sizes for the decay gate",
+        notes="" if len(n_list) >= 2 else DECAY_NOTE,
         wall_time_s=time.time() - t0,
     )
 
@@ -248,10 +249,11 @@ def ratio_vs_gamma_experiment(
 ) -> ExperimentReport:
     """sup over the bulk window of |D_n^(a)(k) - Gamma_a(k / B_n)|, per n.
 
-    Pass: the sup-gap decreases along n_list and the final gap is below
-    RATIO_FINAL_BOUND; the weighted-mean identity E[D | zeta >= n] = 1 is also
-    verified at every n at 1e-9.  That mean is the total mass of
-    P[W_{floor(an)} = . | zeta = n] from ``exactlaw.conditioned_walk_marginal``.
+    Pass: the sup-gap decreases along n_list (at least two sizes) and the final
+    gap is below RATIO_FINAL_BOUND; the weighted-mean identity
+    E[D | zeta >= n] = 1 is also verified at every n at 1e-9.  That mean is the
+    total mass of P[W_{floor(an)} = . | zeta = n] from
+    ``exactlaw.conditioned_walk_marginal``.
     """
     t0 = time.time()
     law.require_critical("ratio_vs_gamma_experiment")
@@ -269,7 +271,7 @@ def ratio_vs_gamma_experiment(
         ks = np.arange(k_lo, k_hi + 1)
         g_vals = np.asarray(stable.gamma_a(slaw, a, ks / b_n))
         gaps.append(float(np.max(np.abs(d_vals - g_vals))))
-    decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+    decreasing = len(gaps) >= 2 and all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
     passed = decreasing and gaps[-1] <= RATIO_FINAL_BOUND and mean_ok
@@ -279,6 +281,7 @@ def ratio_vs_gamma_experiment(
         statistics=stats,
         tolerances={"final_bound": RATIO_FINAL_BOUND, "weighted_mean": 1e-9},
         passed=bool(passed),
+        notes="" if len(n_list) >= 2 else DECAY_NOTE,
         wall_time_s=time.time() - t0,
     )
 
@@ -305,6 +308,7 @@ def contour_limit_experiment(
         raise ValueError("contour_limit_experiment needs a theta = 2 law "
                          "(density-level excursion reference exists only there)")
     law.require_critical("contour_limit_experiment")
+    law.require_sizes("contour_limit_experiment", [n])
     b_n = calibrate_bn(law, n)
     scale = b_n / n
     idx = [int(round(2 * n * t)) for t in CONTOUR_T]
@@ -379,13 +383,15 @@ def height_contour_gap_experiment(
     replicates: int,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Mean of (B_n/n) sup_t |C_{2nt} - H_{nt}| per n; must decrease in n.
+    """Mean of (B_n/n) sup_t |C_{2nt} - H_{nt}| per n; must decrease in n (at
+    least two sizes).
 
     Also asserts the pathwise bound sup_{[b_p, b_{p+1}]} |C - H_p| <=
     |H_{p+1} - H_p| + 1 on every sampled tree (violations counted).
     """
     t0 = time.time()
     law.require_critical("height_contour_gap_experiment")
+    law.require_sizes("height_contour_gap_experiment", n_list)
 
     def one(n: int, rep: int) -> tuple:
         rng = derive_rng(seed, n, rep)
@@ -414,9 +420,12 @@ def height_contour_gap_experiment(
         scale = calibrate_bn(law, n) / n
         means.append(float(np.mean([g for g, _ in res]) * scale))
         viols += sum(b for _, b in res)
-    decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
+    decreasing = len(means) >= 2 and all(means[i + 1] < means[i] for i in range(len(means) - 1))
     stats = {"n_list": list(n_list), "mean_gap": means, "ineq_violations": viols}
     passed = decreasing and viols == 0
+    notes = [] if law.theta == 2.0 else [THETA_LT2_NOTE]
+    if len(n_list) < 2:
+        notes.append(DECAY_NOTE)
     return ExperimentReport(
         name="height_contour_gap",
         parameters={"family": law.family, "theta": law.theta,
@@ -425,7 +434,7 @@ def height_contour_gap_experiment(
         tolerances={"decreasing": True, "ineq_violations": 0},
         passed=bool(passed),
         seed=seed,
-        notes="" if law.theta == 2.0 else THETA_LT2_NOTE,
+        notes=" ".join(notes),
         wall_time_s=time.time() - t0,
     )
 

@@ -249,8 +249,10 @@ class OffspringLaw:
             raise LawError(f"{what} requires a critical law (mean = {self.mean!r})")
 
     def require_sizes(self, what: str, sizes: Sequence[int]) -> None:
-        """Refuse a periodic law (span > 1: the paper's laws are aperiodic) and any
-        size n with P[zeta = n] = 0, naming the span or the size."""
+        """Refuse an empty size list, a periodic law (span > 1: the paper's laws are
+        aperiodic) and any size n with P[zeta = n] = 0, naming the span or the size."""
+        if len(sizes) == 0:
+            raise LawError(f"{what} needs at least one size")
         span = self.child_count_sums[0]
         if span > 1:
             raise LawError(f"{what} requires an aperiodic law; the child counts have span {span}")

@@ -406,12 +406,13 @@ class TestBlockTables:
     @pytest.mark.parametrize("top", [J - 1, J, 4 * J])
     def test_matrix_layout(self, law_name, top):
         # row J - s holds P[W_s = k] at column k + J, zero outside its built length;
-        # kem reads the first passages off the same rows.  A fresh law: a wider set
-        # of a law already used would be read as a view, nonzero beyond lens
+        # kem reads the first passages off the same rows.  A fresh law, so that the
+        # set is built at this top: a law already used may hold a wider one
         law = MEANDER_LAWS[law_name]
-        rows, lens, kem = ex._block_tables(OffspringLaw(law.family, law.param, law.probs
-                                                        if law.family == "explicit" else None),
-                                           top, J)
+        blocks = ex._block_tables(OffspringLaw(law.family, law.param, law.probs
+                                               if law.family == "explicit" else None), top)
+        rows, lens, kem = blocks.rows, blocks.lens, blocks.kem
+        assert blocks.top == top and len(lens) == J + 1
         assert rows.shape[0] == J and kem.shape == (J, J)
         for s, off, want in stepwise_walk_tables(MEANDER_LAWS[law_name], J, top + 1):
             row = rows[J - s]
@@ -869,15 +870,49 @@ class TestTableReuse:
             assert np.max(np.abs(profile - ex.phi_star(make(), p, np.arange(1, p + 1)))) <= REUSE_TOL
 
     @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
-    @pytest.mark.parametrize("top,J", [(100, J), (100, 5), (700, J)])
-    def test_block_view_matches_a_fresh_set(self, law_name, top, J):
+    @pytest.mark.parametrize("top", [100, 700], ids=lambda top: f"{top}-{J}")  # top, block size
+    def test_block_view_matches_a_fresh_set(self, law_name, top):
+        # a narrower top reads the wider set the law holds, its rows cut at the narrower
+        # top's own table length top + J + 2, as a fresh set at that top is built
         make = REUSE_LAWS[law_name]
         law = make()
-        ex._block_tables(law, 700, J)  # the widest set first
-        rows, lens, kem = ex._block_tables(law, top, J)
-        rows0, lens0, kem0 = ex._block_tables(make(), top, J)
-        assert lens == lens0 and np.max(np.abs(kem - kem0)) <= REUSE_TOL
+        ex._block_tables(law, 700)  # the widest set first
+        blocks = ex._block_tables(law, top)
+        assert blocks.top == 700
+        lens = [min(size, top + J + 2) for size in blocks.lens]
+        fresh = ex._block_tables(make(), top)
+        assert lens == fresh.lens and np.max(np.abs(blocks.kem - fresh.kem)) <= REUSE_TOL
         for s in range(1, J + 1):
             n = min(lens[s], top + 2 + s)  # W_s on [-s, top + 1]
-            got, want = rows[J - s, J - s : J - s + n], rows0[J - s, J - s : J - s + n]
-            assert np.max(np.abs(got - want)) <= REUSE_TOL
+            got = blocks.rows[J - s, J - s : J - s + n]
+            assert np.max(np.abs(got - fresh.rows[J - s, J - s : J - s + n])) <= REUSE_TOL
+
+    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
+    def test_short_meander_reads_the_held_set(self, law_name, monkeypatch):
+        # m < MEANDER_BLOCK: the walk takes its m steps in one block of the wider set
+        # the law already holds, builds none, and matches a walk on a set of its own
+        make = REUSE_LAWS[law_name]
+        law = make()
+        ex.meander_pmf(law, 256, 256)  # block set at top 512
+        builds = count_builds(monkeypatch, "_build_blocks")
+        requests = ((5, 10), (17, 40))
+        got = [ex.meander_pmf(law, m, exact_hi) for m, exact_hi in requests]
+        assert builds["_build_blocks"] == 0
+        for (m, exact_hi), table in zip(requests, got):
+            assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))
+
+    def test_narrower_request_resumes_a_wider_walk(self):
+        # the kept walk of (64, 600) reaches above the ceiling exact_hi + m - 64 = 96 of
+        # (96, 64); the resumed block clips that mass, which can neither be killed in it
+        # nor return to [0, exact_hi], so only where the excess is booked may differ.
+        # The capped law: geometric's whole set floors its ceilings far above 96, and
+        # the heavy law keeps no walk
+        make = REUSE_LAWS["capped"]
+        law = make()
+        ex.meander_pmf(law, 64, 600)
+        t, v = law.tables["killed_walk"][:2]
+        assert t == 64 and v.size > 96 + 1
+        got, want = ex.meander_pmf(law, 96, 64), ex.meander_pmf(make(), 96, 64)
+        assert np.max(np.abs(got.masses - want.masses)) <= REUSE_TOL
+        total = [float(tab.masses.sum()) + tab.truncated_mass for tab in (got, want)]
+        assert abs(total[0] - total[1]) <= 1e-12

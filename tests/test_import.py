@@ -55,6 +55,55 @@ def test_table_layer_caches_hold_no_law():
         assert decorated == names and len(uses) == len(names), module
 
 
+TABLE_KINDS = {"walk", "phi_star", "progeny", "killed_walk", "blocks", "steps", "tilt"}
+
+
+class _TableKeys(ast.NodeVisitor):
+    """(key, function) for every ``tables[key]``, ``tables.get(key)``, ``tables.pop(key)``
+    and ``key in tables``, on ``law.tables`` or a local named ``tables``; a key that is
+    not a string literal reads as "<computed>"."""
+
+    def __init__(self, module):
+        self.module, self.func, self.uses = module, "<module>", set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, f"{self.module}.{node.name}"
+        self.generic_visit(node)
+        self.func = outer
+
+    def generic_visit(self, node):
+        def is_tables(x):
+            return (isinstance(x, ast.Attribute) and x.attr == "tables"
+                    or isinstance(x, ast.Name) and x.id == "tables")
+
+        key = None
+        if isinstance(node, ast.Subscript) and is_tables(node.value):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and is_tables(node.func.value) and node.args):
+            key = node.args[0]
+        elif isinstance(node, ast.Compare) and is_tables(node.comparators[0]):
+            key = node.left
+        if key is not None:
+            name = key.value if isinstance(key, ast.Constant) else "<computed>"
+            self.uses.add((name, self.func))
+        super().generic_visit(node)
+
+
+def test_each_table_kind_has_one_owner():
+    # every kind of table kept in ``law.tables`` is read and written inside one
+    # function, so that how it is built, widened and kept is stated in one place
+    visitor = _TableKeys("")
+    for path in sorted(Path(gwtrees.__file__).parent.glob("*.py")):
+        visitor.module = path.stem
+        visitor.visit(ast.parse(path.read_text()))
+    owners = {}
+    for key, func in visitor.uses:
+        owners.setdefault(key, set()).add(func)
+    assert set(owners) == TABLE_KINDS
+    assert {key: funcs for key, funcs in owners.items() if len(funcs) != 1} == {}
+
+
 def test_import_skips_scipy_signal():
     # scipy.signal costs over a second at import; the FFT path runs on numpy.fft
     env = dict(os.environ, PYTHONPATH=str(Path(gwtrees.__file__).parents[1]))

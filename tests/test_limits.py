@@ -61,6 +61,12 @@ class TestRatioVsGamma:
         assert rep.statistics["sup_gap"][1] < rep.statistics["sup_gap"][0]
         assert all(abs(m - 1) < 1e-9 for m in rep.statistics["weighted_mean"])
 
+    def test_single_n_fails_the_decay_gate(self, geometric):
+        # one size meets the final bound and the mean identity, but shows no decrease
+        rep = lim.ratio_vs_gamma_experiment(geometric, (256,))
+        assert rep.statistics["sup_gap"][0] <= lim.RATIO_FINAL_BOUND
+        assert not rep.passed and rep.notes == "needs >= 2 sizes for the decay gate"
+
 
 class TestContourLimit:
     def test_theta_guard(self, stable15):
@@ -92,6 +98,11 @@ class TestHeightContourGap:
             if law.theta < 2:
                 assert "structural" in rep.notes
 
+    def test_single_n_fails_the_decay_gate(self, geometric):
+        rep = lim.height_contour_gap_experiment(geometric, (256,), 5, seed=3)
+        assert rep.statistics["ineq_violations"] == 0
+        assert not rep.passed and rep.notes == "needs >= 2 sizes for the decay gate"
+
 
 class TestMarginal:
     def test_both_families_moderate_n(self, geometric, stable15):
@@ -118,7 +129,9 @@ class TestRefusals:
         (lim.progeny_asymptotics_experiment, (64, 256)),
         (lim.ratio_vs_gamma_experiment, (64, 256)),
         (lambda law, sizes: lim.lukasiewicz_marginal_experiment(law, sizes[0]), (64,)),
-    ], ids=["llt", "progeny", "ratio", "marginal"])
+        (lambda law, sizes: lim.contour_limit_experiment(law, sizes[0], 2), (64,)),
+        (lambda law, sizes: lim.height_contour_gap_experiment(law, sizes, 2), (64, 256)),
+    ], ids=["llt", "progeny", "ratio", "marginal", "contour", "hc_gap"])
     @pytest.mark.parametrize("probs, cause", [(BINARY, "span 2"), (GAP, "P[zeta = 64] = 0")],
                              ids=["binary", "gap"])
     def test_refused_before_any_table(self, monkeypatch, experiment, sizes, probs, cause):
@@ -128,8 +141,20 @@ class TestRefusals:
         for name in ("walk_pmf", "progeny_rho", "meander_pmf", "phi", "phi_star",
                      "discrete_ratio_window", "conditioned_walk_marginal"):
             monkeypatch.setattr(exactlaw, name, no_table)
+        monkeypatch.setattr(lim, "sample_conditioned", no_table)  # nor a tree drawn
         with pytest.raises(LawError, match=re.escape(cause)):
             experiment(make_explicit(probs), sizes)
+
+    @pytest.mark.parametrize("experiment, name", [
+        (lim.llt_experiment, "llt_experiment"),
+        (lim.progeny_asymptotics_experiment, "progeny_asymptotics_experiment"),
+        (lim.ratio_vs_gamma_experiment, "ratio_vs_gamma_experiment"),
+        (lambda law, sizes: lim.height_contour_gap_experiment(law, sizes, 2),
+         "height_contour_gap_experiment"),
+    ], ids=["llt", "progeny", "ratio", "hc_gap"])
+    def test_no_sizes_refused(self, geometric, experiment, name):
+        with pytest.raises(LawError, match=f"{name} needs at least one size"):
+            experiment(geometric, ())
 
 
 class TestSuite:
