@@ -43,12 +43,11 @@ each kind in its own ``OffspringLaw.tables``, one key per kind, so the tables
 go with the law.  The kinds kept here are ``"walk"``, the widest W_n of its
 last n (a narrower exact_hi reads its prefix); ``"phi_star"``, the profile of
 its last p; ``"progeny"``, the recursion (carried on for a larger n, read as a
-prefix for a smaller one); ``"killed_walk"``, the walk (t, v, clipped, killed)
-at its last step clean of ceiling cuts (resumed by any m at or past it; see
-``_killed_walk``); and ``"blocks"``, the W_1..W_32 block set of the widest top
-so far (read by a narrower top too, such as phi* after the meander of the same
-ratio step).  One block set is held across all laws: building one drops every
-other law's.  No kept value refers to its law.
+prefix for a smaller one); and ``"blocks"``, the W_1..W_32 block set of the
+widest top so far (read by a narrower top too, such as phi* after the meander
+of the same absolute-continuity step).  One block set is held across all laws:
+building one drops every other law's.  The killed walk keeps nothing: each
+meander walks from step 0.  No kept value refers to its law.
 """
 
 from __future__ import annotations
@@ -186,11 +185,6 @@ def _conv(a: np.ndarray, b: np.ndarray, memo: Optional[dict] = None) -> np.ndarr
     return out[: out.size - int(np.argmax(above))] if above.any() else out[:0]
 
 
-def _is_noise(cut: float, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether mass ``cut`` clipped from a * b lies under ``_conv``'s per-entry noise trim."""
-    return cut <= NOISE * math.sqrt(float(a @ a) * float(b @ b))
-
-
 def _advance(
     off: int, arr: np.ndarray, k_off: int, kernel: np.ndarray, ceiling: int,
     memo: Optional[dict] = None,
@@ -294,43 +288,35 @@ class _BlockSet:
     that the walk from x first hits -1 at step s (Kemperman).  Steps beyond
     top + J and mass above the moving ceiling top + 1 + (J - s) cannot reach
     [-s, top + 1].
-
-    ``whole`` holds when the step table is the law's whole (capped) step law and
-    no ceiling cut more than ``_conv``'s noise trim from any table, so that the
-    tables lost nothing a wider top would keep.
     """
 
     top: int
     rows: np.ndarray
     lens: List[int]
     kem: np.ndarray
-    whole: bool
 
 
 def _build_blocks(law: OffspringLaw, top: int) -> _BlockSet:
     J = MEANDER_BLOCK
     off, step = _step_table(law, top + J)
-    whole = step.size - 2 < top + J  # the table stopped at the law's cap, not at top + J
     rows = np.zeros((J, J + 1 + min(J * (step.size - 2), top + J)))
     prev, lens, memo = np.ones(1), [1], {}
     for s in range(1, J + 1):
-        _, nxt, cut = _advance(1 - s, prev, off, step, top + 1 + J - s, memo)
-        whole = whole and (not cut or _is_noise(cut, prev, step))
-        prev = nxt
+        prev = _advance(1 - s, prev, off, step, top + 1 + J - s, memo)[1]
         rows[J - s, J - s : J - s + prev.size] = prev
         lens.append(prev.size)
     ks = np.arange(1, J + 1)
     kem = rows[::-1, J - 1 :: -1] * ks / ks[:, None]  # W_s at k = -1, -2, ..
-    return _BlockSet(top, rows, lens, kem, whole)
+    return _BlockSet(top, rows, lens, kem)
 
 
 def _block_tables(law: OffspringLaw, top: int) -> _BlockSet:
     """The law's block set, each W_s exact at least on [-s, top + 1]; the one
     reader of its ``"blocks"`` table.  The law keeps the set of the widest top
     so far: a narrower top reads it (cutting rows at its own table length
-    top + J + 2, as phi* and a killed walk on a set that is not whole do), and
-    a wider top drops it before building its own.  Building a set drops every
-    other law's too, so no two sets are held at once.
+    top + J + 2, as phi* and the killed walk do), and a wider top drops it
+    before building its own.  Building a set drops every other law's too, so
+    no two sets are held at once.
     """
     global _blocks_law
     tables = law.tables
@@ -344,7 +330,6 @@ def _block_tables(law: OffspringLaw, top: int) -> _BlockSet:
 
 
 _blocks_law: Optional[weakref.ref] = None  # the law whose tables hold the one block set
-_UNWALKED = (0, np.ones(1), 0.0, np.zeros(0))  # the killed walk at step 0: W_0 = 0
 
 
 # -- total progeny -----------------------------------------------------------------
@@ -576,67 +561,46 @@ def _killed_walk(law: OffspringLaw, m: int,
     The subtracted sum is the vector h times rows of the block matrix (see
     ``_BlockSet``), one matrix-vector product per block.  Once no alive
     entry is left below the ceiling (the FFT trims what it leaves of a walk that
-    drifts up), later steps kill nothing and the table stays empty.
-
-    Each law keeps its walk at the last step at which every ceiling so far cut
-    nothing above ``_conv``'s noise trim, from a whole block set.  Such a table
-    is the killed walk itself, so a request with m at or past that step resumes
-    from it, and its next block clips what lies above this request's ceiling:
-    mass that can neither be killed in that block nor return to [0, exact_hi].
-    For a whole block set the ceiling never falls below the top of the block
-    kernel W_J, so the kernel's own span is never cut; the table may then reach
-    above exact_hi.  A heavy step law is cut by its step table and its ceilings,
-    so its walk always starts from step 0, as does a smaller m than the kept step.
+    drifts up), later steps kill nothing and the table stays empty.  The walk
+    reads the law's block set, a wider one too, with rows cut at this ceiling's
+    table length top + J + 2.
     """
+    J = MEANDER_BLOCK
     top = exact_hi + m  # ceiling at step 0
-    kept = law.tables.get("killed_walk", _UNWALKED)  # (t, v, clipped, killed)
-    t, v, clipped, _ = kept if kept[0] <= m else _UNWALKED
+    blocks = _block_tables(law, top)
+    rows, kem = blocks.rows, blocks.kem
+    lens = [min(size, top + J + 2) for size in blocks.lens]
+    v, clipped, t, memo = np.ones(1), 0.0, 0, {}  # v: the killed table on [0, ...]
     killed = np.zeros(m)
-    killed[:t] = kept[3][:t]
-    if t < m:
-        J = MEANDER_BLOCK
-        blocks = _block_tables(law, top)
-        rows, kem, clean = blocks.rows, blocks.kem, blocks.whole
-        # a whole set lost nothing and is read whole: W_J's top is the ceiling's floor
-        lens = blocks.lens if clean else [min(size, top + J + 2) for size in blocks.lens]
-        floor = lens[J] - 1 - J if clean else 0
-        memo, last = {}, (t, v, clipped)
-        while t < m and v.size:
-            r = min(J, m - t)
-            t += r
-            kernel = rows[J - r, J - r : J - r + lens[r]]
-            _, out, cut = _advance(0, v, -r, kernel, max(top - t, floor), memo if r == J else None)
-            clean = clean and (not cut or _is_noise(cut, v, kernel))
-            free = out[r:]
-            h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
-            killed[t - r : t] = h
-            cont = h[: r - 1] @ rows[J - r + 1 : J, J + 1 : J + 1 + free.size]  # P[W_{r-s} = k + 1]
-            free[: cont.size] -= cont
-            np.maximum(free, 0.0, out=free)
-            # alive mass not kept: above the ceiling, or jumps beyond the step table
-            clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
-            v = free
-            if clean:
-                last = (t, v, clipped)
-        if last[0] > kept[0]:
-            last[1].flags.writeable = False
-            law.tables["killed_walk"] = (*last, killed[: last[0]].copy())
+    while t < m and v.size:
+        r = min(J, m - t)
+        t += r
+        kernel = rows[J - r, J - r : J - r + lens[r]]
+        free = _advance(0, v, -r, kernel, top - t, memo if r == J else None)[1][r:]
+        h = kem[:r, : v.size] @ v[:J]  # mass killed at each step of the block
+        killed[t - r : t] = h
+        cont = h[: r - 1] @ rows[J - r + 1 : J, J + 1 : J + 1 + free.size]  # P[W_{r-s} = k + 1]
+        free[: cont.size] -= cont
+        np.maximum(free, 0.0, out=free)
+        # alive mass not kept: above the ceiling, or jumps beyond the step table
+        clipped += (float(v.sum()) - float(h.sum())) - float(free.sum())
+        v = free
     return v, clipped, killed
 
 
 def meander_pmf(law: OffspringLaw, m: int, exact_hi: int) -> PmfTable:
     """Sub-probability law of W_m on {W stays >= 0 up to m}, exact on [0, exact_hi].
 
-    Mass clipped at the ceiling, and what the killed walk's table holds above
-    exact_hi, is returned in ``truncated_mass``; the table's total plus
-    truncated_mass equals P[zeta_1 > m].  See ``_killed_walk``.
+    Mass clipped at the moving ceiling exact_hi + m - t is returned in
+    ``truncated_mass``; the table's total plus truncated_mass equals
+    P[zeta_1 > m].  See ``_killed_walk``.
     """
     if m < 1 or exact_hi < 0:  # the meander lives on [0, inf)
         raise ExactLawError(f"the meander needs m >= 1 and exact_hi >= 0, got {m}, {exact_hi}")
-    v, clipped, _ = _killed_walk(law, m, exact_hi)
+    v, clipped, _ = _killed_walk(law, m, exact_hi)  # v ends under the last ceiling, exact_hi
     masses = np.zeros(exact_hi + 1)  # spans [0, exact_hi]
-    masses[: v.size] = v[: exact_hi + 1]
-    return PmfTable(0, masses, max(0.0, clipped + float(v[exact_hi + 1 :].sum())), exact_hi)
+    masses[: v.size] = v
+    return PmfTable(0, masses, max(0.0, clipped), exact_hi)
 
 
 def conditioned_walk_marginal(law: OffspringLaw, n: int, m: int) -> PmfTable:

@@ -6,9 +6,10 @@ the progeny asymptotics, the convergence of the discrete absolute-continuity
 weight D_n to Gamma_a, the theta = 2 functional limit of the rescaled contour,
 the height/contour gap, and the Gamma_a-weight consistency of the Lukasiewicz
 marginal; an exhaustive small-n check tests the absolute-continuity identity on
-walk prefixes.  Each returns an ``ExperimentReport``.  Exact-table experiments
-consume no randomness; Monte Carlo ones are reproducible from (parameters, seed)
-with per-replicate derived streams.
+walk prefixes.  The ratio and marginal experiments read one absolute-continuity
+step per (law, n, a), ``_ac_step``.  Each returns an ``ExperimentReport``.
+Exact-table experiments consume no randomness; Monte Carlo ones are
+reproducible from (parameters, seed) with per-replicate derived streams.
 
 For theta < 2 no density-level reference for the height marginal exists (the
 continuous height process has no tractable marginals), so those runs are
@@ -106,7 +107,7 @@ RATIO_FINAL_BOUND = 0.25
 CONTOUR_T = (0.25, 0.5, 0.75)  # times t of the contour's marginals
 CONTOUR_KS_BOUND = 0.03
 CONTOUR_REVERSAL_BOUND = 0.02
-MARGINAL_WINDOW_SCALE = 50.0  # the marginal's meander is exact at least up to 50 B_n
+MARGINAL_WINDOW_SCALE = 50.0  # the step's meander is exact at least up to 50 B_n
 MARGINAL_TOL = 0.05
 
 
@@ -241,6 +242,53 @@ def progeny_asymptotics_experiment(law: OffspringLaw, n_list: Sequence[int]) -> 
     )
 
 
+# -- one absolute-continuity step --------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _ACStep:
+    """The step from {zeta >= n} to {zeta = n} at (n, a), m = floor(a n), rest = n - m:
+    ``weight[k]`` = P[W_m = k, zeta >= n] = mea_m(k) phi*_rest(k + 1) for k up to
+    max(MARGINAL_WINDOW_SCALE B_n, rest), ``alive`` = P[zeta >= n], ``ratio[k]`` =
+    D_n^(a)(k) for k < rest (0 beyond: phi_rest(k + 1) = 0) and ``d_mean`` = E[D | zeta >= n].
+    """
+
+    n: int
+    a: float
+    b_n: float
+    weight: np.ndarray
+    alive: float
+    clipped: float
+    ratio: np.ndarray
+    d_mean: float
+
+
+def _require_split(what: str, sizes: Sequence[int], a: float) -> None:
+    """Refuse a outside (0, 1) and any size n whose m = floor(a n) leaves [1, n - 1]."""
+    for n in sizes:
+        if not (0.0 < a < 1.0 and 1 <= math.floor(a * n) < n):
+            raise exactlaw.ExactLawError(f"{what} needs a in (0, 1) with 1 <= floor(a n) "
+                                         f"<= n - 1, got a = {a!r} at n = {n}")
+
+
+def _ac_step(law: OffspringLaw, n: int, a: float) -> _ACStep:
+    """The absolute-continuity step at (n, a), built from one meander, one phi* read
+    and one D window; the law's ``"ac"`` table keeps the latest (n, a)."""
+    step = law.tables.get("ac")
+    if step is None or (step.n, step.a) != (n, a):
+        b_n = calibrate_bn(law, n)
+        m = int(math.floor(a * n))
+        rest = n - m
+        mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest))
+        weight = mea.masses * exactlaw.phi_star(law, rest, np.arange(1, mea.masses.size + 1))
+        alive = float(weight.sum()) + mea.truncated_mass  # clipped states have phi* = 1
+        ratio = exactlaw.discrete_ratio_window(law, n, a, 0, rest - 1)
+        weight.flags.writeable = ratio.flags.writeable = False
+        step = law.tables["ac"] = _ACStep(n, a, b_n, weight, alive, mea.truncated_mass, ratio,
+                                          float(weight[:rest] @ ratio) / alive)
+    return step
+
+
 # -- D_n versus Gamma_a -------------------------------------------------------------------
 
 
@@ -251,26 +299,25 @@ def ratio_vs_gamma_experiment(
 
     Pass: the sup-gap decreases along n_list (at least two sizes) and the final
     gap is below RATIO_FINAL_BOUND; the weighted-mean identity
-    E[D | zeta >= n] = 1 is also verified at every n at 1e-9.  That mean is the
-    total mass of P[W_{floor(an)} = . | zeta = n] from
-    ``exactlaw.conditioned_walk_marginal``.
+    E[D | zeta >= n] = 1 is also verified at every n at 1e-9.  Both read the
+    absolute-continuity step at (n, a).
     """
     t0 = time.time()
     law.require_critical("ratio_vs_gamma_experiment")
     law.require_sizes("ratio_vs_gamma_experiment", n_list)
+    _require_split("ratio_vs_gamma_experiment", n_list, a)
     slaw = StableLaw(theta=law.theta)
     gaps, means = [], []
     for n in n_list:
-        b_n = calibrate_bn(law, n)
-        k_lo = max(1, int(math.ceil(b_n / ALPHA)))
-        k_hi = int(ALPHA * b_n)
-        # the marginal's meander first: phi* then reads a prefix of its block tables
-        m = int(math.floor(a * n))
-        means.append(float(exactlaw.conditioned_walk_marginal(law, n, m).masses.sum()))
-        d_vals = exactlaw.discrete_ratio_window(law, n, a, k_lo, k_hi)
+        step = _ac_step(law, n, a)
+        k_lo = max(1, int(math.ceil(step.b_n / ALPHA)))
+        k_hi = int(ALPHA * step.b_n)
         ks = np.arange(k_lo, k_hi + 1)
-        g_vals = np.asarray(stable.gamma_a(slaw, a, ks / b_n))
+        d_vals = step.ratio[k_lo : k_hi + 1]
+        d_vals = np.pad(d_vals, (0, ks.size - d_vals.size))  # D = 0 from k = rest on
+        g_vals = np.asarray(stable.gamma_a(slaw, a, ks / step.b_n))
         gaps.append(float(np.max(np.abs(d_vals - g_vals))))
+        means.append(step.d_mean)
     decreasing = len(gaps) >= 2 and all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
@@ -447,46 +494,37 @@ def lukasiewicz_marginal_experiment(
 ) -> ExperimentReport:
     """|E[Gamma_a(W_{floor(an)} / B_n) | zeta >= n] - 1| <= MARGINAL_TOL, from exact tables.
 
-    The expectation uses the killed-walk (meander) table and the exact
-    continuation weights phi*; Gamma_a is extended by its boundary limits
+    The expectation reads the absolute-continuity step's weights
+    P[W_m = k, zeta >= n] at (n, a); Gamma_a is extended by its boundary limits
     1/(1-a) below x = 1e-3 and 0 above x = 1e3 (total weight there is tiny,
     and is reported).  The exact f = 1 identity E[D_n | zeta >= n] = 1 is
-    checked alongside at 1e-9: the same weights against
-    ``exactlaw.discrete_ratio_window`` in place of Gamma_a.
+    checked alongside at 1e-9: the step's D-weighted mean.
     """
     t0 = time.time()
     law.require_critical("lukasiewicz_marginal_experiment")
     law.require_sizes("lukasiewicz_marginal_experiment", [n])
+    _require_split("lukasiewicz_marginal_experiment", [n], a)
     slaw = StableLaw(theta=law.theta)
-    b_n = calibrate_bn(law, n)
-    m = int(math.floor(a * n))
-    rest = n - m
-    # one table, exact on [0, max(50 B_n, rest)]: Gamma_a reads all of it, the D-weighted
-    # mean its first rest entries (D = 0 beyond, as phi_rest(k + 1) = 0 for k >= rest)
-    mea = exactlaw.meander_pmf(law, m, max(int(MARGINAL_WINDOW_SCALE * b_n), rest))
-    ks = np.arange(mea.lo, mea.hi + 1)
-    w = mea.masses * exactlaw.phi_star(law, rest, ks + 1)
-    alive = float(w.sum()) + mea.truncated_mass  # clipped states have phi* = 1
-
-    xs = ks / b_n
+    step = _ac_step(law, n, a)
+    w = step.weight
+    xs = np.arange(w.size) / step.b_n
     gam = np.empty(xs.size)
     inside = (xs >= stable.GAMMA_X_LO) & (xs <= stable.GAMMA_X_HI)
     gam[inside] = np.asarray(stable.gamma_a(slaw, a, xs[inside]))
     gam[xs < stable.GAMMA_X_LO] = 1.0 / (1.0 - a)  # small-x limit of Gamma_a
     gam[xs > stable.GAMMA_X_HI] = 0.0
-    expect_gamma = float((w * gam).sum()) / alive
-    boundary_weight = float(w[~inside].sum()) / alive
-    d_mean = float(w[:rest] @ exactlaw.discrete_ratio_window(law, n, a, 0, rest - 1)) / alive
+    expect_gamma = float((w * gam).sum()) / step.alive
+    boundary_weight = float(w[~inside].sum()) / step.alive
 
     stats = {
         "n": n,
         "E_gamma": expect_gamma,
         "abs_error": abs(expect_gamma - 1.0),
         "boundary_weight": boundary_weight,
-        "exact_identity_mean": d_mean,
-        "meander_clipped_mass": mea.truncated_mass,
+        "exact_identity_mean": step.d_mean,
+        "meander_clipped_mass": step.clipped,
     }
-    passed = abs(expect_gamma - 1.0) <= MARGINAL_TOL and abs(d_mean - 1.0) <= 1e-9
+    passed = abs(expect_gamma - 1.0) <= MARGINAL_TOL and abs(step.d_mean - 1.0) <= 1e-9
     note = ("0.05 gate is a pinned empirical choice: the paper does not "
             "quantify the D_n -> Gamma_a rate.")
     if law.theta < 2.0:
@@ -516,11 +554,8 @@ def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> Experiment
     step sequences are refused before any tree or table is built.
     """
     t0 = time.time()
-    if not 0.0 < a < 1.0:
-        raise exactlaw.ExactLawError("a must lie in (0,1)")
+    _require_split("check_absolute_continuity", [n], a)
     m = int(math.floor(a * n))
-    if m < 1:
-        raise exactlaw.ExactLawError("floor(a*n) must be >= 1")
     # Prefixes containing a child count >= n contribute 0 to both sides
     # (the tree can't close at n vertices and phi_rest vanishes), so the
     # enumeration over counts <= n - 1 is complete for the discrepancy.

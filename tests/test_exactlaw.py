@@ -705,21 +705,13 @@ class TestTableCache:
                               "phi_star", "_phi_star_profile")
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
-        # meanders: the ratio's conditioned marginal (m = 512, exact on [0, 512]) and
-        # the marginal's wider one, which also serves the marginal's D-weighted mean
-        assert builds["_killed_walk"] == 2
-        # phi at p = 512 reads one W_512 table, built once: the ratio's conditioned
-        # marginal builds it, the ratio's and the marginal's D windows read it
-        assert builds["_walk_table"] == 1
-        # one block set: the ratio's meander builds it at top 1024, phi*_512 reads a
-        # prefix, and the marginal's meander resumes the killed walk at step 512,
-        # where the ratio's left it, so it builds no blocks and takes no step
-        assert builds["_build_blocks"] == 1
-        assert law.tables["killed_walk"][0] == 512
-        # one phi* profile at p = 512: the ratio window builds it, the marginal's
-        # weights and its D window read it
+        # one absolute-continuity step at (1024, 1/2), which the marginal reads: one
+        # meander (m = 512, exact on [0, 50 B_n]), whose block set phi*_512 reads a
+        # prefix of, and one W_512 table, which phi reads for the D window
+        assert builds["_killed_walk"] == builds["_build_blocks"] == builds["_walk_table"] == 1
+        # one phi* profile at p = 512: the step's weights build it, its D window reads it
         star_builds = builds["_phi_star_profile"]
-        assert (star_builds, builds["phi_star"] - star_builds) == (1, 2)
+        assert (star_builds, builds["phi_star"] - star_builds) == (1, 1)
 
         js = np.arange(1, 201)  # beyond j = p, phi = 0 and phi* = 1 (zeta_j >= j)
         phi_wide, phistar_wide = ex.phi(law, 64, js), ex.phi_star(law, 64, js)
@@ -736,7 +728,8 @@ class TestTableCache:
         assert np.array_equal(ex.walk_pmf(law, 64, exact_hi=0).masses, ex.walk_pmf(law, 64, 0).masses)
         assert builds["_walk_table"] == before
         kept = (mea.masses, ex.progeny_rho(law, 64), ex.walk_pmf(law, 64, 0).masses,
-                law.tables["walk"].masses, law.tables["phi_star"], law.tables["killed_walk"][1])
+                law.tables["walk"].masses, law.tables["phi_star"], law.tables["ac"].weight,
+                law.tables["ac"].ratio)
         assert not any(arr.flags.writeable for arr in kept)
 
     def test_sampler_law_reads_phi_table(self, monkeypatch):
@@ -762,16 +755,19 @@ class TestTableCache:
     def test_tables_die_with_the_law(self):
         # a fresh interpreter, so that nothing else holds these laws: once a law goes,
         # by reference counting alone, every table kept on it goes too, exact tables,
-        # block matrix, step sampler and a subcritical law's tilt alike
+        # absolute-continuity step, block matrix, step sampler and a subcritical law's
+        # tilt alike
         import os
         import subprocess
         import sys
         from pathlib import Path
 
         code = ("import weakref\n"
-                "from gwtrees import exactlaw as ex, sampler as sa\n"
+                "from gwtrees import exactlaw as ex, limits as lim, sampler as sa\n"
                 "from gwtrees.offspring import make_explicit, make_geometric\n"
                 "law = make_geometric(0.5)\n"
+                "lim.ratio_vs_gamma_experiment(law, (64,))\n"
+                "lim.lukasiewicz_marginal_experiment(law, 64)\n"
                 "ex.walk_pmf(law, 64, 0); ex.phi_star(law, 48, 1)\n"
                 "ex.meander_pmf(law, 64, 64); ex.progeny_rho(law, 64)\n"
                 "sa.sample_conditioned(law, 64, sa.derive_rng(0))\n"
@@ -781,15 +777,15 @@ class TestTableCache:
                 "tab, tilt = law.tables, sub.tables['tilt']\n"
                 "print(sorted(tab), sorted(sub.tables), sorted(tilt.tables), tab['steps'].n)\n"
                 "refs = [weakref.ref(x) for x in (law, tab['walk'], tab['phi_star'], tab['progeny'],\n"
-                "        tab['killed_walk'][1], tab['blocks'], tab['blocks'].rows, tab['steps'],\n"
-                "        sub, tilt, tilt.tables['steps'])]\n"
+                "        tab['ac'], tab['ac'].weight, tab['blocks'], tab['blocks'].rows,\n"
+                "        tab['steps'], sub, tilt, tilt.tables['steps'])]\n"
                 "del law, tab, sub, tilt\n"
                 "print(sum(ref() is not None for ref in refs), ex._blocks_law())\n")
         env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.split("\n")[:2] == [
-            "['blocks', 'killed_walk', 'phi_star', 'progeny', 'steps', 'walk'] ['tilt'] "
+            "['ac', 'blocks', 'phi_star', 'progeny', 'steps', 'walk'] ['tilt'] "
             "['steps'] 100", "0 None"]
 
 
@@ -815,22 +811,16 @@ class TestTableReuse:
 
     @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
     def test_meander_grows_in_m_then_in_exact_hi(self, law_name, monkeypatch):
-        # the exact suite's order: the killed walk grows in m, then in exact_hi at the
-        # last m, then a smaller m; each table against a build on a law with nothing
-        # cached (built after the reused ones: the one block set held would go first)
+        # the killed walk grows in m, then in exact_hi at the last m, then a smaller m;
+        # each table against a build on a law with nothing cached (built after the
+        # reused ones: the one block set held would go first)
         make = REUSE_LAWS[law_name]
         law = make()
         builds = count_builds(monkeypatch, "_build_blocks")
         requests = ((64, 64), (65, 64), (256, 256), (256, 600), (100, 300))
         tables = [ex.meander_pmf(law, m, exact_hi) for m, exact_hi in requests]
-        # a capped law resumes at every larger m: geometric's walk ends (256, 256)
-        # clean and needs no block at (256, 600), while the sigma^2 = 3 law's last
-        # block at (256, 256) cuts above noise, so (256, 600) takes that block again
-        # on a wider set.  The heavy law always cuts: its walk restarts from step 0
-        want_state, want_builds = {"geometric": (256, 3), "capped": (256, 4),
-                                   "theta1.5": (0, 4)}[law_name]
-        assert law.tables.get("killed_walk", (0,))[0] == want_state
-        assert builds["_build_blocks"] == want_builds
+        # every wider top builds its set; (100, 300), at top 400, reads the set of 856
+        assert builds["_build_blocks"] == 4
         for (m, exact_hi), table in zip(requests, tables):
             assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))
 
@@ -900,19 +890,3 @@ class TestTableReuse:
         assert builds["_build_blocks"] == 0
         for (m, exact_hi), table in zip(requests, got):
             assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))
-
-    def test_narrower_request_resumes_a_wider_walk(self):
-        # the kept walk of (64, 600) reaches above the ceiling exact_hi + m - 64 = 96 of
-        # (96, 64); the resumed block clips that mass, which can neither be killed in it
-        # nor return to [0, exact_hi], so only where the excess is booked may differ.
-        # The capped law: geometric's whole set floors its ceilings far above 96, and
-        # the heavy law keeps no walk
-        make = REUSE_LAWS["capped"]
-        law = make()
-        ex.meander_pmf(law, 64, 600)
-        t, v = law.tables["killed_walk"][:2]
-        assert t == 64 and v.size > 96 + 1
-        got, want = ex.meander_pmf(law, 96, 64), ex.meander_pmf(make(), 96, 64)
-        assert np.max(np.abs(got.masses - want.masses)) <= REUSE_TOL
-        total = [float(tab.masses.sum()) + tab.truncated_mass for tab in (got, want)]
-        assert abs(total[0] - total[1]) <= 1e-12

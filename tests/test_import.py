@@ -55,7 +55,7 @@ def test_table_layer_caches_hold_no_law():
         assert decorated == names and len(uses) == len(names), module
 
 
-TABLE_KINDS = {"walk", "phi_star", "progeny", "killed_walk", "blocks", "steps", "tilt"}
+TABLE_KINDS = {"walk", "phi_star", "progeny", "ac", "blocks", "steps", "tilt"}
 
 
 class _TableKeys(ast.NodeVisitor):
@@ -102,6 +102,28 @@ def test_each_table_kind_has_one_owner():
         owners.setdefault(key, set()).add(func)
     assert set(owners) == TABLE_KINDS
     assert {key: funcs for key, funcs in owners.items() if len(funcs) != 1} == {}
+
+
+def test_limits_reads_the_ac_step():
+    # in ``limits`` the meander, phi*, D and the conditioned marginal are reached only by
+    # the absolute-continuity step and the exhaustive check: every other experiment on
+    # (n, a) reads the step instead of building the tables again
+    primitives = {"meander_pmf", "phi_star", "discrete_ratio_window", "conditioned_walk_marginal"}
+    tree = ast.parse((Path(gwtrees.__file__).parent / "limits.py").read_text())
+    users = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & primitives:
+                users.add(getattr(top, "name", "<module>"))
+    assert users == {"_ac_step", "check_absolute_continuity"}
 
 
 def test_import_skips_scipy_signal():

@@ -7,7 +7,7 @@ import pytest
 from gwtrees import limits as lim
 from gwtrees.exactlaw import PmfTable
 from gwtrees import exactlaw
-from gwtrees.offspring import LawError, make_explicit, make_geometric
+from gwtrees.offspring import LawError, make_explicit, make_geometric, make_stable_family
 
 
 def strip_timing(report):
@@ -123,6 +123,35 @@ SIGMA2_3 = [0.6, 0.25, 0.0, 0.0, 0.0, 0.15]  # critical, sigma^2 = 3
 SIGMA2_HALF = [0.25, 0.5, 0.25]  # critical, sigma^2 = 1/2
 
 
+class TestAcStep:
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("make", [
+        lambda: make_geometric(0.5), lambda: make_stable_family(1.5),
+        lambda: make_explicit(SIGMA2_HALF), lambda: make_explicit(SIGMA2_3),
+    ], ids=["geometric", "theta1.5", "sigma2_half", "sigma2_3"])
+    def test_identity_pointwise(self, make, n):
+        # the paper's identity at every k, m = n / 2: the law of W_m given zeta = n by
+        # the Markov property at m equals the zeta >= n weights reweighted by D, and
+        # the weights' total mass is P[zeta >= n] by the branching recursion
+        law = make()
+        step = lim._ac_step(law, n, 0.5)
+        rest = n - n // 2
+        want = exactlaw.conditioned_walk_marginal(law, n, n // 2).masses
+        assert np.max(np.abs(step.weight[:rest] * step.ratio / step.alive - want)) <= 1e-13
+        assert abs(step.alive - (1.0 - float(exactlaw.progeny_rho(law, n)[:n].sum()))) <= 1e-14
+
+
+def forbid_tables(monkeypatch):
+    """Make every exact-table builder and the tree sampler fail if called."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("walk_pmf", "progeny_rho", "meander_pmf", "phi", "phi_star",
+                 "discrete_ratio_window", "conditioned_walk_marginal"):
+        monkeypatch.setattr(exactlaw, name, no_table)
+    monkeypatch.setattr(lim, "sample_conditioned", no_table)  # nor a tree drawn
+
+
 class TestRefusals:
     @pytest.mark.parametrize("experiment, sizes", [
         (lim.llt_experiment, (64, 256)),
@@ -135,15 +164,22 @@ class TestRefusals:
     @pytest.mark.parametrize("probs, cause", [(BINARY, "span 2"), (GAP, "P[zeta = 64] = 0")],
                              ids=["binary", "gap"])
     def test_refused_before_any_table(self, monkeypatch, experiment, sizes, probs, cause):
-        def no_table(*args, **kwargs):
-            raise AssertionError("a table was built")
-
-        for name in ("walk_pmf", "progeny_rho", "meander_pmf", "phi", "phi_star",
-                     "discrete_ratio_window", "conditioned_walk_marginal"):
-            monkeypatch.setattr(exactlaw, name, no_table)
-        monkeypatch.setattr(lim, "sample_conditioned", no_table)  # nor a tree drawn
+        forbid_tables(monkeypatch)
         with pytest.raises(LawError, match=re.escape(cause)):
             experiment(make_explicit(probs), sizes)
+
+    @pytest.mark.parametrize("experiment, name", [
+        (lambda law, a: lim.ratio_vs_gamma_experiment(law, (64, 256), a), "ratio_vs_gamma"),
+        (lambda law, a: lim.lukasiewicz_marginal_experiment(law, 64, a), "lukasiewicz_marginal"),
+    ], ids=["ratio", "marginal"])
+    @pytest.mark.parametrize("a", [0.0, 0.001, 1.0, 1.5])
+    def test_bad_split_refused_before_any_table(self, monkeypatch, geometric, experiment,
+                                                name, a):
+        # floor(a n) must lie in [1, n - 1]: the error names a and the first bad n
+        forbid_tables(monkeypatch)
+        with pytest.raises(exactlaw.ExactLawError,
+                           match=f"{name}_experiment needs a in .* got a = {a!r} at n = 64$"):
+            experiment(geometric, a)
 
     @pytest.mark.parametrize("experiment, name", [
         (lim.llt_experiment, "llt_experiment"),
