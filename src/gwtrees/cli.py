@@ -50,7 +50,12 @@ def _load_law(spec: str) -> OffspringLaw:
     spec is the path of a JSON law file."""
     name, _, param = spec.partition(":")
     if name in _NAMED_LAWS:
-        return OffspringLaw(name, float(param) if param else _NAMED_LAWS[name])
+        try:
+            value = float(param) if param else _NAMED_LAWS[name]
+        except ValueError:
+            raise ValueError("--law takes geometric[:p], stable[:theta] or a JSON law file, "
+                             f"got {spec!r}") from None
+        return OffspringLaw(name, value)
     with open(spec) as fh:
         return law_from_spec(json.load(fh))
 

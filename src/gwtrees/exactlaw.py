@@ -40,14 +40,14 @@ tables share one type, ``PmfTable``.  Every function takes the ``OffspringLaw``
 
 One retention rule holds for every table: each law keeps its latest table of
 each kind in its own ``OffspringLaw.tables``, one key per kind, so the tables
-go with the law.  The kinds kept here are ``"walk"``, the widest W_n of its
-last n (a narrower exact_hi reads its prefix); ``"phi_star"``, the profile of
-its last p; ``"progeny"``, the recursion (carried on for a larger n, read as a
+go with the law.  The kinds kept here are ``"phi_star"``, the profile of its
+last p; ``"progeny"``, the recursion (carried on for a larger n, read as a
 prefix for a smaller one); and ``"blocks"``, the W_1..W_32 block set of the
 widest top so far (read by a narrower top too, such as phi* after the meander
 of the same absolute-continuity step).  One block set is held across all laws:
-building one drops every other law's.  The killed walk keeps nothing: each
-meander walks from step 0.  No kept value refers to its law.
+building one drops every other law's.  W_n tables and the killed walk keep
+nothing: each ``walk_pmf`` call builds its table, and each meander walks from
+step 0.  No kept value refers to its law.
 """
 
 from __future__ import annotations
@@ -209,22 +209,34 @@ def _step_table(law: OffspringLaw, hi: int) -> Tuple[int, np.ndarray]:
     return -1, law.probabilities(min(hi, max(cap, 1)) + 1)
 
 
-def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
-    """Law of W_n, exact on [-n, hi_eval], by binary-decomposition convolution.
+def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
+    """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi], by
+    binary-decomposition convolution.
 
-    Intermediate m-step tables are clipped at hi_eval + (n - m); the walk cannot
-    descend more than n - m in the remaining steps, so clipped mass never
-    contaminates the protected window.  Each table carries the mass clipped from
-    it: the step law's tail above the step table, and what every ceiling cut off.
-    X + Y lacks 1 - (1 - lost_X)(1 - lost_Y) plus its own clip, so the FFT's
-    rounding of a table's total, which every squaring doubles, is not booked as
-    truncation.  Nor are the entries ``_conv`` trims as noise: on light tails
-    their sum is clipped-at-0 noise, on heavy ones it also holds real mass (2e-9
-    beside 3.7e-4 clipped at theta = 1.5, n = 16384).  ``walk_pmf`` keeps it.
+    With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
+    has a usable support cap K, otherwise exact_hi defaults to a bulk window of
+    ~64 * n^(1/theta).  Intermediate m-step tables are clipped at
+    exact_hi + (n - m); the walk cannot descend more than n - m in the remaining
+    steps, so clipped mass never contaminates the protected window.  Each table
+    carries the mass clipped from it: the step law's tail above the step table,
+    and what every ceiling cut off.  X + Y lacks 1 - (1 - lost_X)(1 - lost_Y)
+    plus its own clip, so the FFT's rounding of a table's total, which every
+    squaring doubles, is not booked as truncation.  Nor are the entries ``_conv``
+    trims as noise: on light tails their sum is clipped-at-0 noise, on heavy ones
+    it also holds real mass (2e-9 beside 3.7e-4 clipped at theta = 1.5,
+    n = 16384).  Each call builds its table; nothing is kept on the law.
     """
     if n < 1:
         raise ExactLawError("n must be >= 1")
-    pw_off, pw = _step_table(law, hi_eval + (n - 1))
+    if exact_hi is None:
+        cap = law.support_cap(1e-18) - 1  # of nu
+        if cap * n <= 1 << 22:
+            exact_hi = cap * n
+        else:
+            exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
+    if exact_hi < -n:
+        raise ExactLawError("exact_hi below the walk's minimum")
+    pw_off, pw = _step_table(law, exact_hi + (n - 1))
     pw_lost = law.tail_mass(pw.size - 1)  # mu above the table's top mu(pw.size - 1)
     acc_off, acc, acc_lost, acc_m, pw_m = None, None, 0.0, 0, 1
     bits = n
@@ -234,43 +246,16 @@ def _walk_table(law: OffspringLaw, n: int, hi_eval: int) -> PmfTable:
                 acc_off, acc, acc_lost, acc_m = pw_off, pw, pw_lost, pw_m
             else:
                 acc_off, acc, clipped = _advance(
-                    acc_off, acc, pw_off, pw, hi_eval + (n - acc_m - pw_m)
+                    acc_off, acc, pw_off, pw, exact_hi + (n - acc_m - pw_m)
                 )
                 acc_lost += pw_lost - acc_lost * pw_lost + clipped
                 acc_m += pw_m
         bits >>= 1
         if bits:
-            pw_off, pw, clipped = _advance(pw_off, pw, pw_off, pw, hi_eval + (n - 2 * pw_m))
+            pw_off, pw, clipped = _advance(pw_off, pw, pw_off, pw, exact_hi + (n - 2 * pw_m))
             pw_lost += pw_lost - pw_lost * pw_lost + clipped
             pw_m *= 2
-    return PmfTable(acc_off, acc, acc_lost, hi_eval)
-
-
-def walk_pmf(law: OffspringLaw, n: int, exact_hi: Optional[int] = None) -> PmfTable:
-    """Exact law of W_n = sum of n i.i.d. nu-steps, exact on [-n, exact_hi].
-
-    With ``exact_hi=None`` the full support [-n, K*n] is built when the step law
-    has a usable support cap K, otherwise exact_hi defaults to a bulk window of
-    ~64 * n^(1/theta).  The law keeps the widest W_n of its last n, and an
-    exact_hi below it is served as its prefix, the cut entries booked in
-    ``truncated_mass``.
-    """
-    if exact_hi is None:
-        cap = law.support_cap(1e-18) - 1  # of nu
-        if cap * n <= 1 << 22:
-            exact_hi = cap * n
-        else:
-            exact_hi = int(64.0 * n ** (1.0 / law.theta)) + 1
-    if exact_hi < -n:
-        raise ExactLawError("exact_hi below the walk's minimum")
-    wide = law.tables.get("walk")
-    if wide is None or wide.lo != -n or wide.exact_hi < exact_hi:  # W_n's table starts at -n
-        wide = law.tables["walk"] = _walk_table(law, n, exact_hi)
-    if wide.exact_hi == exact_hi:
-        return wide
-    keep = exact_hi - wide.offset + 1
-    return PmfTable(wide.offset, wide.masses[:keep],
-                    wide.truncated_mass + float(wide.masses[keep:].sum()), exact_hi)
+    return PmfTable(acc_off, acc, acc_lost, exact_hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +434,7 @@ def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
 
 def phi(law: OffspringLaw, n: int, j):
     """phi_n(j) = P[zeta_j = n] = (j/n) P[W_n = -j] (Kemperman), for an int j or an
-    integer array of j; one kept W_n table serves every j."""
+    integer array of j; one W_n table, exact on [-n, 0], serves every j of a call."""
     js = np.asarray(j)
     if n < 1 or np.any(js < 1):
         raise ExactLawError("phi needs j >= 1 and n >= 1")

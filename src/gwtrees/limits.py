@@ -111,33 +111,35 @@ MARGINAL_WINDOW_SCALE = 50.0  # the step's meander is exact at least up to 50 B_
 MARGINAL_TOL = 0.05
 
 
-def _ks_one_sample(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    xs = np.sort(sample)
-    n = xs.size
+def _ks(sample, cdf: Callable[[np.ndarray], np.ndarray],
+        cdf_left: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
+    """Tie-aware KS distance sup_x |F_N(x) - F(x)| between draws and a CDF F.
+
+    F_N jumps only at the draws and F is right-continuous, so the sup is reached at
+    a distinct draw x: #{<= x}/N against F(x), or #{< x}/N against the left limit
+    F(x-), ``cdf_left`` (F itself when F is continuous).
+    """
+    xs, counts = np.unique(np.asarray(sample), return_counts=True)
+    upto = np.cumsum(counts)  # #{<= x}
     f = np.asarray(cdf(xs))
-    lo = np.max(np.abs(f - np.arange(n) / n))
-    hi = np.max(np.abs(f - np.arange(1, n + 1) / n))
-    return float(max(lo, hi))
-
-
-def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    grid = np.sort(np.concatenate([a, b]))
-    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    f_left = f if cdf_left is None else np.asarray(cdf_left(xs))
+    n = upto[-1]
+    return float(max(np.max(np.abs(upto / n - f)), np.max(np.abs((upto - counts) / n - f_left))))
 
 
 def ks_discrete(sample, table: exactlaw.PmfTable) -> float:
-    """Tie-aware KS distance between integer draws (none below table.lo) and a table's law.
+    """Tie-aware KS distance between integer draws and a table's law; a draw below
+    table.lo is refused."""
+    sample = np.asarray(sample)
+    if sample.min() < table.offset:
+        raise ValueError(f"ks_discrete: draw {sample.min()} lies below the table's "
+                         f"lowest value {table.offset}")
+    cum = np.append(0.0, np.cumsum(table.masses))  # cum[i] = F(table.offset + i - 1)
 
-    Both CDFs are constant on [k, k + 1), so the sup over the integers k counts ties
-    exactly; comparing F(x_i) with i/N inside a run of ties would not.
-    """
-    counts = np.bincount(np.asarray(sample) - table.offset, minlength=table.masses.size)
-    empirical = np.cumsum(counts) / counts.sum()
-    exact = np.cumsum(table.masses)
-    exact = np.pad(exact, (0, empirical.size - exact.size), mode="edge")
-    return float(np.max(np.abs(empirical - exact)))
+    def cdf(shift):
+        return lambda xs: cum[np.minimum(xs - table.offset + shift, table.masses.size)]
+
+    return _ks(sample, cdf(1), cdf(0))
 
 
 # -- local limit theorem --------------------------------------------------------------
@@ -167,9 +169,8 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
         dens = np.asarray(stable.density_p1(slaw, ks / b_n))
         e1.append(float(np.max(np.abs(b_n * table.probs(ks) - dens))))
 
-        j_hi = int(ALPHA * b_n)
-        js = np.arange(1, j_hi + 1)
-        phi_n = exactlaw.phi(law, n, js)
+        js = np.arange(1, int(ALPHA * b_n) + 1)
+        phi_n = js / n * table.probs(-js)  # Kemperman: phi_n(j) = (j/n) P[W_n = -j]
         q1 = np.asarray(stable.first_passage_density(slaw, 1.0, js / b_n))
         e2.append(float(np.max(np.abs(n * phi_n - q1))))
     stats = {"n_list": list(n_list), "B_n": bns, "e1": e1, "e2": e2}
@@ -356,6 +357,8 @@ def contour_limit_experiment(
                          "(density-level excursion reference exists only there)")
     law.require_critical("contour_limit_experiment")
     law.require_sizes("contour_limit_experiment", [n])
+    if replicates < 2:  # the standard error of the sup-mean needs two
+        raise ValueError(f"contour_limit_experiment needs at least 2 replicates, got {replicates}")
     b_n = calibrate_bn(law, n)
     scale = b_n / n
     idx = [int(round(2 * n * t)) for t in CONTOUR_T]
@@ -375,8 +378,10 @@ def contour_limit_experiment(
 
     ks_t, ks_rev = [], []
     for j, t in enumerate(CONTOUR_T):
-        ks_t.append(_ks_one_sample(at[:, j], lambda y: stable.excursion_marginal_theta2_cdf(t, y)))
-        ks_rev.append(_ks_two_sample(at[:, j], rev[:, j]))
+        ks_t.append(_ks(at[:, j], lambda y: stable.excursion_marginal_theta2_cdf(t, y)))
+        other = np.sort(rev[:, j])
+        ks_rev.append(_ks(at[:, j], lambda y: np.searchsorted(other, y, side="right") / other.size,
+                          lambda y: np.searchsorted(other, y, side="left") / other.size))
     mean_sup = float(sups.mean())
     se_sup = float(sups.std(ddof=1) / math.sqrt(sups.size))
     target = math.sqrt(math.pi)
@@ -439,6 +444,9 @@ def height_contour_gap_experiment(
     t0 = time.time()
     law.require_critical("height_contour_gap_experiment")
     law.require_sizes("height_contour_gap_experiment", n_list)
+    if replicates < 1:
+        raise ValueError(f"height_contour_gap_experiment needs at least 1 replicate, "
+                         f"got {replicates}")
 
     def one(n: int, rep: int) -> tuple:
         rng = derive_rng(seed, n, rep)

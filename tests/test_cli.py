@@ -543,6 +543,12 @@ class TestErrors:
         assert err == f"error: --grid takes lo:hi:count, got {grid!r}\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("spec", ["stable:abc", "geometric:1/2"])
+    def test_non_numeric_law_parameter_names_the_spec(self, capsys, spec):
+        assert run(["exact", "--law", spec, "--what", "walk", "--n", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --law takes geometric[:p], stable[:theta] or a JSON law file, got {spec!r}\n")
+
     def test_exc_marginal_only_at_theta2(self, tmp_path):
         out = tmp_path / "sub" / "m.csv"
         assert run(["stable", "--theta", "1.5", "--what", "exc-marginal",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import ChainMap
 
 import numpy as np
 import pytest
@@ -680,8 +681,9 @@ class TestConditionedWalkMarginal:
             ex.conditioned_walk_marginal(stable15, 2, 1)
 
 
-def count_builds(monkeypatch, *names):
-    """Wrap each named exactlaw builder so that its calls are counted."""
+def count_builds(monkeypatch, *names, module=ex):
+    """Wrap each named builder of ``module`` (exactlaw by default) so that its calls
+    are counted."""
     builds = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -691,7 +693,7 @@ def count_builds(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return builds
 
 
@@ -701,14 +703,14 @@ class TestTableCache:
         from gwtrees.offspring import make_geometric
 
         law = make_geometric(0.5)  # a fresh object: none of its tables is kept yet
-        builds = count_builds(monkeypatch, "_walk_table", "_build_blocks", "_killed_walk",
+        builds = count_builds(monkeypatch, "walk_pmf", "_build_blocks", "_killed_walk",
                               "phi_star", "_phi_star_profile")
         lim.ratio_vs_gamma_experiment(law, (1024,))
         lim.lukasiewicz_marginal_experiment(law, 1024)
         # one absolute-continuity step at (1024, 1/2), which the marginal reads: one
         # meander (m = 512, exact on [0, 50 B_n]), whose block set phi*_512 reads a
         # prefix of, and one W_512 table, which phi reads for the D window
-        assert builds["_killed_walk"] == builds["_build_blocks"] == builds["_walk_table"] == 1
+        assert builds["_killed_walk"] == builds["_build_blocks"] == builds["walk_pmf"] == 1
         # one phi* profile at p = 512: the step's weights build it, its D window reads it
         star_builds = builds["_phi_star_profile"]
         assert (star_builds, builds["phi_star"] - star_builds) == (1, 1)
@@ -720,27 +722,59 @@ class TestTableCache:
         assert np.array_equal(phistar_wide, np.concatenate([phistar_p, np.ones(136)]))
 
         mea = ex.meander_pmf(law, 8, 16)
-        # the resolved default is the kept widest table; positional and keyword
-        # calls for a narrower window read its prefix and build nothing
-        full = ex.walk_pmf(law, 64)
-        assert full is ex.walk_pmf(law, 64, exact_hi=full.exact_hi)
-        before = builds["_walk_table"]
-        assert np.array_equal(ex.walk_pmf(law, 64, exact_hi=0).masses, ex.walk_pmf(law, 64, 0).masses)
-        assert builds["_walk_table"] == before
         kept = (mea.masses, ex.progeny_rho(law, 64), ex.walk_pmf(law, 64, 0).masses,
-                law.tables["walk"].masses, law.tables["phi_star"], law.tables["ac"].weight,
-                law.tables["ac"].ratio)
+                law.tables["phi_star"], law.tables["ac"].weight, law.tables["ac"].ratio)
         assert not any(arr.flags.writeable for arr in kept)
 
-    def test_sampler_law_reads_phi_table(self, monkeypatch):
-        from gwtrees.offspring import make_geometric
-        from oracles import analytic_sampler_law
+    def test_every_kept_kind_is_read_again(self, monkeypatch):
+        # a kind earns its key in ``law.tables`` only if a later call reads the kept
+        # table: over a cold default pass of the four exact suites, the fast gap suite
+        # and two draws from a subcritical law, each kind's builder runs fewer times
+        # than its entry point is called (a critical law is its own tilt, so only the
+        # subcritical law's calls count for "tilt")
+        from gwtrees import sampler as sa
+        from test_import import TABLE_KINDS
 
-        law = make_geometric(0.5)  # fresh: nothing cached
-        ex.phi(law, 5, 1)
-        builds = count_builds(monkeypatch, "_walk_table")
-        analytic_sampler_law(law, 5)
-        assert builds["_walk_table"] == 0
+        routes = {  # kind: (module, entry point), (module, builder)
+            "phi_star": ((ex, "phi_star"), (ex, "_phi_star_profile")),
+            "blocks": ((ex, "_block_tables"), (ex, "_build_blocks")),
+            "ac": ((lim, "_ac_step"), (ex, "meander_pmf")),
+            "progeny": ((ex, "progeny_rho"), (ex, "extensions")),
+            "steps": ((sa, "_step_sampler"), (sa, "_StepSampler")),
+            "tilt": ((sa, "_critical_tilt"), (sa, "tilt_to_critical")),
+        }
+        assert set(routes) == TABLE_KINDS
+        own = {"extensions": 0, "_critical_tilt": 0}  # counted by the two wrappers below
+        calls = ChainMap(own, count_builds(monkeypatch, "walk_pmf", "_killed_walk"),
+                         *(count_builds(monkeypatch, name, module=module)
+                           for pair in routes.values() for module, name in pair
+                           if name not in own))
+        extend, critical_tilt = ex._ProgenyRecursion.extend, sa._critical_tilt
+
+        def counted_extend(self, law, n_max):
+            calls["extensions"] += n_max > self.rho.size - 1  # the table grows
+            return extend(self, law, n_max)
+
+        def subcritical_tilt(law):
+            calls["_critical_tilt"] += not law.is_critical
+            return critical_tilt(law)
+
+        monkeypatch.setattr(ex._ProgenyRecursion, "extend", counted_extend)
+        monkeypatch.setattr(sa, "_critical_tilt", subcritical_tilt)
+
+        geo, heavy = make_geometric(0.5), make_stable_family(1.5)  # fresh: nothing kept
+        for suite in ("llt", "progeny", "ratio", "marginal"):
+            lim.run_suite(suite, geo, heavy)
+        # the same builds as when each law kept its widest W_n: W_n tables, block sets,
+        # phi* profiles and killed walks
+        assert (calls["walk_pmf"], calls["_build_blocks"], calls["_phi_star_profile"],
+                calls["_killed_walk"]) == (14, 6, 6, 6)
+        lim.run_suite("gap", geo, heavy, fast=True)
+        sub = make_explicit([0.5, 0.2, 0.3])  # mean 0.8
+        for seed in (0, 1):
+            sa.sample_conditioned(sub, 50, sa.derive_rng(seed))
+        for kind, ((_, entry), (_, builder)) in routes.items():
+            assert 0 < calls[builder] < calls[entry], (kind, calls[builder], calls[entry])
 
     def test_standalone_marginal_builds_one_meander(self, monkeypatch):
         from gwtrees import limits as lim
@@ -776,7 +810,7 @@ class TestTableCache:
                 "sa.sample_conditioned(sub, 50, sa.derive_rng(2))\n"
                 "tab, tilt = law.tables, sub.tables['tilt']\n"
                 "print(sorted(tab), sorted(sub.tables), sorted(tilt.tables), tab['steps'].n)\n"
-                "refs = [weakref.ref(x) for x in (law, tab['walk'], tab['phi_star'], tab['progeny'],\n"
+                "refs = [weakref.ref(x) for x in (law, tab['phi_star'], tab['progeny'],\n"
                 "        tab['ac'], tab['ac'].weight, tab['blocks'], tab['blocks'].rows,\n"
                 "        tab['steps'], sub, tilt, tilt.tables['steps'])]\n"
                 "del law, tab, sub, tilt\n"
@@ -785,7 +819,7 @@ class TestTableCache:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.split("\n")[:2] == [
-            "['ac', 'blocks', 'phi_star', 'progeny', 'steps', 'walk'] ['tilt'] "
+            "['ac', 'blocks', 'phi_star', 'progeny', 'steps'] ['tilt'] "
             "['steps'] 100", "0 None"]
 
 
@@ -807,7 +841,7 @@ def assert_same_table(got, want, unbooked=0.0):
 
 
 class TestTableReuse:
-    """Tables resumed, sliced or read from a shared block set against fresh builds."""
+    """Tables resumed or read from a shared block set against fresh builds."""
 
     @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
     def test_meander_grows_in_m_then_in_exact_hi(self, law_name, monkeypatch):
@@ -825,27 +859,16 @@ class TestTableReuse:
             assert_same_table(table, ex.meander_pmf(make(), m, exact_hi))
 
     @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
-    def test_progeny_from_a_resumed_walk(self, law_name):
+    def test_walk_after_a_meander_matches_a_fresh_one(self, law_name):
+        # the killed walk keeps no state: after a meander of the same law it walks from
+        # step 0 on a wider block set, as on a fresh law, and its per-step loss still
+        # agrees with the branching recursion
         law = REUSE_LAWS[law_name]()
         ex.meander_pmf(law, 96, 96)
-        resumed = ex._killed_walk(law, 200, 0)[2]
+        after = ex._killed_walk(law, 200, 0)[2]
         fresh = ex._killed_walk(REUSE_LAWS[law_name](), 200, 0)[2]
-        assert np.max(np.abs(resumed - fresh)) <= REUSE_TOL
+        assert np.max(np.abs(after - fresh)) <= REUSE_TOL
         ex.progeny_pmf(law, 200)  # the two routes still agree at MASS_TOL
-
-    @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
-    def test_walk_window_sliced_from_the_widest(self, law_name, monkeypatch):
-        make = REUSE_LAWS[law_name]
-        law = make()
-        ex.walk_pmf(law, 256, 600)
-        builds = count_builds(monkeypatch, "_walk_table")
-        for hi in (0, -5, 200, 600):
-            got, want = ex.walk_pmf(law, 256, hi), ex.walk_pmf(make(), 256, hi)
-            # on a heavy tail a build also loses the real mass its noise trims drop
-            # (up to ~1e-9, see ``_walk_table``), which neither table books
-            lost = sum(abs(1.0 - float(tab.masses.sum()) - tab.truncated_mass) for tab in (got, want))
-            assert_same_table(got, want, lost)
-        assert builds["_walk_table"] == 4  # the fresh laws' builds only
 
     @pytest.mark.parametrize("law_name", sorted(REUSE_LAWS))
     def test_phi_star_reads_the_meanders_blocks(self, law_name, monkeypatch):

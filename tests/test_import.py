@@ -55,7 +55,7 @@ def test_table_layer_caches_hold_no_law():
         assert decorated == names and len(uses) == len(names), module
 
 
-TABLE_KINDS = {"walk", "phi_star", "progeny", "ac", "blocks", "steps", "tilt"}
+TABLE_KINDS = {"phi_star", "progeny", "ac", "blocks", "steps", "tilt"}
 
 
 class _TableKeys(ast.NodeVisitor):
@@ -105,10 +105,12 @@ def test_each_table_kind_has_one_owner():
 
 
 def test_limits_reads_the_ac_step():
-    # in ``limits`` the meander, phi*, D and the conditioned marginal are reached only by
-    # the absolute-continuity step and the exhaustive check: every other experiment on
-    # (n, a) reads the step instead of building the tables again
-    primitives = {"meander_pmf", "phi_star", "discrete_ratio_window", "conditioned_walk_marginal"}
+    # in ``limits`` the meander, phi, phi*, D and the conditioned marginal are reached only
+    # by the absolute-continuity step and the exhaustive check: every other experiment on
+    # (n, a) reads the step instead of building the tables again, and the llt reads phi_n
+    # off its own W_n table
+    primitives = {"meander_pmf", "phi", "phi_star", "discrete_ratio_window",
+                  "conditioned_walk_marginal"}
     tree = ast.parse((Path(gwtrees.__file__).parent / "limits.py").read_text())
     users = set()
     for top in tree.body:

@@ -23,6 +23,29 @@ def test_ks_discrete_counts_ties_exactly():
     assert lim.ks_discrete(np.array([-1, 0, 2, 2]), table) == 0.5  # above the table: F = 1
 
 
+def test_ks_discrete_refuses_draws_below_the_table():
+    table = PmfTable(-1, np.array([0.25, 0.5, 0.25]), 0.0, 1)
+    with pytest.raises(ValueError, match="draw -3 lies below the table's lowest value -1"):
+        lim.ks_discrete([0, -3, -2, 1], table)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ks_matches_scipy(seed):
+    # lattice draws with many ties, as the rescaled contour gives; scipy is an oracle only
+    from scipy import stats
+
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 40, 500) * 0.05
+    b = rng.integers(0, 30, 300) * 0.07
+    got = lim._ks(a, stats.norm(1.0, 0.5).cdf)
+    assert got == pytest.approx(stats.kstest(a, stats.norm(1.0, 0.5).cdf).statistic,
+                                rel=0, abs=1e-15)
+    other = np.sort(b)
+    got = lim._ks(a, lambda x: np.searchsorted(other, x, side="right") / other.size,
+                  lambda x: np.searchsorted(other, x, side="left") / other.size)
+    assert got == pytest.approx(stats.ks_2samp(a, b).statistic, rel=0, abs=1e-15)
+
+
 class TestLlt:
     def test_decreasing_small(self, geometric):
         rep = lim.llt_experiment(geometric, (64, 512))
@@ -180,6 +203,19 @@ class TestRefusals:
         with pytest.raises(exactlaw.ExactLawError,
                            match=f"{name}_experiment needs a in .* got a = {a!r} at n = 64$"):
             experiment(geometric, a)
+
+    @pytest.mark.parametrize("experiment, replicates, want", [
+        (lambda law, reps: lim.contour_limit_experiment(law, 100, reps),
+         (0, 1), "contour_limit_experiment needs at least 2 replicates, got {}"),
+        (lambda law, reps: lim.height_contour_gap_experiment(law, (100, 400), reps),
+         (0, -1), "height_contour_gap_experiment needs at least 1 replicate, got {}"),
+    ], ids=["contour", "hc_gap"])
+    def test_too_few_replicates_refused_before_any_tree(self, monkeypatch, geometric,
+                                                        experiment, replicates, want):
+        forbid_tables(monkeypatch)
+        for reps in replicates:
+            with pytest.raises(ValueError, match=f"^{re.escape(want.format(reps))}$"):
+                experiment(geometric, reps)
 
     @pytest.mark.parametrize("experiment, name", [
         (lim.llt_experiment, "llt_experiment"),
