@@ -355,7 +355,8 @@ class _ProgenyRecursion:
             return
         K = law.probs.size - 1
         if law.family == "explicit" and n_max * n_max * max(K, 1) > 1 << 31:
-            raise ExactLawError("explicit-law progeny recursion too large; use Kemperman")
+            raise ExactLawError(f"explicit-law progeny recursion too large: n = {n_max} and "
+                                f"K = {K} exceed the bound n^2 max(K, 1) <= 2^31")
         rho = _grown(self.rho, n_max + 1)
         if law.family == "geometric":
             p = float(law.param)
@@ -415,13 +416,14 @@ def progeny_pmf(law: OffspringLaw, n_max: int) -> PmfTable:
 
     Computed twice, as the mass the killed walk from 0 loses at each step (read
     off walk tables by Kemperman, see ``_killed_walk``) and by the branching
-    recursion; fails loudly if the two routes disagree beyond MASS_TOL.
+    recursion; fails loudly if the two routes disagree beyond MASS_TOL.  An explicit
+    law past the recursion's n^2 K <= 2^31 bound is refused before either route runs.
     """
     if n_max < 1:
         raise ExactLawError("n_max must be >= 1")
+    rec = progeny_rho(law, n_max)
     # the ceiling n_max - t at step t clips only mass that cannot reach -1 by n_max
     kem = np.append(0.0, _killed_walk(law, n_max, 0)[2])
-    rec = progeny_rho(law, n_max)
     gap = float(np.max(np.abs(kem - rec)))
     if gap > MASS_TOL:
         raise ExactLawError(f"progeny routes disagree by {gap:.3e} (tolerance {MASS_TOL:.1e})")

@@ -7,7 +7,9 @@ weight D_n to Gamma_a, the theta = 2 functional limit of the rescaled contour,
 the height/contour gap, and the Gamma_a-weight consistency of the Lukasiewicz
 marginal; an exhaustive small-n check tests the absolute-continuity identity on
 walk prefixes.  The ratio and marginal experiments read one absolute-continuity
-step per (law, n, a), ``_ac_step``.  Each returns an ``ExperimentReport``.
+step per (law, n, a), ``_ac_step``.  Each returns an ``ExperimentReport`` built by
+one frame, ``_report``; the six experiments first refuse a law or size they cannot
+serve through ``OffspringLaw.require_sizes``.
 Exact-table experiments consume no randomness; Monte Carlo ones are
 reproducible from (parameters, seed) with per-replicate derived streams.
 
@@ -84,6 +86,21 @@ class ExperimentReport:
         }
 
 
+def _report(name: str, law: OffspringLaw, t0: float, statistics: Dict[str, Any],
+            tolerances: Dict[str, Any], passed, notes: str = "", seed: Optional[int] = None,
+            **parameters) -> ExperimentReport:
+    """The one report frame: ``parameters`` lead with the law's family, the verdict is
+    a bool, and the wall time is measured from ``t0``, the experiment's start."""
+    return ExperimentReport(name=name, parameters={"family": law.family, **parameters},
+                            statistics=statistics, tolerances=tolerances, passed=bool(passed),
+                            seed=seed, notes=notes, wall_time_s=time.time() - t0)
+
+
+def _decreasing(values: Sequence[float]) -> bool:
+    """The decay gates: at least two values, each strictly below the one before."""
+    return len(values) >= 2 and all(b < a for a, b in zip(values, values[1:]))
+
+
 def jsonify(obj):
     """``json.dumps`` default: numpy arrays and scalars as plain Python values."""
     if isinstance(obj, np.ndarray):
@@ -117,9 +134,11 @@ def _ks(sample, cdf: Callable[[np.ndarray], np.ndarray],
 
     F_N jumps only at the draws and F is right-continuous, so the sup is reached at
     a distinct draw x: #{<= x}/N against F(x), or #{< x}/N against the left limit
-    F(x-), ``cdf_left`` (F itself when F is continuous).
+    F(x-), ``cdf_left`` (F itself when F is continuous).  An empty sample is refused.
     """
     xs, counts = np.unique(np.asarray(sample), return_counts=True)
+    if xs.size == 0:
+        raise ValueError("a KS distance needs at least one draw; the sample is empty")
     upto = np.cumsum(counts)  # #{<= x}
     f = np.asarray(cdf(xs))
     f_left = f if cdf_left is None else np.asarray(cdf_left(xs))
@@ -128,9 +147,12 @@ def _ks(sample, cdf: Callable[[np.ndarray], np.ndarray],
 
 
 def ks_discrete(sample, table: exactlaw.PmfTable) -> float:
-    """Tie-aware KS distance between integer draws and a table's law; a draw below
-    table.lo is refused."""
+    """Tie-aware KS distance between integer draws and a table's law; an empty sample,
+    non-integer draws and a draw below table.lo are refused."""
     sample = np.asarray(sample)
+    if sample.size == 0 or not np.issubdtype(sample.dtype, np.integer):
+        raise ValueError(f"ks_discrete needs at least one integer draw, got "
+                         f"{sample.size} of dtype {sample.dtype}")
     if sample.min() < table.offset:
         raise ValueError(f"ks_discrete: draw {sample.min()} lies below the table's "
                          f"lowest value {table.offset}")
@@ -155,7 +177,6 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
     stay under 0.02 (theta = 2) or 0.05 (theta < 2).
     """
     t0 = time.time()
-    law.require_critical("llt_experiment")
     law.require_sizes("llt_experiment", n_list)
     slaw = StableLaw(theta=law.theta)
     final_bound = 0.02 if law.theta == 2.0 else 0.05
@@ -174,28 +195,12 @@ def llt_experiment(law: OffspringLaw, n_list: Sequence[int]) -> ExperimentReport
         q1 = np.asarray(stable.first_passage_density(slaw, 1.0, js / b_n))
         e2.append(float(np.max(np.abs(n * phi_n - q1))))
     stats = {"n_list": list(n_list), "B_n": bns, "e1": e1, "e2": e2}
-    gates = {
-        "e1_decay": 2.0,
-        "e2_decay": 2.0,
-        "e1_final": final_bound,
-        "e2_final": final_bound,
-    }
-    passed = len(n_list) >= 2 and (
-        e1[-1] * 2.0 <= e1[0]
-        and e2[-1] * 2.0 <= e2[0]
-        and e1[-1] <= final_bound
-        and e2[-1] <= final_bound
-    )
-    return ExperimentReport(
-        name="llt",
-        parameters={"family": law.family, "theta": law.theta, "alpha": ALPHA,
-                    "window_scale": LLT_WINDOW_SCALE},
-        statistics=stats,
-        tolerances=gates,
-        passed=bool(passed),
-        notes="" if len(n_list) >= 2 else DECAY_NOTE,
-        wall_time_s=time.time() - t0,
-    )
+    gates = {"e1_decay": 2.0, "e2_decay": 2.0, "e1_final": final_bound, "e2_final": final_bound}
+    passed = len(n_list) >= 2 and all(e[-1] * 2.0 <= e[0] and e[-1] <= final_bound
+                                      for e in (e1, e2))
+    return _report("llt", law, t0, stats, gates, passed,
+                   notes="" if len(n_list) >= 2 else DECAY_NOTE,
+                   theta=law.theta, alpha=ALPHA, window_scale=LLT_WINDOW_SCALE)
 
 
 # -- progeny asymptotics ----------------------------------------------------------------
@@ -209,7 +214,6 @@ def progeny_asymptotics_experiment(law: OffspringLaw, n_list: Sequence[int]) -> 
     their ratio tends to theta.  Pass: |r_i(n_max) - 1| <= PROGENY_RATIO_TOL.
     """
     t0 = time.time()
-    law.require_critical("progeny_asymptotics_experiment")
     law.require_sizes("progeny_asymptotics_experiment", n_list)
     n_max = max(n_list)
     rho = exactlaw.progeny_rho(law, n_max)
@@ -224,23 +228,11 @@ def progeny_asymptotics_experiment(law: OffspringLaw, n_list: Sequence[int]) -> 
         r1.append(pn * n ** (1.0 + 1.0 / th) * h / p10)
         r2.append(pgeq * n ** (1.0 / th) * h / (th * p10))
         theta_hat.append(pgeq / (n * pn))
-    stats = {
-        "n_list": list(n_list),
-        "r1": r1,
-        "r2": r2,
-        "theta_hat": theta_hat,
-        "h": h,
-        "p1_zero": p10,
-    }
+    stats = {"n_list": list(n_list), "r1": r1, "r2": r2, "theta_hat": theta_hat, "h": h,
+             "p1_zero": p10}
     passed = abs(r1[-1] - 1.0) <= PROGENY_RATIO_TOL and abs(r2[-1] - 1.0) <= PROGENY_RATIO_TOL
-    return ExperimentReport(
-        name="progeny_asymptotics",
-        parameters={"family": law.family, "theta": th},
-        statistics=stats,
-        tolerances={"ratio_tol": PROGENY_RATIO_TOL},
-        passed=bool(passed),
-        wall_time_s=time.time() - t0,
-    )
+    return _report("progeny_asymptotics", law, t0, stats, {"ratio_tol": PROGENY_RATIO_TOL},
+                   passed, theta=th)
 
 
 # -- one absolute-continuity step --------------------------------------------------------
@@ -304,7 +296,6 @@ def ratio_vs_gamma_experiment(
     absolute-continuity step at (n, a).
     """
     t0 = time.time()
-    law.require_critical("ratio_vs_gamma_experiment")
     law.require_sizes("ratio_vs_gamma_experiment", n_list)
     _require_split("ratio_vs_gamma_experiment", n_list, a)
     slaw = StableLaw(theta=law.theta)
@@ -319,19 +310,13 @@ def ratio_vs_gamma_experiment(
         g_vals = np.asarray(stable.gamma_a(slaw, a, ks / step.b_n))
         gaps.append(float(np.max(np.abs(d_vals - g_vals))))
         means.append(step.d_mean)
-    decreasing = len(gaps) >= 2 and all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     mean_ok = all(abs(m - 1.0) <= 1e-9 for m in means)
     stats = {"n_list": list(n_list), "sup_gap": gaps, "weighted_mean": means}
-    passed = decreasing and gaps[-1] <= RATIO_FINAL_BOUND and mean_ok
-    return ExperimentReport(
-        name="ratio_vs_gamma",
-        parameters={"family": law.family, "theta": law.theta, "a": a, "alpha": ALPHA},
-        statistics=stats,
-        tolerances={"final_bound": RATIO_FINAL_BOUND, "weighted_mean": 1e-9},
-        passed=bool(passed),
-        notes="" if len(n_list) >= 2 else DECAY_NOTE,
-        wall_time_s=time.time() - t0,
-    )
+    passed = _decreasing(gaps) and gaps[-1] <= RATIO_FINAL_BOUND and mean_ok
+    return _report("ratio_vs_gamma", law, t0, stats,
+                   {"final_bound": RATIO_FINAL_BOUND, "weighted_mean": 1e-9}, passed,
+                   notes="" if len(n_list) >= 2 else DECAY_NOTE,
+                   theta=law.theta, a=a, alpha=ALPHA)
 
 
 # -- theta = 2 contour limit -------------------------------------------------------------
@@ -355,7 +340,6 @@ def contour_limit_experiment(
     if law.theta != 2.0:
         raise ValueError("contour_limit_experiment needs a theta = 2 law "
                          "(density-level excursion reference exists only there)")
-    law.require_critical("contour_limit_experiment")
     law.require_sizes("contour_limit_experiment", [n])
     if replicates < 2:  # the standard error of the sup-mean needs two
         raise ValueError(f"contour_limit_experiment needs at least 2 replicates, got {replicates}")
@@ -413,17 +397,10 @@ def contour_limit_experiment(
         and max(ks_rev) <= CONTOUR_REVERSAL_BOUND
         and abs(mean_sup - target) <= 3.0 * se_sup
     )
-    return ExperimentReport(
-        name="contour_limit",
-        parameters={"family": law.family, "n": n, "replicates": replicates},
-        statistics=stats,
-        tolerances={"ks": CONTOUR_KS_BOUND, "reversal_ks": CONTOUR_REVERSAL_BOUND,
-                    "sup_sigma": 3.0},
-        passed=bool(passed),
-        seed=seed,
-        notes=notes,
-        wall_time_s=time.time() - t0,
-    )
+    return _report("contour_limit", law, t0, stats,
+                   {"ks": CONTOUR_KS_BOUND, "reversal_ks": CONTOUR_REVERSAL_BOUND,
+                    "sup_sigma": 3.0}, passed,
+                   notes=notes, seed=seed, n=n, replicates=replicates)
 
 
 # -- height versus contour gap ---------------------------------------------------------------
@@ -442,7 +419,6 @@ def height_contour_gap_experiment(
     |H_{p+1} - H_p| + 1 on every sampled tree (violations counted).
     """
     t0 = time.time()
-    law.require_critical("height_contour_gap_experiment")
     law.require_sizes("height_contour_gap_experiment", n_list)
     if replicates < 1:
         raise ValueError(f"height_contour_gap_experiment needs at least 1 replicate, "
@@ -475,23 +451,14 @@ def height_contour_gap_experiment(
         scale = calibrate_bn(law, n) / n
         means.append(float(np.mean([g for g, _ in res]) * scale))
         viols += sum(b for _, b in res)
-    decreasing = len(means) >= 2 and all(means[i + 1] < means[i] for i in range(len(means) - 1))
     stats = {"n_list": list(n_list), "mean_gap": means, "ineq_violations": viols}
-    passed = decreasing and viols == 0
+    passed = _decreasing(means) and viols == 0
     notes = [] if law.theta == 2.0 else [THETA_LT2_NOTE]
     if len(n_list) < 2:
         notes.append(DECAY_NOTE)
-    return ExperimentReport(
-        name="height_contour_gap",
-        parameters={"family": law.family, "theta": law.theta,
-                    "replicates": replicates},
-        statistics=stats,
-        tolerances={"decreasing": True, "ineq_violations": 0},
-        passed=bool(passed),
-        seed=seed,
-        notes=" ".join(notes),
-        wall_time_s=time.time() - t0,
-    )
+    return _report("height_contour_gap", law, t0, stats,
+                   {"decreasing": True, "ineq_violations": 0}, passed,
+                   notes=" ".join(notes), seed=seed, theta=law.theta, replicates=replicates)
 
 
 # -- Gamma_a weight consistency of the Lukasiewicz marginal -------------------------------------
@@ -509,7 +476,6 @@ def lukasiewicz_marginal_experiment(
     checked alongside at 1e-9: the step's D-weighted mean.
     """
     t0 = time.time()
-    law.require_critical("lukasiewicz_marginal_experiment")
     law.require_sizes("lukasiewicz_marginal_experiment", [n])
     _require_split("lukasiewicz_marginal_experiment", [n], a)
     slaw = StableLaw(theta=law.theta)
@@ -537,15 +503,9 @@ def lukasiewicz_marginal_experiment(
             "quantify the D_n -> Gamma_a rate.")
     if law.theta < 2.0:
         note += " " + THETA_LT2_NOTE
-    return ExperimentReport(
-        name="lukasiewicz_marginal",
-        parameters={"family": law.family, "theta": law.theta, "a": a},
-        statistics=stats,
-        tolerances={"tol": MARGINAL_TOL, "exact_identity": 1e-9},
-        passed=bool(passed),
-        notes=note,
-        wall_time_s=time.time() - t0,
-    )
+    return _report("lukasiewicz_marginal", law, t0, stats,
+                   {"tol": MARGINAL_TOL, "exact_identity": 1e-9}, passed,
+                   notes=note, theta=law.theta, a=a)
 
 
 # -- exhaustive absolute-continuity check ---------------------------------------------------
@@ -560,6 +520,11 @@ def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> Experiment
     {zeta >= n} (computed from hitting-probability tables).  Reports the
     maximum absolute discrepancy over prefixes; passes at 1e-10.  More than 2e6
     step sequences are refused before any tree or table is built.
+
+    The check cannot see phi* or P[zeta >= n]: each prefix's weight phi*_rest(j) /
+    P[zeta >= n] cancels D's denominator exactly, so it tests phi_rest and P[zeta = n]
+    only.  A phi* scaled by 1.5 at odd j leaves max_discrepancy at rounding level; the
+    ratio and marginal experiments see it through the step's P[zeta >= n], its ``alive``.
     """
     t0 = time.time()
     _require_split("check_absolute_continuity", [n], a)
@@ -616,14 +581,8 @@ def check_absolute_continuity(law: OffspringLaw, n: int, a: float) -> Experiment
         "lhs_total": sum(lhs.values()),
         "rhs_total": rhs_total,
     }
-    return ExperimentReport(
-        name="absolute_continuity_check",
-        parameters={"family": law.family, "n": n, "a": a},
-        statistics=stats,
-        tolerances={"max_discrepancy": tol},
-        passed=bool(max_disc <= tol and abs(rhs_total - 1.0) <= tol),
-        wall_time_s=time.time() - t0,
-    )
+    return _report("absolute_continuity_check", law, t0, stats, {"max_discrepancy": tol},
+                   max_disc <= tol and abs(rhs_total - 1.0) <= tol, n=n, a=a)
 
 
 # -- suite orchestration ---------------------------------------------------------------------

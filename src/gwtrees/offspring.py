@@ -244,13 +244,14 @@ class OffspringLaw:
     def is_critical(self) -> bool:
         return abs(self.mean - 1.0) <= CRIT_TOL
 
-    def require_critical(self, what: str = "operation") -> None:
+    def require_critical(self, what: str) -> None:
         if not self.is_critical:
             raise LawError(f"{what} requires a critical law (mean = {self.mean!r})")
 
     def require_sizes(self, what: str, sizes: Sequence[int]) -> None:
-        """Refuse an empty size list, a periodic law (span > 1: the paper's laws are
-        aperiodic) and any size n with P[zeta = n] = 0, naming the span or the size."""
+        """Refuse a non-critical or periodic law (span > 1: the paper's laws are aperiodic),
+        an empty size list and any size n with P[zeta = n] = 0, naming the cause."""
+        self.require_critical(what)
         if len(sizes) == 0:
             raise LawError(f"{what} needs at least one size")
         span = self.child_count_sums[0]

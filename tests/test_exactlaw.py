@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import ChainMap
 
@@ -298,6 +299,18 @@ class TestProgeny:
             assert abs(rec.prob(2 * m + 1) - want) < 1e-14
             if 2 * m <= 20 and m > 0:
                 assert rec.prob(2 * m) == 0.0
+
+    def test_oversized_explicit_recursion_refused_before_either_route(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the killed walk ran")
+
+        monkeypatch.setattr(ex, "_killed_walk", no_walk)
+        law = make_explicit([0.5] + [0.5 / 200] * 200)
+        want = ("explicit-law progeny recursion too large: n = 3300 and K = 200 exceed the "
+                "bound n^2 max(K, 1) <= 2^31")
+        with pytest.raises(ex.ExactLawError, match=f"^{re.escape(want)}$"):
+            ex.progeny_pmf(law, 3300)
+        assert law.tables["progeny"].steps == 0  # nor was the recursion extended
 
 
 PROGENY_LAWS = {  # factories: each test builds fresh laws, whose recursion is not cached yet

@@ -20,6 +20,14 @@ def test_every_export_resolves(name):
     assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
 
 
+def test_readme_library_tour_runs():
+    # the README's python block is executed as written, so the tour cannot drift from the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("\n```")[0], "README.md", "exec"), {})
+
+
 TABLE_LAYER = {"offspring", "codings", "sampler", "exactlaw", "stable"}
 
 

@@ -29,6 +29,25 @@ def test_ks_discrete_refuses_draws_below_the_table():
         lim.ks_discrete([0, -3, -2, 1], table)
 
 
+@pytest.mark.parametrize("sample, got", [
+    ([], "0 of dtype float64"),
+    (np.array([], dtype=np.int64), "0 of dtype int64"),
+    ([0.5, 1], "2 of dtype float64"),
+    (np.array([0.0, 1.0]), "2 of dtype float64"),
+], ids=["empty", "empty_int", "fractional", "float"])
+def test_ks_discrete_names_a_refused_sample(sample, got):
+    table = PmfTable(-1, np.array([0.25, 0.5, 0.25]), 0.0, 1)
+    want = f"ks_discrete needs at least one integer draw, got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        lim.ks_discrete(sample, table)
+
+
+def test_ks_refuses_an_empty_sample():
+    want = "a KS distance needs at least one draw; the sample is empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        lim._ks([], lambda xs: np.clip(xs, 0.0, 1.0))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_ks_matches_scipy(seed):
     # lattice draws with many ties, as the rescaled contour gives; scipy is an oracle only
@@ -184,12 +203,15 @@ class TestRefusals:
         (lambda law, sizes: lim.contour_limit_experiment(law, sizes[0], 2), (64,)),
         (lambda law, sizes: lim.height_contour_gap_experiment(law, sizes, 2), (64, 256)),
     ], ids=["llt", "progeny", "ratio", "marginal", "contour", "hc_gap"])
-    @pytest.mark.parametrize("probs, cause", [(BINARY, "span 2"), (GAP, "P[zeta = 64] = 0")],
-                             ids=["binary", "gap"])
-    def test_refused_before_any_table(self, monkeypatch, experiment, sizes, probs, cause):
+    @pytest.mark.parametrize("make, cause", [
+        (lambda: make_explicit(BINARY), "span 2"),
+        (lambda: make_explicit(GAP), "P[zeta = 64] = 0"),
+        (lambda: make_geometric(0.4), "requires a critical law"),
+    ], ids=["binary", "gap", "subcritical"])
+    def test_refused_before_any_table(self, monkeypatch, experiment, sizes, make, cause):
         forbid_tables(monkeypatch)
         with pytest.raises(LawError, match=re.escape(cause)):
-            experiment(make_explicit(probs), sizes)
+            experiment(make(), sizes)
 
     @pytest.mark.parametrize("experiment, name", [
         (lambda law, a: lim.ratio_vs_gamma_experiment(law, (64, 256), a), "ratio_vs_gamma"),
@@ -227,6 +249,38 @@ class TestRefusals:
     def test_no_sizes_refused(self, geometric, experiment, name):
         with pytest.raises(LawError, match=f"{name} needs at least one size"):
             experiment(geometric, ())
+
+
+class TestPhiStarMutant:
+    """phi* scaled by 1.5 at odd j: the exhaustive check's weight x D cancels phi* and
+    P[zeta >= n] exactly, so only the experiments that read the step's P[zeta >= n]
+    can see it."""
+
+    @pytest.fixture
+    def mutant(self, monkeypatch):
+        real = exactlaw.phi_star
+
+        def phi_star(law, n, j):
+            js = np.asarray(j)
+            out = np.where(js % 2 == 1, 1.5, 1.0) * real(law, n, js)
+            return float(out) if js.ndim == 0 else out
+
+        monkeypatch.setattr(exactlaw, "phi_star", phi_star)
+
+    def test_the_exhaustive_check_cannot_see_it(self, mutant):
+        rep = lim.check_absolute_continuity(make_explicit([0.3, 0.3, 0.2, 0.2]), 9, 0.5)
+        assert rep.passed and rep.statistics["max_discrepancy"] <= 1e-14
+
+    @pytest.mark.parametrize("make", [lambda: make_geometric(0.5),
+                                      lambda: make_stable_family(1.5)],
+                             ids=["geometric", "theta1.5"])
+    def test_ratio_and_marginal_fail(self, mutant, make):
+        rep = lim.ratio_vs_gamma_experiment(make(), (256, 1024))
+        assert not rep.passed
+        assert all(abs(m - 1.0) > 1e-3 for m in rep.statistics["weighted_mean"])
+        rep = lim.lukasiewicz_marginal_experiment(make(), 512)
+        assert not rep.passed
+        assert abs(rep.statistics["exact_identity_mean"] - 1.0) > 1e-3
 
 
 class TestSuite:
